@@ -52,6 +52,8 @@ from .quadrics import (
     decompose_motive,
     has_nonalgebraic,
     nonalgebraic_report,
+    parse_coefficients,
+    rost_table,
 )
 from .rost import (
     RostTable,
@@ -116,9 +118,11 @@ __all__ = [
     "nonalgebraic_quotient",
     "nonalgebraic_report",
     "pair_weight",
+    "parse_coefficients",
     "parse_presentation",
     "rost_etale_mod2",
     "rost_etale_table",
+    "rost_table",
     "smith_normal_form",
     "transition_maps",
 ]

@@ -23,137 +23,17 @@ from typing import Optional
 from . import __version__
 from .errors import InvalidDimension, InvalidIndex, UnknownFamily
 from .graded import Graded2Group
-from .mod2 import cycle_image_mod2, rost_etale_mod2, top_rho_exponent
-from .quadrics import assemble_cohomology, decompose_motive, nonalgebraic_report
-from .rost import rost_etale_table
-from .tower import mod_2s_group, twist_bidegree
+from .quadrics import (
+    assemble_cohomology,
+    decompose_motive,
+    nonalgebraic_report,
+    parse_coefficients,
+    rost_table,
+)
 from .verify import SCOPES, VerifyOptions, run_checks
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
-
-
-def _records_from_graded(table: Graded2Group) -> list[dict]:
-    records = []
-    for e in table.entries:
-        n, j = e.source if e.source is not None else (None, None)
-        records.append(
-            {
-                "degree": e.degree,
-                "twist": e.twist,
-                "order": e.order,
-                "generator": e.label,
-                "source": None if n is None else {"n": n, "j": j},
-                "algebraic": e.algebraic,
-            }
-        )
-    return records
-
-
-def _rost_mod2_records(n: int) -> list[dict]:
-    ring = rost_etale_mod2(n)
-    algebraic = cycle_image_mod2(n).degrees
-    return [
-        {
-            "degree": c,
-            "twist": (c // 2) % 2 if c % 2 == 0 else None,
-            "order": 2,
-            "generator": ring.basis_label(c),
-            "source": {"n": n, "j": 0},
-            "algebraic": c in algebraic,
-        }
-        for c in ring.degrees()
-    ]
-
-
-def _rost_mod2s_records(n: int, s: int) -> list[dict]:
-    records = []
-    for degree in range(0, top_rho_exponent(n) + 1, 2):
-        p, q = twist_bidegree(degree)
-        for sm in mod_2s_group(n, p, q, s).summands:
-            records.append(
-                {
-                    "degree": degree,
-                    "twist": (degree // 2) % 2,
-                    "order": sm.order,
-                    "generator": sm.label,
-                    "source": {"n": n, "j": 0},
-                    "algebraic": None,
-                }
-            )
-    return records
-
-
-def _quadric_mod2_records(d: int) -> list[dict]:
-    records = []
-    for term in decompose_motive(d).terms:
-        if term.n == 0:
-            records.append(
-                {
-                    "degree": 2 * term.j,
-                    "twist": term.j % 2,
-                    "order": 2,
-                    "generator": "1",
-                    "source": {"n": 0, "j": term.j},
-                    "algebraic": True,
-                }
-            )
-            continue
-        ring = rost_etale_mod2(term.n)
-        algebraic = cycle_image_mod2(term.n).degrees
-        for c in ring.degrees():
-            degree = c + 2 * term.j
-            records.append(
-                {
-                    "degree": degree,
-                    "twist": (degree // 2) % 2 if degree % 2 == 0 else None,
-                    "order": 2,
-                    "generator": ring.basis_label(c),
-                    "source": {"n": term.n, "j": term.j},
-                    "algebraic": c in algebraic,
-                }
-            )
-    return records
-
-
-def _quadric_mod2s_records(d: int, s: int) -> list[dict]:
-    records = []
-    for term in decompose_motive(d).terms:
-        if term.n == 0:
-            records.append(
-                {
-                    "degree": 2 * term.j,
-                    "twist": term.j % 2,
-                    "order": 2**s,
-                    "generator": "1",
-                    "source": {"n": 0, "j": term.j},
-                    "algebraic": True,
-                }
-            )
-            continue
-        for c in range(0, top_rho_exponent(term.n) + 1, 2):
-            p, q = twist_bidegree(c)
-            for sm in mod_2s_group(term.n, p, q, s).summands:
-                degree = c + 2 * term.j
-                records.append(
-                    {
-                        "degree": degree,
-                        "twist": (degree // 2) % 2,
-                        "order": sm.order,
-                        "generator": sm.label,
-                        "source": {"n": term.n, "j": term.j},
-                        "algebraic": None,
-                    }
-                )
-    return records
-
-
-def _sort_records(records: list[dict]) -> list[dict]:
-    def key(r):
-        src = r["source"] or {"n": -1, "j": 0}
-        return (r["degree"], -src["n"], src["j"], r["generator"])
-
-    return sorted(records, key=key)
 
 
 def _order_str(order: int) -> str:
@@ -168,50 +48,47 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _render_records(target: str, coefficients: str, records: list[dict], fmt: str) -> str:
-    records = _sort_records(records)
+def _render_table(target: str, coefficients: str, table: Graded2Group, fmt: str) -> str:
     if fmt == "json":
-        return (
-            json.dumps(
-                {"target": target, "coefficients": coefficients, "records": records},
-                indent=2,
-            )
-            + "\n"
-        )
+        records = [
+            {
+                "degree": e.degree,
+                "twist": e.twist,
+                "order": e.order,
+                "generator": e.label,
+                "source": {"n": e.source[0], "j": e.source[1]},
+                "algebraic": e.algebraic,
+            }
+            for e in table.entries
+        ]
+        payload = {"target": target, "coefficients": coefficients, "records": records}
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(RECORD_FIELDS)
-        for r in records:
-            src = r["source"] or {}
-            writer.writerow(
-                [
-                    r["degree"],
-                    "" if r["twist"] is None else r["twist"],
-                    r["order"],
-                    r["generator"],
-                    src.get("n", ""),
-                    src.get("j", ""),
-                    "" if r["algebraic"] is None else str(r["algebraic"]).lower(),
-                ]
+        writer.writerows(
+            (
+                e.degree,
+                "" if e.twist is None else e.twist,
+                e.order,
+                e.label,
+                *e.source,
+                "" if e.algebraic is None else str(e.algebraic).lower(),
             )
+            for e in table.entries
+        )
         return buf.getvalue()
     lines = [f"# {target}  coefficients={coefficients}"]
     lines.append(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic")
-    for r in records:
-        src = r["source"]
-        src_s = f"M{src['n']}*T{src['j']}" if src else "-"
-        alg = "-" if r["algebraic"] is None else ("yes" if r["algebraic"] else "NO")
-        twist = "-" if r["twist"] is None else str(r["twist"])
+    for e in table.entries:
+        src = f"M{e.source[0]}*T{e.source[1]}"
+        alg = "-" if e.algebraic is None else ("yes" if e.algebraic else "NO")
+        twist = "-" if e.twist is None else str(e.twist)
         lines.append(
-            f"{r['degree']:>6}  {twist:>5}  {_order_str(r['order']):>6}  {r['generator']:<24}  {src_s:<10}  {alg}"
+            f"{e.degree:>6}  {twist:>5}  {_order_str(e.order):>6}  {e.label:<24}  {src:<10}  {alg}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_records_json(text: str) -> dict:
-    """Inverse of the JSON emitter; parse(emit(x)) round-trips."""
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +122,15 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _parse_coeff(spec: str) -> tuple[str, Optional[int]]:
-    if spec == "mod2":
-        return "mod2", None
-    if spec == "2adic":
-        return "2adic", None
-    if spec.startswith("mod2s:"):
-        s = int(spec.split(":", 1)[1])
-        if s < 1:
-            raise ValueError("coefficient level must be >= 1")
-        return "mod2s", s
-    raise ValueError(f"unknown coefficient spec {spec!r} (use mod2 | mod2s:<s> | 2adic)")
-
-
 def _cmd_cohomology(args) -> int:
-    kind, s = _parse_coeff(args.coeff)
+    parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
-        target = f"M{args.rost}"
-        if kind == "mod2":
-            records = _rost_mod2_records(args.rost)
-        elif kind == "mod2s":
-            records = _rost_mod2s_records(args.rost, s)
-        else:
-            records = _records_from_graded(rost_etale_table(args.rost).graded())
+        target, table = f"M{args.rost}", rost_table(args.rost, args.coeff)
     else:
-        target = f"Q^{args.d}"
-        if kind == "mod2":
-            records = _quadric_mod2_records(args.d)
-        elif kind == "mod2s":
-            records = _quadric_mod2s_records(args.d, s)
-        else:
-            records = _records_from_graded(assemble_cohomology(args.d))
-    _emit(_render_records(target, args.coeff, records, args.format), args.out)
+        target, table = f"Q^{args.d}", assemble_cohomology(args.d, args.coeff)
+    _emit(_render_table(target, args.coeff, table, args.format), args.out)
     return 0
 
 

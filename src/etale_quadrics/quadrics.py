@@ -8,11 +8,11 @@ on 2^(n+1) - D.  A residual binary form (D = 2) contributes the rank-one
 Artin piece M_0 (the motive of the complex point pair), residual D <= 1 is
 the empty quadric.
 
-Additively the 2-adic etale cohomology of the quadric is the sum of the
-shifted Rost tables: M_n tensor T^j moves every class up by (2j in degree,
-j in twist).  Torsion classes keep the algebraicity of their own summand,
-and the quotient by the cycle image is computed per degree from those
-flags.
+Additively the etale cohomology of the quadric, with mod2, mod2s:<s> or
+2adic coefficients, is the sum of the shifted Rost tables of that kind:
+M_n tensor T^j moves every class up by (2j in degree, j in twist).
+Torsion classes keep the algebraicity of their own summand, and the
+quotient by the cycle image is computed per degree from those flags.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from . import rost
+from . import rost, tower
 from .errors import InvalidDimension
 from .graded import Graded2Group, GradedSummand
-from .mod2 import top_rho_exponent
+from .mod2 import cycle_image_mod2, rost_etale_mod2, top_rho_exponent
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class MotiveDecomposition:
 
 
 def _check_dimension(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise InvalidDimension(f"quadric dimension must be an integer >= 1, got {d}")
 
 
@@ -104,37 +104,66 @@ def decompose_motive(d: int) -> MotiveDecomposition:
 # additive assembly
 
 
-def _term_entries(term: MotiveTerm) -> list[GradedSummand]:
-    n, j = term.n, term.j
-    if n == 0:
-        # Artin piece: one algebraic free class, nothing else
-        return [
-            GradedSummand(2 * j, 0, "1", twist=j % 2, algebraic=True, source=(0, j))
-        ]
-    table = rost.rost_etale_table(n)
-    out = []
-    for e in table.free + table.torsion:
-        degree = e.degree + 2 * j
-        out.append(
+def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
+    """(kind, level) of a coefficient spec: mod2, mod2s:<s> or 2adic."""
+    if spec == "mod2":
+        return "mod2", None
+    if spec == "2adic":
+        return "2adic", None
+    if spec.startswith("mod2s:"):
+        s = int(spec.split(":", 1)[1])
+        if s < 1:
+            raise ValueError("coefficient level must be >= 1")
+        return "mod2s", s
+    raise ValueError(f"unknown coefficient spec {spec!r} (use mod2 | mod2s:<s> | 2adic)")
+
+
+def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
+    """Cohomology of the index-n Rost motive with the given coefficients,
+    every entry with source (n, 0): the closed-form 2-adic table, the mod-2
+    ring flagged by its cycle image (twist None in odd degrees), or the
+    Z/2^s groups of the tower route in even degrees."""
+    kind, s = parse_coefficients(coeff)
+    if kind == "2adic":
+        return rost.rost_etale_table(n).graded()
+    if kind == "mod2":
+        ring = rost_etale_mod2(n)
+        algebraic = cycle_image_mod2(n).degrees
+        entries = [
             GradedSummand(
-                degree=degree,
-                order=e.order,
-                label=e.label,
-                twist=(degree // 2) % 2,
-                algebraic=e.algebraic,
-                source=(n, j),
+                c, 2, ring.basis_label(c), None if c % 2 else (c // 2) % 2, c in algebraic, (n, 0)
             )
-        )
-    return out
+            for c in ring.degrees()
+        ]
+    else:
+        entries = [
+            GradedSummand(c, sm.order, sm.label, (c // 2) % 2, None, (n, 0))
+            for c in range(0, top_rho_exponent(n) + 1, 2)
+            for sm in tower.mod_2s_group(n, *tower.twist_bidegree(c), s).summands
+        ]
+    return Graded2Group.from_entries(entries)
 
 
-def assemble_cohomology(d: int) -> Graded2Group:
-    """2-adic etale cohomology of the dimension-d anisotropic quadric as
-    the direct sum of its shifted Rost tables."""
-    dec = decompose_motive(d)
+def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
+    """Cohomology of the dimension-d anisotropic quadric as the direct sum
+    of its shifted Rost tables: M_0 tensor T^j is the algebraic unit class
+    in degree 2j, and M_n tensor T^j moves every class of rost_table(n) up
+    by 2j in degree, recomputing the twist parity there."""
+    kind, s = parse_coefficients(coeff)
+    unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
+    tables: dict[int, tuple[GradedSummand, ...]] = {}
     entries = []
-    for term in dec.terms:
-        entries.extend(_term_entries(term))
+    for term in decompose_motive(d).terms:
+        n, j = term.n, term.j
+        if n == 0:
+            entries.append(GradedSummand(2 * j, unit_order, "1", j % 2, True, (0, j)))
+            continue
+        if n not in tables:
+            tables[n] = rost_table(n, coeff).entries
+        for e in tables[n]:
+            degree = e.degree + 2 * j
+            twist = None if e.twist is None else (degree // 2) % 2
+            entries.append(GradedSummand(degree, e.order, e.label, twist, e.algebraic, (n, j)))
     return Graded2Group.from_entries(entries)
 
 

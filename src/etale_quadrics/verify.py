@@ -383,6 +383,34 @@ def check_assembly_tables(opts: VerifyOptions) -> CheckResult:
     return _result("s7.tables", "s7", failures, "assembled tables match the frozen fixtures")
 
 
+def check_coefficient_change(opts: VerifyOptions) -> CheckResult:
+    """The mod-2^s assembly (tower route) is universal coefficients applied
+    to the 2-adic assembly (closed form): Z2 becomes Z/2^s, Z/2 stays, and
+    every M_n*T^j with n >= 1 adds a ghost Z/2 in each degree c + 2j with
+    c = 2 mod 4 and 0 < c < 2^(n+1) - 2."""
+    failures = []
+    for d in (3, 5, 6, 7, 15, 31):
+        closed = quadrics.assemble_cohomology(d).entries
+        ghosts = [
+            (c + 2 * t.j, 2, f"ghost(rho_bar_{c + 1})", (t.n, t.j))
+            for t in quadrics.decompose_motive(d).terms
+            if t.n >= 1
+            for c in range(2, mod2.top_rho_exponent(t.n), 4)
+        ]
+        for s in range(1, opts.smax + 1):
+            want = sorted([(e.degree, e.order or 2**s, e.label, e.source) for e in closed] + ghosts)
+            got = sorted(
+                (e.degree, e.order, e.label, e.source)
+                for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
+            )
+            if got != want:
+                failures.append({"d": d, "s": s, "tower": got, "closed_form": want})
+    return _result(
+        "s7.coeff", "s7", failures,
+        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,5,6,7,15,31}} and s=1..{opts.smax}",
+    )
+
+
 # ---------------------------------------------------------------------------
 # s8: ring presentations against the assembly
 
@@ -470,6 +498,7 @@ _CHECKS: tuple[tuple[str, Callable[[VerifyOptions], CheckResult]], ...] = (
     ("s7", check_norm_quadrics),
     ("s7", check_neighbors),
     ("s7", check_assembly_tables),
+    ("s7", check_coefficient_change),
     ("s8", check_presentations),
     ("s9", check_flag_variety),
 )

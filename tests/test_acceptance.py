@@ -64,6 +64,10 @@ def test_criterion_11_flag_variety_dimensions():
     _verdict("criterion-11", verify.check_flag_variety(OPTS))
 
 
+def test_criterion_13_truncated_tables_follow_universal_coefficients():
+    _verdict("criterion-13", verify.check_coefficient_change(OPTS))
+
+
 def _run_verify(*extra):
     return subprocess.run(
         [sys.executable, "-m", "etale_quadrics", "verify", "--scope", "all", *extra],

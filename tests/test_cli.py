@@ -1,8 +1,11 @@
 """CLI behavior: formats, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args):
@@ -74,6 +77,59 @@ def test_cohomology_mod2():
     assert all(r["order"] == 2 for r in payload["records"])
     algebraic = [r["degree"] for r in payload["records"] if r["algebraic"]]
     assert algebraic == [0, 4, 6]
+
+
+def test_cohomology_quadric_mod2_records():
+    res = run_cli("cohomology", "7", "--coeff", "mod2", "--format", "json")
+    assert res.returncode == 0
+    records = json.loads(res.stdout)["records"]
+    assert len(records) == 15 + 3 * 7  # M3 + M2*T1 + M2*T2 + M2*T3
+    assert all(r["order"] == 2 for r in records)
+    assert all((r["twist"] is None) == (r["degree"] % 2 == 1) for r in records)
+    degree4 = [(r["generator"], r["source"], r["algebraic"]) for r in records if r["degree"] == 4]
+    assert degree4 == [
+        ("rho^4", {"n": 3, "j": 0}, False),
+        ("rho^2", {"n": 2, "j": 1}, False),
+        ("1", {"n": 2, "j": 2}, True),
+    ]
+    top = [r["degree"] for r in records if r["source"] == {"n": 3, "j": 0} and r["algebraic"]]
+    assert top == [0, 8, 12, 14]
+
+
+def test_cohomology_quadric_mod2s_records():
+    res = run_cli("cohomology", "7", "--coeff", "mod2s:3", "--format", "json")
+    assert res.returncode == 0
+    records = json.loads(res.stdout)["records"]
+    assert records_by_degree({"records": records}) == {
+        0: [8], 2: [2, 8], 4: [2, 2, 8], 6: [2, 2, 2, 8],
+        8: [2, 8, 2, 2], 10: [2, 8, 2], 12: [2, 8], 14: [8],
+    }
+    ghosts = [(r["degree"], r["source"]["n"]) for r in records if r["generator"].startswith("ghost(")]
+    assert ghosts == [(2, 3), (4, 2), (6, 3), (6, 2), (8, 2), (10, 3)]
+    assert all(r["algebraic"] is None for r in records)
+    assert all(r["twist"] == (r["degree"] // 2) % 2 for r in records)
+
+
+# stdout digests pinning the truncated-coefficient quadric tables byte for byte
+TABLE_DIGESTS = {
+    ("7", "--coeff", "mod2s:3"):
+        "6c1d096613025683362d7e50f322cd13bfd65581908524b690e1725df2dfe1fe",
+    ("7", "--coeff", "mod2s:3", "--format", "json"):
+        "2cce8d752fdc5889c5ecd22ab0749d6bede9e8fd51cbed811a8e77bb867f2541",
+    ("7", "--coeff", "mod2", "--format", "json"):
+        "d80638e0faea943acb1f822da9df9c92100e6b976d96dd2f0551bf56ff1efeac",
+    ("31", "--coeff", "mod2", "--format", "csv"):
+        "e254f3413cbe36b8507f9597a62cb3b9c739bfa27b9c24a060b8d1955bc866e7",
+    ("31", "--coeff", "mod2s:2", "--format", "json"):
+        "f686a32a2c2e3d1105af3511640de6ee9d79e225ce93ce5841cdd2447c7c830a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_DIGESTS))
+def test_truncated_table_digests(argv):
+    res = run_cli("cohomology", *argv)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == TABLE_DIGESTS[argv]
 
 
 def test_cohomology_requires_one_target():

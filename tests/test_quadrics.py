@@ -16,6 +16,8 @@ from etale_quadrics.quadrics import (
     decompose_motive,
     has_nonalgebraic,
     nonalgebraic_report,
+    parse_coefficients,
+    rost_table,
 )
 
 
@@ -72,6 +74,62 @@ def test_invalid_dimensions():
             decompose_motive(bad)
         with pytest.raises(InvalidDimension):
             alternating_expansion(bad)
+
+
+def test_bool_dimension_rejected():
+    for bad in (True, False):
+        with pytest.raises(InvalidDimension):
+            decompose_motive(bad)
+        with pytest.raises(InvalidDimension):
+            assemble_cohomology(bad)
+
+
+def test_parse_coefficients():
+    assert parse_coefficients("2adic") == ("2adic", None)
+    assert parse_coefficients("mod2") == ("mod2", None)
+    assert parse_coefficients("mod2s:5") == ("mod2s", 5)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        parse_coefficients("mod2s:0")
+    with pytest.raises(ValueError, match="unknown coefficient spec 'mod3'"):
+        parse_coefficients("mod3")
+
+
+# classes of one Rost motive M_n and the order of the unit class of M_0
+ROWS_PER_MOTIVE = {
+    "2adic": lambda n: 2 ** (n - 1) + 1,
+    "mod2": lambda n: 2 ** (n + 1) - 1,
+    "mod2s:1": lambda n: 2**n,
+    "mod2s:3": lambda n: 2**n,
+}
+UNIT_ORDER = {"2adic": 0, "mod2": 2, "mod2s:1": 2, "mod2s:3": 8}
+
+
+@pytest.mark.parametrize("coeff", sorted(ROWS_PER_MOTIVE))
+def test_assembly_is_the_shifted_rost_tables(coeff):
+    for n in range(1, 7):
+        assert {e.source for e in rost_table(n, coeff).entries} == {(n, 0)}
+    for d in range(1, 65):
+        by_term = {}
+        for e in assemble_cohomology(d, coeff).entries:
+            by_term.setdefault(e.source, []).append(e)
+        assert sorted(by_term) == sorted(terms_of(d))
+        for (n, j), got in by_term.items():
+            got = sorted((e.degree, e.order, e.label, e.twist, e.algebraic) for e in got)
+            if n == 0:
+                assert got == [(2 * j, UNIT_ORDER[coeff], "1", j % 2, True)]
+                continue
+            assert len(got) == ROWS_PER_MOTIVE[coeff](n)
+            want = sorted(
+                (
+                    e.degree + 2 * j,
+                    e.order,
+                    e.label,
+                    None if e.twist is None else (e.degree // 2 + j) % 2,
+                    e.algebraic,
+                )
+                for e in rost_table(n, coeff).entries
+            )
+            assert got == want, (d, n, j)
 
 
 def test_assembly_fixtures():
