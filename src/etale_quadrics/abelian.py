@@ -38,9 +38,9 @@ def _two_part(d: int) -> int:
 
 
 def _snf_ext(mat: Sequence[Sequence[int]]):
-    """Smith normal form with tracked transforms and their inverses.
+    """Smith normal form with tracked transforms and the inverse of U.
 
-    Returns (U, D, V, Uinv, Vinv) with U*mat*V = D, D diagonal with each
+    Returns (U, D, V, Uinv) with U*mat*V = D, D diagonal with each
     diagonal entry dividing the next, U and V unimodular.
     """
     nr = len(mat)
@@ -50,7 +50,7 @@ def _snf_ext(mat: Sequence[Sequence[int]]):
         if len(row) != nc:
             raise ValueError("ragged matrix")
     U, Uinv = _identity(nr), _identity(nr)
-    V, Vinv = _identity(nc), _identity(nc)
+    V = _identity(nc)
 
     def row_swap(i, j):
         if i == j:
@@ -81,7 +81,6 @@ def _snf_ext(mat: Sequence[Sequence[int]]):
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(i, j, q):  # col_i += q * col_j
         if q == 0:
@@ -90,7 +89,6 @@ def _snf_ext(mat: Sequence[Sequence[int]]):
             r[i] += q * r[j]
         for r in V:
             r[i] += q * r[j]
-        Vinv[j] = [a - q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     rank_bound = min(nr, nc)
     for t in range(rank_bound):
@@ -156,13 +154,13 @@ def _snf_ext(mat: Sequence[Sequence[int]]):
         if clean:
             break
 
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Uinv
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix: returns (U, D, V) with U*mat*V = D,
     U and V unimodular and each diagonal entry of D dividing the next."""
-    U, D, V, _, _ = _snf_ext(mat)
+    U, D, V, _ = _snf_ext(mat)
     return U, D, V
 
 
@@ -172,7 +170,7 @@ def _integer_kernel_basis(mat, nrows, ncols):
         return []
     if nrows == 0:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    _, D, V, _, _ = _snf_ext(mat)
+    _, D, V, _ = _snf_ext(mat)
     basis = []
     for j in range(ncols):
         if j >= nrows or D[j][j] == 0:
@@ -186,7 +184,7 @@ def _solve_exact(mat, rhs, nrows, ncols):
         return [] if all(v == 0 for v in rhs) else None
     if nrows == 0:
         return [0] * ncols
-    U, D, V, _, _ = _snf_ext(mat)
+    U, D, V, _ = _snf_ext(mat)
     c = [sum(U[i][k] * rhs[k] for k in range(nrows)) for i in range(nrows)]
     y = [0] * ncols
     for i in range(nrows):
@@ -208,7 +206,7 @@ def _solvable_2local(mat, rhs, nrows, ncols):
         return all(v == 0 for v in rhs)
     if nrows == 0:
         return True
-    U, D, _, _, _ = _snf_ext(mat)
+    U, D, _, _ = _snf_ext(mat)
     c = [sum(U[i][k] * rhs[k] for k in range(nrows)) for i in range(nrows)]
     for i in range(nrows):
         d = D[i][i] if i < min(nrows, ncols) else 0
@@ -416,7 +414,7 @@ def _quotient_presentation(ngens: int, rel_cols: list[list[int]]):
         return [0] * ngens, [list(col) for col in zip(*eye)], [row[:] for row in eye]
     r = len(rel_cols)
     R = [[rel_cols[j][i] for j in range(r)] for i in range(ngens)]
-    U, D, _, Uinv, _ = _snf_ext(R)
+    U, D, _, Uinv = _snf_ext(R)
     bound = min(ngens, r)
     raw = [D[i][i] if i < bound else 0 for i in range(ngens)]
     orders = [0 if x == 0 else _two_part(x) for x in raw]

@@ -35,6 +35,21 @@ from .verify import SCOPES, VerifyOptions, run_checks
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
 
+# The table bound: the largest Rost index the CLI tabulates.  The table of
+# M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
+# --coeff mod2` already takes 21 s and 1.0 GB on a 2-core host.  The library
+# itself has no bound.
+MAX_INDEX = 10
+# Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
+# d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
+MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
+
+
+def _check_bound(name: str, value: int, bound: int) -> None:
+    """Reject a d or n outside 1..bound, naming what the user passed."""
+    if not 1 <= value <= bound:
+        raise ValueError(f"{name} {value} is outside 1..{bound}")
+
 
 def _order_str(order: int) -> str:
     return "Z2" if order == 0 else f"Z/{order}"
@@ -127,14 +142,17 @@ def _cmd_cohomology(args) -> int:
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
+        _check_bound("--rost", args.rost, MAX_INDEX)
         target, table = f"M{args.rost}", rost_table(args.rost, args.coeff)
     else:
+        _check_bound("quadric dimension", args.d, MAX_DIMENSION)
         target, table = f"Q^{args.d}", assemble_cohomology(args.d, args.coeff)
     _emit(_render_table(target, args.coeff, table, args.format), args.out)
     return 0
 
 
 def _cmd_nonalgebraic(args) -> int:
+    _check_bound("quadric dimension", args.d, MAX_DIMENSION)
     report = nonalgebraic_report(args.d)
     rows = [{"degree": deg, "dim": dim, "mod4": deg % 4} for deg, dim in report.dims]
     if args.format == "json":
@@ -164,13 +182,9 @@ def _cmd_nonalgebraic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    opts = VerifyOptions(
-        smax=args.smax,
-        dmax=args.dmax,
-        nmax=args.nmax,
-        window=args.window,
-        parallel=args.parallel,
-    )
+    _check_bound("--dmax", args.dmax, MAX_DIMENSION)
+    _check_bound("--nmax", args.nmax, MAX_INDEX)
+    opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax, window=args.window)
     results = run_checks(args.scope, opts)
     ok = all(r.passed for r in results)
     if args.format == "json":
@@ -240,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=512, help="dimension sweep bound (default: 512)")
     p.add_argument("--nmax", type=int, default=6, help="Rost index bound (default: 6)")
     p.add_argument("--window", type=int, default=4, help="stabilization window (default: 4)")
-    p.add_argument(
-        "--parallel", action="store_true",
-        help="run sweeps on a thread pool; output bytes are unchanged",
-    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)

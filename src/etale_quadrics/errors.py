@@ -2,7 +2,7 @@
 
 
 class InvalidIndex(ValueError):
-    """A Rost-motive index outside the supported range (n >= 1)."""
+    """A Rost-motive index that is not an integer n >= 1."""
 
 
 class InvalidDimension(ValueError):

@@ -24,8 +24,11 @@ def top_rho_exponent(n: int) -> int:
 
 
 def _check_index(n: int) -> None:
-    if n < 1:
-        raise InvalidIndex(f"Rost index must be >= 1, got {n}")
+    """The package's one Rost-index check: an int (not a bool) >= 1.
+    The formulas are exact for every such n; table size bounds belong
+    to the CLI."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidIndex(f"Rost index must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)

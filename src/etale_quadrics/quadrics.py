@@ -24,7 +24,7 @@ from typing import Optional
 from . import rost, tower
 from .errors import InvalidDimension
 from .graded import Graded2Group, GradedSummand
-from .mod2 import cycle_image_mod2, rost_etale_mod2, top_rho_exponent
+from .mod2 import _check_index, cycle_image_mod2, rost_etale_mod2, top_rho_exponent
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
     ring flagged by its cycle image (twist None in odd degrees), or the
     Z/2^s groups of the tower route in even degrees."""
     kind, s = parse_coefficients(coeff)
+    _check_index(n)
     if kind == "2adic":
         return rost.rost_etale_table(n).graded()
     if kind == "mod2":

@@ -13,35 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidIndex
 from .graded import Graded2Group, GradedSummand
-from .mod2 import top_rho_exponent
-
-# Tables grow like 2^n; the formulas are exact for every n but callers must
-# opt in beyond this bound.
-DEFAULT_MAX_INDEX = 10
+from .mod2 import _check_index, top_rho_exponent
 
 
-def _check_index(n: int, max_index: int = DEFAULT_MAX_INDEX) -> None:
-    if n < 1:
-        raise InvalidIndex(f"Rost index must be >= 1, got {n}")
-    if n > max_index:
-        raise InvalidIndex(
-            f"Rost index {n} exceeds the table bound {max_index}; "
-            "pass max_index explicitly to go higher"
-        )
-
-
-def chow_torsion_degrees(n: int, max_index: int = DEFAULT_MAX_INDEX) -> tuple[int, ...]:
+def chow_torsion_degrees(n: int) -> tuple[int, ...]:
     """Degrees 2^(n+1) - 2^(i+1) of the 2-torsion Chow classes c_i,
-    i = 1 .. n-1, in descending i (ascending degree... descending degree)."""
-    _check_index(n, max_index)
+    i = 1 .. n-1, in ascending i, so in descending degree."""
+    _check_index(n)
     return tuple(2 ** (n + 1) - 2 ** (i + 1) for i in range(1, n))
 
 
-def torsion_degrees(n: int, max_index: int = DEFAULT_MAX_INDEX) -> tuple[int, ...]:
+def torsion_degrees(n: int) -> tuple[int, ...]:
     """All torsion degrees 4m, 1 <= m <= 2^(n-1) - 1."""
-    _check_index(n, max_index)
+    _check_index(n)
     return tuple(4 * m for m in range(1, 2 ** (n - 1)))
 
 
@@ -69,14 +54,14 @@ class RostTable:
         return tuple(4 * m for m in range(1, 2 ** (self.n - 1)))
 
 
-def rost_etale_table(n: int, max_index: int = DEFAULT_MAX_INDEX) -> RostTable:
-    _check_index(n, max_index)
+def rost_etale_table(n: int) -> RostTable:
+    _check_index(n)
     top = top_rho_exponent(n)
     free = (
         GradedSummand(0, 0, "1", twist=0, algebraic=True, source=(n, 0)),
         GradedSummand(top, 0, "pi", twist=(top // 2) % 2, algebraic=True, source=(n, 0)),
     )
-    algebraic = set(chow_torsion_degrees(n, max_index))
+    algebraic = set(chow_torsion_degrees(n))
     torsion = tuple(
         GradedSummand(
             d,
@@ -86,15 +71,15 @@ def rost_etale_table(n: int, max_index: int = DEFAULT_MAX_INDEX) -> RostTable:
             algebraic=d in algebraic,
             source=(n, 0),
         )
-        for d in torsion_degrees(n, max_index)
+        for d in torsion_degrees(n)
     )
     return RostTable(n, free, torsion)
 
 
-def chow_ring(n: int, max_index: int = DEFAULT_MAX_INDEX) -> Graded2Group:
+def chow_ring(n: int) -> Graded2Group:
     """Chow groups: free on 1 and c_0 (top degree), one Z/2 class c_i in
     degree 2^(n+1) - 2^(i+1) for i = 1 .. n-1."""
-    _check_index(n, max_index)
+    _check_index(n)
     top = top_rho_exponent(n)
     entries = [
         GradedSummand(0, 0, "1", twist=0, algebraic=True),
@@ -116,20 +101,20 @@ class CycleImage2adic:
     generator_map: tuple[tuple[str, str], ...]  # Chow generator -> etale class
 
 
-def cycle_image_2adic(n: int, max_index: int = DEFAULT_MAX_INDEX) -> CycleImage2adic:
-    _check_index(n, max_index)
-    degrees = chow_torsion_degrees(n, max_index)
+def cycle_image_2adic(n: int) -> CycleImage2adic:
+    _check_index(n)
+    degrees = chow_torsion_degrees(n)
     gen_map = [("1", "1"), ("c0", "pi")]
     gen_map += [(f"c{i}", f"rho_bar_{2 ** (n + 1) - 2 ** (i + 1)}") for i in range(1, n)]
     return CycleImage2adic(n, ("1", "pi"), degrees, tuple(gen_map))
 
 
-def nonalgebraic_quotient(n: int, max_index: int = DEFAULT_MAX_INDEX) -> tuple[int, ...]:
+def nonalgebraic_quotient(n: int) -> tuple[int, ...]:
     """Degrees carrying a Z/2 class not hit by the cycle map: the torsion
     degrees 4m that are not Chow torsion degrees."""
-    _check_index(n, max_index)
-    algebraic = set(chow_torsion_degrees(n, max_index))
-    return tuple(d for d in torsion_degrees(n, max_index) if d not in algebraic)
+    _check_index(n)
+    algebraic = set(chow_torsion_degrees(n))
+    return tuple(d for d in torsion_degrees(n) if d not in algebraic)
 
 
 @dataclass(frozen=True)
@@ -143,11 +128,11 @@ class ComplexRealization:
     mod2_image_labels: tuple[str, ...]
 
 
-def complex_realization(n: int, max_index: int = DEFAULT_MAX_INDEX) -> ComplexRealization:
+def complex_realization(n: int) -> ComplexRealization:
     """Complexification: free classes 1 and y; the torsion-free Chow
     generator restricts onto 2y, rho and all torsion restrict to zero, so
     the mod-2 restriction image is spanned by the unit class alone."""
-    _check_index(n, max_index)
+    _check_index(n)
     top = top_rho_exponent(n)
     classes = Graded2Group.from_entries(
         [
@@ -157,7 +142,7 @@ def complex_realization(n: int, max_index: int = DEFAULT_MAX_INDEX) -> ComplexRe
     )
     restriction = [("1", 1, "1"), ("c0", 2, "y"), ("rho", 0, "")]
     restriction += [(f"c{i}", 0, "") for i in range(1, n)]
-    restriction += [(f"rho_bar_{d}", 0, "") for d in torsion_degrees(n, max_index)]
+    restriction += [(f"rho_bar_{d}", 0, "") for d in torsion_degrees(n)]
     return ComplexRealization(
         n,
         classes,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import prod
 from . import mod2
 from .abelian import CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
-from .errors import HigherTorsionAmbiguity, InvalidIndex
+from .errors import HigherTorsionAmbiguity
 from .graded import Graded2Group, GradedSummand
 
 
@@ -55,8 +55,7 @@ class PairingResult:
 def pair_weight(n: int, q: int) -> PairingResult:
     """Match each odd-tau-exponent monomial of weight q with its Bockstein
     image one degree up; what remains unmatched is a free class."""
-    if n < 1:
-        raise InvalidIndex(f"Rost index must be >= 1, got {n}")
+    mod2._check_index(n)
     if q < 0:
         raise ValueError("weight must be non-negative")
     top = mod2.top_rho_exponent(n)
@@ -231,8 +230,7 @@ class CoefficientTower:
     window: int = 4
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidIndex(f"Rost index must be >= 1, got {self.n}")
+        mod2._check_index(self.n)
         if self.s_max < self.window + 1:
             raise ValueError("tower depth must exceed the stabilization window")
 

@@ -10,9 +10,8 @@ here is tolerance-based.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from . import mod2, presentations, quadrics, rost, tower
 
@@ -43,14 +42,6 @@ class VerifyOptions:
     dmax: int = 512
     nmax: int = 6
     window: int = 4
-    parallel: bool = False
-
-    def map(self, fn: Callable, items: Iterable):
-        items = list(items)
-        if self.parallel:
-            with ThreadPoolExecutor() as pool:
-                return list(pool.map(fn, items))
-        return [fn(x) for x in items]
 
 
 def _result(check_id, scope, failures, detail):
@@ -302,16 +293,15 @@ def check_decomposition_fixtures(opts: VerifyOptions) -> CheckResult:
         if [(t.n, t.j) for t in pfister.terms] != [(n, j) for j in range(2**n)]:
             failures.append({"d": 2 ** (n + 1) - 2, "terms": pfister.render()})
 
-    def sweep(d):
+    def sweep_ok(d):
         dec = quadrics.decompose_motive(d)
-        ok = (
+        return (
             dec.reconstructs()
             and all(a > b for a, b in zip(dec.expansion, dec.expansion[1:]))
             and dec.complex_rank() == (d + 1 if d % 2 else d + 2)
         )
-        return None if ok else d
 
-    bad = [d for d in opts.map(sweep, range(1, opts.dmax + 1)) if d is not None]
+    bad = [d for d in range(1, opts.dmax + 1) if not sweep_ok(d)]
     if bad:
         failures.append({"sweep_failures": bad})
     return _result(
@@ -329,7 +319,7 @@ def check_boundary(opts: VerifyOptions) -> CheckResult:
             return (d, "wrong side", preds)
         return None
 
-    bad = [x for x in opts.map(probe, range(1, opts.dmax + 1)) if x is not None]
+    bad = [x for x in map(probe, range(1, opts.dmax + 1)) if x is not None]
     return _result(
         "C7", "s7", bad,
         f"non-algebraic classes exist exactly for d>=7 (three agreeing predicates, d<={opts.dmax})",

@@ -132,6 +132,41 @@ def test_truncated_table_digests(argv):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == TABLE_DIGESTS[argv]
 
 
+COEFFS = ("2adic", "mod2", "mod2s:3")
+
+# argv and the two strings stderr must name: the user's quantity and its range
+OUT_OF_BOUND = [
+    *((("cohomology", "2047", "--coeff", c), "quadric dimension 2047", "1..2046") for c in COEFFS),
+    *((("cohomology", "--rost", "11", "--coeff", c), "--rost 11", "1..10") for c in COEFFS),
+    *((("cohomology", "--rost", n, "--coeff", "mod2s:1"), f"--rost {n}", "1..10") for n in ("-1", "-2")),
+    (("nonalgebraic", "2047"), "quadric dimension 2047", "1..2046"),
+    (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
+    (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
+    (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, quantity, bound", OUT_OF_BOUND, ids=[" ".join(case[0]) for case in OUT_OF_BOUND]
+)
+def test_table_bound_rejects(argv, quantity, bound):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1  # no traceback
+    assert quantity in res.stderr and bound in res.stderr
+    assert "max_index" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*(("cohomology", "--rost", "10", "--coeff", c) for c in COEFFS), ("nonalgebraic", "2046")],
+    ids=" ".join,
+)
+def test_table_bound_accepts(argv):
+    assert run_cli(*argv).returncode == 0
+
+
 def test_cohomology_requires_one_target():
     assert run_cli("cohomology", "7", "--rost", "2").returncode == 2
     assert run_cli("cohomology").returncode == 2
@@ -182,14 +217,12 @@ def test_verify_scope_pass():
     assert "PASS C1" in res.stdout
 
 
-def test_verify_deterministic_and_parallel(tmp_path):
+def test_verify_deterministic():
     args = ("verify", "--scope", "s7", "--dmax", "96")
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    parallel = run_cli(*args, "--parallel")
-    assert parallel.stdout == first.stdout
 
 
 def test_out_writes_identical_bytes(tmp_path):

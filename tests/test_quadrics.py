@@ -1,11 +1,14 @@
 """Motive decomposition of quadrics, additive assembly, and the
 non-algebraic inventory."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_quadrics.errors import InvalidDimension
+from etale_quadrics.errors import InvalidDimension, InvalidIndex
+from etale_quadrics.mod2 import rost_etale_mod2
 from etale_quadrics.quadrics import (
     alternating_expansion,
     assemble_cohomology,
@@ -19,6 +22,8 @@ from etale_quadrics.quadrics import (
     parse_coefficients,
     rost_table,
 )
+from etale_quadrics.rost import rost_etale_table
+from etale_quadrics.tower import pair_weight
 
 
 def terms_of(d):
@@ -74,6 +79,23 @@ def test_invalid_dimensions():
             decompose_motive(bad)
         with pytest.raises(InvalidDimension):
             alternating_expansion(bad)
+
+
+INDEX_ENTRY_POINTS = {
+    "rost_table 2adic": lambda n: rost_table(n, "2adic"),
+    "rost_table mod2": lambda n: rost_table(n, "mod2"),
+    "rost_table mod2s:1": lambda n: rost_table(n, "mod2s:1"),
+    "rost_etale_table": rost_etale_table,
+    "rost_etale_mod2": rost_etale_mod2,
+    "pair_weight": lambda n: pair_weight(n, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", (0, -1, True, 2.0), ids=repr)
+def test_invalid_indices(entry, bad):
+    with pytest.raises(InvalidIndex):
+        INDEX_ENTRY_POINTS[entry](bad)
 
 
 def test_parse_coefficients():
@@ -189,6 +211,16 @@ def test_nonalgebraic_reports():
     assert r15.degrees(0) == (4, 8, 12, 16, 20)
     assert r15.degrees(2) == (6, 10, 14, 18)  # odd Tate twists, kept separate
     assert r15.dim(8) == 2  # two independent summands land there
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300))
+def test_nonalgebraic_report_counts_the_assembly(d):
+    counts = Counter(
+        e.degree for e in assemble_cohomology(d).torsion_entries if e.algebraic is False
+    )
+    assert nonalgebraic_report(d).dims == tuple(sorted(counts.items()))
+    assert bool(counts) == (d >= 7)
 
 
 def test_boundary():

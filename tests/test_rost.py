@@ -17,10 +17,8 @@ from etale_quadrics.rost import (
 )
 
 
-def test_index_cap_is_configurable():
-    with pytest.raises(InvalidIndex):
-        rost_etale_table(11)
-    assert rost_etale_table(11, max_index=11).top_degree == 4094
+def test_library_has_no_index_cap():
+    assert rost_etale_table(11).top_degree == 4094
 
 
 def test_chow_ring_fixtures():
