@@ -45,10 +45,11 @@ MAX_INDEX = 10
 MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 
 
-def _check_bound(name: str, value: int, bound: int) -> None:
-    """Reject a d or n outside 1..bound, naming what the user passed."""
-    if not 1 <= value <= bound:
-        raise ValueError(f"{name} {value} is outside 1..{bound}")
+def _check_bound(name: str, value: int, bound: Optional[int], low: int = 1) -> None:
+    """Reject a value outside low..bound (no upper end when bound is None),
+    naming what the user passed."""
+    if value < low or (bound is not None and value > bound):
+        raise ValueError(f"{name} {value} is outside {low}..{'' if bound is None else bound}")
 
 
 def _order_str(order: int) -> str:
@@ -184,6 +185,10 @@ def _cmd_nonalgebraic(args) -> int:
 def _cmd_verify(args) -> int:
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
+    # the rules of abelian.inverse_limit and tower.CoefficientTower, checked
+    # for every scope so that the error names the flag
+    _check_bound("--window", args.window, None, low=3)
+    _check_bound("--smax", args.smax, None, low=args.window + 1)
     opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax, window=args.window)
     results = run_checks(args.scope, opts)
     ok = all(r.passed for r in results)

@@ -18,7 +18,7 @@ quotient by the cycle image is computed per degree from those flags.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import rost, tower
@@ -45,10 +45,22 @@ class MotiveTerm:
 
 @dataclass(frozen=True)
 class MotiveDecomposition:
+    """The motive of Q^d as run-length blocks (n, j0, m), M_n tensor T^j for
+    j0 <= j < j0 + m, one per step of the alternating 2-power expansion:
+    m >= 1, the j0 contiguous from 0 and the n strictly decreasing, so the
+    O(log d) blocks cost O(log d); `terms` expands them, about d/2 terms."""
+
     d: int
-    terms: tuple[MotiveTerm, ...]
-    expansion: tuple[int, ...]  # strictly decreasing block indices n_i
+    blocks: tuple[tuple[int, int, int], ...]
     residual: int  # terminal form dimension, 0 or 1
+
+    @property
+    def expansion(self) -> tuple[int, ...]:
+        return tuple(n for n, _, _ in self.blocks)
+
+    @property
+    def terms(self) -> tuple[MotiveTerm, ...]:
+        return tuple(MotiveTerm(n, j) for n, j0, m in self.blocks for j in range(j0, j0 + m))
 
     def render(self) -> str:
         return " + ".join(t.render() for t in self.terms)
@@ -59,11 +71,11 @@ class MotiveDecomposition:
     def reconstructs(self) -> bool:
         """d + 2 = alternating sum of the 2-powers, up to the signed
         residual 0 or 1."""
-        sign = (-1) ** len(self.expansion)
+        sign = (-1) ** len(self.blocks)
         return self.d + 2 == self.alternating_sum() + sign * self.residual
 
     def complex_rank(self) -> int:
-        return 2 * len(self.terms)
+        return 2 * sum(m for _, _, m in self.blocks)
 
 
 def _check_dimension(d: int) -> None:
@@ -74,30 +86,21 @@ def _check_dimension(d: int) -> None:
 def alternating_expansion(d: int) -> list[int]:
     """Strictly decreasing exponents n_i with
     d + 2 = 2^(n_0+1) - 2^(n_1+1) + ... up to a final residual 0 or 1."""
-    _check_dimension(d)
-    exps = []
-    D = d + 2
-    while D > 1:
-        n = (D - 1).bit_length() - 1  # 2^n < D <= 2^(n+1)
-        exps.append(n)
-        D = (1 << (n + 1)) - D
-    return exps
+    return list(decompose_motive(d).expansion)
 
 
 def decompose_motive(d: int) -> MotiveDecomposition:
     _check_dimension(d)
-    terms = []
-    exps = []
-    shift = 0
+    blocks = []
+    j0 = 0
     D = d + 2
     while D > 1:
-        n = (D - 1).bit_length() - 1
+        n = (D - 1).bit_length() - 1  # 2^n < D <= 2^(n+1)
         m = D - (1 << n)
-        exps.append(n)
-        terms.extend(MotiveTerm(n, shift + i) for i in range(m))
-        shift += m
+        blocks.append((n, j0, m))
+        j0 += m
         D = (1 << (n + 1)) - D
-    return MotiveDecomposition(d, tuple(terms), tuple(exps), residual=D)
+    return MotiveDecomposition(d, tuple(blocks), residual=D)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +155,15 @@ def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
     by 2j in degree, recomputing the twist parity there."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
-    tables: dict[int, tuple[GradedSummand, ...]] = {}
+    unit = GradedSummand(0, unit_order, "1", 0, True, (0, 0))  # M_0 tensor T^0
     entries = []
-    for term in decompose_motive(d).terms:
-        n, j = term.n, term.j
-        if n == 0:
-            entries.append(GradedSummand(2 * j, unit_order, "1", j % 2, True, (0, j)))
-            continue
-        if n not in tables:
-            tables[n] = rost_table(n, coeff).entries
-        for e in tables[n]:
-            degree = e.degree + 2 * j
-            twist = None if e.twist is None else (degree // 2) % 2
-            entries.append(GradedSummand(degree, e.order, e.label, twist, e.algebraic, (n, j)))
+    for n, j0, m in decompose_motive(d).blocks:  # each n occurs in one block
+        table = rost_table(n, coeff).entries if n else (unit,)
+        for j in range(j0, j0 + m):
+            for e in table:
+                degree = e.degree + 2 * j
+                twist = None if e.twist is None else (degree // 2) % 2
+                entries.append(GradedSummand(degree, e.order, e.label, twist, e.algebraic, (n, j)))
     return Graded2Group.from_entries(entries)
 
 
@@ -195,16 +194,26 @@ class NonAlgebraicReport:
 
 
 def nonalgebraic_report(d: int) -> NonAlgebraicReport:
-    dec = decompose_motive(d)
-    dims: Counter[int] = Counter()
-    for term in dec.terms:
-        if term.n < 1:
+    """Non-algebraic torsion classes of Q^d per degree, one block (n, j0, m)
+    at a time: a non-algebraic degree c of M_n adds +1 at c + 2 j0 and -1
+    at c + 2 (j0 + m) of a difference array, summed over the even degrees.
+    The block indices strictly decrease, so the 2^(n-1) of the blocks sum
+    to at most d + 2 and the report costs O(d)."""
+    diff: Counter[int] = Counter()
+    for n, j0, m in decompose_motive(d).blocks:
+        if n < 1:
             continue
-        algebraic = set(rost.chow_torsion_degrees(term.n))
-        for deg in rost.torsion_degrees(term.n):
+        algebraic = set(rost.chow_torsion_degrees(n))
+        for deg in rost.torsion_degrees(n):
             if deg not in algebraic:
-                dims[deg + 2 * term.j] += 1
-    return NonAlgebraicReport(d, tuple(sorted(dims.items())))
+                diff[deg + 2 * j0] += 1
+                diff[deg + 2 * (j0 + m)] -= 1
+    dims, dim = [], 0
+    for deg in range(0, max(diff, default=0) + 1, 2):
+        dim += diff[deg]
+        if dim:
+            dims.append((deg, dim))
+    return NonAlgebraicReport(d, tuple(dims))
 
 
 def has_nonalgebraic(d: int) -> bool:
@@ -249,12 +258,8 @@ def claim_term_windows(d: int) -> list[ClaimVerdict]:
         shift = 2 * term.j
         excluded = {deg + shift for deg in rost.chow_torsion_degrees(term.n)}
         lo, hi = 2 + shift, top_rho_exponent(term.n) + shift
-        claimed = [
-            c for c in range(lo, hi + 1) if c % 4 == 0 and c not in excluded
-        ]
-        verdicts.append(
-            _subset_claim(f"window Q^{d} {term.render()}", claimed, report)
-        )
+        claimed = [c for c in range(lo, hi + 1) if c % 4 == 0 and c not in excluded]
+        verdicts.append(_subset_claim(f"window Q^{d} {term.render()}", claimed, report))
     return verdicts
 
 
@@ -282,9 +287,7 @@ def claim_norm_quadric(n: int) -> ClaimVerdict:
     claimed = [c for c in range(4, 2 ** (n + 1) - 12 + 1) if c % 4 == 0]
     verdict = _subset_claim(f"norm quadric n={n} (d={d})", claimed, report)
     free_ok = all(e.algebraic for e in assemble_cohomology(d).free_entries)
-    if not free_ok:
-        return ClaimVerdict(verdict.claim, False, verdict.claimed_degrees, verdict.missing_degrees)
-    return verdict
+    return replace(verdict, passed=verdict.passed and free_ok)
 
 
 def boundary_predicates(d: int) -> tuple[bool, bool, bool]:
@@ -293,7 +296,7 @@ def boundary_predicates(d: int) -> tuple[bool, bool, bool]:
     the decomposition, and the dimension bound d >= 7."""
     return (
         has_nonalgebraic(d),
-        any(t.n >= 3 for t in decompose_motive(d).terms),
+        any(n >= 3 for n in decompose_motive(d).expansion),
         d >= 7,
     )
 
@@ -322,15 +325,6 @@ def check_theorem_claims(
         else:
             verdicts.append(claim_neighbor(family, n))
     if dmax is not None:
-        bad = [
-            dd for dd in range(1, dmax + 1) if len(set(boundary_predicates(dd))) != 1
-        ]
-        verdicts.append(
-            ClaimVerdict(
-                f"non-algebraic boundary agrees on 1..{dmax}",
-                not bad,
-                (),
-                tuple(bad),
-            )
-        )
+        bad = tuple(dd for dd in range(1, dmax + 1) if len(set(boundary_predicates(dd))) != 1)
+        verdicts.append(ClaimVerdict(f"non-algebraic boundary agrees on 1..{dmax}", not bad, (), bad))
     return verdicts

@@ -11,7 +11,7 @@ here is tolerance-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import mod2, presentations, quadrics, rost, tower
 
@@ -373,28 +373,36 @@ def check_assembly_tables(opts: VerifyOptions) -> CheckResult:
     return _result("s7.tables", "s7", failures, "assembled tables match the frozen fixtures")
 
 
+def coefficient_change(d: int, levels: Iterable[int]) -> list[dict]:
+    """Compare, at each level s, the mod-2^s assembly of Q^d (tower route)
+    with universal coefficients applied to its 2-adic assembly (closed
+    form): Z2 becomes Z/2^s, Z/2 stays, and every M_n*T^j with n >= 1 adds
+    a ghost Z/2 in each degree c + 2j with c = 2 mod 4 and
+    0 < c < 2^(n+1) - 2.  Returns one diff per level that disagrees."""
+    closed = quadrics.assemble_cohomology(d).entries
+    ghosts = [
+        (c + 2 * t.j, 2, f"ghost(rho_bar_{c + 1})", (t.n, t.j))
+        for t in quadrics.decompose_motive(d).terms
+        if t.n >= 1
+        for c in range(2, mod2.top_rho_exponent(t.n), 4)
+    ]
+    failures = []
+    for s in levels:
+        want = sorted([(e.degree, e.order or 2**s, e.label, e.source) for e in closed] + ghosts)
+        got = sorted(
+            (e.degree, e.order, e.label, e.source)
+            for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
+        )
+        if got != want:
+            failures.append({"d": d, "s": s, "tower": got, "closed_form": want})
+    return failures
+
+
 def check_coefficient_change(opts: VerifyOptions) -> CheckResult:
     """The mod-2^s assembly (tower route) is universal coefficients applied
-    to the 2-adic assembly (closed form): Z2 becomes Z/2^s, Z/2 stays, and
-    every M_n*T^j with n >= 1 adds a ghost Z/2 in each degree c + 2j with
-    c = 2 mod 4 and 0 < c < 2^(n+1) - 2."""
-    failures = []
-    for d in (3, 5, 6, 7, 15, 31):
-        closed = quadrics.assemble_cohomology(d).entries
-        ghosts = [
-            (c + 2 * t.j, 2, f"ghost(rho_bar_{c + 1})", (t.n, t.j))
-            for t in quadrics.decompose_motive(d).terms
-            if t.n >= 1
-            for c in range(2, mod2.top_rho_exponent(t.n), 4)
-        ]
-        for s in range(1, opts.smax + 1):
-            want = sorted([(e.degree, e.order or 2**s, e.label, e.source) for e in closed] + ghosts)
-            got = sorted(
-                (e.degree, e.order, e.label, e.source)
-                for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
-            )
-            if got != want:
-                failures.append({"d": d, "s": s, "tower": got, "closed_form": want})
+    to the 2-adic assembly (closed form), ghosts included."""
+    levels = range(1, opts.smax + 1)
+    failures = [diff for d in (3, 5, 6, 7, 15, 31) for diff in coefficient_change(d, levels)]
     return _result(
         "s7.coeff", "s7", failures,
         f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,5,6,7,15,31}} and s=1..{opts.smax}",

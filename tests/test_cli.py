@@ -143,6 +143,10 @@ OUT_OF_BOUND = [
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
+    # the tower flags are checked for every scope, also one that builds no tower
+    (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "5.."),
+    (("verify", "--window", "2"), "--window 2", "3.."),
+    (("verify", "--smax", "4", "--window", "4"), "--smax 4", "5.."),
 ]
 
 

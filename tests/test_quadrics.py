@@ -22,8 +22,9 @@ from etale_quadrics.quadrics import (
     parse_coefficients,
     rost_table,
 )
-from etale_quadrics.rost import rost_etale_table
+from etale_quadrics.rost import chow_torsion_degrees, rost_etale_table, torsion_degrees
 from etale_quadrics.tower import pair_weight
+from etale_quadrics.verify import coefficient_change
 
 
 def terms_of(d):
@@ -45,6 +46,13 @@ def test_expansion_reconstructs(d):
     assert dec.residual in (0, 1)
     assert all(a > b for a, b in zip(dec.expansion, dec.expansion[1:]))
     assert alternating_expansion(d) == list(dec.expansion)
+    # the blocks are non-empty runs of twists, contiguous from 0
+    j = 0
+    for n, j0, m in dec.blocks:
+        assert m >= 1 and j0 == j
+        j += m
+    assert j == len(dec.terms)
+    assert dec.expansion == tuple(n for n, _, _ in dec.blocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,6 +60,14 @@ def test_expansion_reconstructs(d):
 def test_complex_rank_rule(d):
     dec = decompose_motive(d)
     assert dec.complex_rank() == (d + 1 if d % 2 else d + 2)
+
+
+def test_huge_dimension_is_a_few_blocks():
+    d = 2**20 + 5
+    dec = decompose_motive(d)
+    assert dec.complex_rank() == d + 1
+    assert len(dec.blocks) <= 21
+    assert dec.reconstructs()
 
 
 def test_decomposition_fixtures():
@@ -221,6 +237,31 @@ def test_nonalgebraic_report_counts_the_assembly(d):
     )
     assert nonalgebraic_report(d).dims == tuple(sorted(counts.items()))
     assert bool(counts) == (d >= 7)
+
+
+def per_term_report(d):
+    """The non-algebraic dims summed one term M_n*T^j at a time: the
+    definition the block-wise difference array must reproduce."""
+    dims = Counter()
+    for t in decompose_motive(d).terms:
+        if t.n < 1:
+            continue
+        algebraic = set(chow_torsion_degrees(t.n))
+        for deg in torsion_degrees(t.n):
+            if deg not in algebraic:
+                dims[deg + 2 * t.j] += 1
+    return tuple(sorted(dims.items()))
+
+
+def test_nonalgebraic_report_is_the_per_term_sum():
+    for d in [*range(1, 257), 511, 1022, 2045, 2046]:
+        assert nonalgebraic_report(d).dims == per_term_report(d), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 254), st.integers(1, 8))
+def test_tower_route_is_universal_coefficients_on_the_closed_form(d, s):
+    assert coefficient_change(d, [s]) == []
 
 
 def test_boundary():
