@@ -16,7 +16,6 @@ from .abelian import (
     image,
     inverse_limit,
     kernel,
-    smith_normal_form,
 )
 from .errors import (
     HigherTorsionAmbiguity,
@@ -123,6 +122,5 @@ __all__ = [
     "rost_etale_mod2",
     "rost_etale_table",
     "rost_table",
-    "smith_normal_form",
     "transition_maps",
 ]

@@ -3,11 +3,13 @@
 Groups are direct sums of cyclic pieces; order 0 marks a free rank-1
 summand over the 2-adic integers, any other order is a power of 2.
 Homomorphisms are integer matrices (column i = image of the i-th domain
-generator), kernels and cokernels run through Smith normal form, and
-inverse limits of towers are computed by Mittag-Leffler stabilization.
+generator).  Kernels, cokernels and images run through one elimination
+kernel that diagonalizes over the integers localized at 2 (pivot of least
+2-adic valuation), and inverse limits of towers are computed by
+Mittag-Leffler stabilization.
 
-Everything is exact over arbitrary-precision integers: odd invariant
-factors are units 2-locally and get discarded.  All values are immutable
+Everything is exact over arbitrary-precision integers: odd factors are
+units 2-locally and get discarded.  All values are immutable
 after construction and every operation is a pure function, so concurrent
 read-only use is safe.
 """
@@ -15,7 +17,7 @@ read-only use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import NotStabilized
@@ -33,15 +35,16 @@ def _identity(n: int) -> Matrix:
 
 def _two_part(d: int) -> int:
     """Largest power of 2 dividing d (d != 0)."""
-    d = abs(d)
     return d & -d
 
 
 def _snf_ext(mat: Sequence[Sequence[int]]):
-    """Smith normal form with tracked transforms and the inverse of U.
+    """Diagonalize an integer matrix over the integers localized at 2.
 
-    Returns (U, D, V, Uinv) with U*mat*V = D, D diagonal with each
-    diagonal entry dividing the next, U and V unimodular.
+    Returns (U, D, V, Uinv) with U*mat*V = D diagonal, U unimodular with
+    integer inverse Uinv, and V integral with odd determinant.  The nonzero
+    diagonal entries come first with ascending 2-parts; their odd parts are
+    units 2-locally and carry no meaning.
     """
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
@@ -52,170 +55,105 @@ def _snf_ext(mat: Sequence[Sequence[int]]):
     U, Uinv = _identity(nr), _identity(nr)
     V = _identity(nc)
 
-    def row_swap(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        if q == 0:
-            return
-        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= q * r[i]
-
-    def row_neg(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        if i == j:
-            return
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        if q == 0:
-            return
-        for r in D:
-            r[i] += q * r[j]
-        for r in V:
-            r[i] += q * r[j]
-
-    rank_bound = min(nr, nc)
-    for t in range(rank_bound):
-        piv, best = None, None
+    for t in range(min(nr, nc)):
+        # pivot: the first entry of least 2-adic valuation; an odd one ends the scan
+        piv, best = None, 0
         for i in range(t, nr):
-            row = D[i]
             for j in range(t, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    piv, best = (i, j), abs(v)
+                v = D[i][j] & -D[i][j]
+                if v and (piv is None or v < best):
+                    piv, best = (i, j), v
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        if D[t][t] < 0:
-            row_neg(t)
-        while True:
-            d = D[t][t]
-            restart = False
-            for i in range(t + 1, nr):
-                v = D[i][t]
-                if v:
-                    row_add(i, t, -(v // d))
-                    if D[i][t]:  # remainder strictly smaller than the pivot
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                v = D[t][j]
-                if v:
-                    col_add(j, t, -(v // d))
-                    if D[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
+        i, j = piv
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+        for r in Uinv:
+            r[t], r[i] = r[i], r[t]
+        for r in D + V:
+            r[t], r[j] = r[j], r[t]
 
-    # sort zeros last and enforce the divisibility chain
-    while True:
-        clean = True
-        for i in range(rank_bound - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a == 0 and b != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
-                clean = False
-            elif a != 0 and b % a:
-                col_add(i, i + 1, 1)  # drops b into position (i+1, i)
-                while D[i + 1][i]:
-                    q = D[i][i] // D[i + 1][i]
-                    row_add(i, i + 1, -q)
-                    row_swap(i, i + 1)
-                if D[i][i] < 0:
-                    row_neg(i)
-                col_add(i + 1, i, -(D[i][i + 1] // D[i][i]))
-                if D[i + 1][i + 1] < 0:
-                    row_neg(i + 1)
-                clean = False
-        if clean:
-            break
+        # clear the pivot column with unimodular row steps
+        for i in range(t + 1, nr):
+            b = D[i][t]
+            if not b:
+                continue
+            a = D[t][t]
+            if b % a == 0:  # row_i -= q * row_t
+                q = b // a
+                D[i] = [x - q * y for x, y in zip(D[i], D[t])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                for r in Uinv:
+                    r[t] += q * r[i]
+                continue
+            # (row_t, row_i) <- (x*row_t + y*row_i, -b/g*row_t + a/g*row_i),
+            # determinant x*a/g + y*b/g = 1
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            for M in (D, U):
+                M[t], M[i] = (
+                    [x * p + y * q for p, q in zip(M[t], M[i])],
+                    [ag * q - bg * p for p, q in zip(M[t], M[i])],
+                )
+            for r in Uinv:
+                r[t], r[i] = ag * r[t] + bg * r[i], x * r[i] - y * r[t]
+
+        # clear the pivot row: C_j <- u*C_j - (b_j / 2^v)*C_t for the pivot
+        # u*2^v, u odd; column t is never touched, so nothing refills
+        a = D[t][t]
+        two = a & -a
+        u = a // two
+        for j in range(t + 1, nc):
+            q = D[t][j] // two
+            if q:
+                for r in D + V:
+                    r[j] = u * r[j] - q * r[t]
 
     return U, D, V, Uinv
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]):
-    """Diagonalize an integer matrix: returns (U, D, V) with U*mat*V = D,
-    U and V unimodular and each diagonal entry of D dividing the next."""
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = +-gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
+
+
+def _apply(mat: Matrix, x: Sequence[int]) -> list[int]:
+    return [sum(p * q for p, q in zip(row, x)) for row in mat]
+
+
+def _pivots(D: Matrix) -> list[int]:
+    """The nonzero diagonal entries of a diagonalized matrix, in order."""
+    bound = min(len(D), len(D[0])) if D else 0
+    return [D[i][i] for i in range(bound) if D[i][i]]
+
+
+def _solve_2local(mat, rhs_cols, nrows, ncols):
+    """For each right-hand side b an integer x with mat @ x = u*b for some
+    odd u, or None when there is none (no solution over Z localized at 2)."""
+    if nrows == 0 or not rhs_cols:
+        return [[0] * ncols for _ in rhs_cols]
     U, D, V, _ = _snf_ext(mat)
-    return U, D, V
-
-
-def _integer_kernel_basis(mat, nrows, ncols):
-    """Columns spanning {x : mat @ x = 0} over the integers."""
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    _, D, V, _ = _snf_ext(mat)
-    basis = []
-    for j in range(ncols):
-        if j >= nrows or D[j][j] == 0:
-            basis.append([V[i][j] for i in range(ncols)])
-    return basis
-
-
-def _solve_exact(mat, rhs, nrows, ncols):
-    """One integer solution x of mat @ x = rhs, or None."""
-    if ncols == 0:
-        return [] if all(v == 0 for v in rhs) else None
-    if nrows == 0:
-        return [0] * ncols
-    U, D, V, _ = _snf_ext(mat)
-    c = [sum(U[i][k] * rhs[k] for k in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        d = D[i][i] if i < min(nrows, ncols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    return [sum(V[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
-
-
-def _solvable_2local(mat, rhs, nrows, ncols):
-    """Whether mat @ x = rhs has a solution over the integers localized
-    at 2 (odd denominators allowed)."""
-    if ncols == 0:
-        return all(v == 0 for v in rhs)
-    if nrows == 0:
-        return True
-    U, D, _, _ = _snf_ext(mat)
-    c = [sum(U[i][k] * rhs[k] for k in range(nrows)) for i in range(nrows)]
-    for i in range(nrows):
-        d = D[i][i] if i < min(nrows, ncols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] != 0 and _two_part(c[i]) < _two_part(d):
-            return False
-    return True
+    piv = _pivots(D)
+    rank = len(piv)
+    out = []
+    for b in rhs_cols:
+        c = _apply(U, b)
+        if any(c[rank:]) or any(ci % _two_part(d) for ci, d in zip(c, piv)):
+            out.append(None)
+            continue
+        unit = lcm(*(d // _two_part(d) for ci, d in zip(c, piv) if ci))
+        y = [unit * ci // d for ci, d in zip(c, piv)]
+        out.append(_apply(V, y))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +338,7 @@ def _contributing_label(vector, labels, orders):
     return min(cands)
 
 
-def _quotient_presentation(ngens: int, rel_cols: list[list[int]]):
+def _quotient_presentation(ngens: int, rel_cols: Sequence[Sequence[int]]):
     """Structure of Z^ngens / <relation columns> as a 2-local group.
 
     Returns (orders, gen_cols, proj_rows): the 2-power (or 0) orders of the
@@ -415,9 +353,8 @@ def _quotient_presentation(ngens: int, rel_cols: list[list[int]]):
     r = len(rel_cols)
     R = [[rel_cols[j][i] for j in range(r)] for i in range(ngens)]
     U, D, _, Uinv = _snf_ext(R)
-    bound = min(ngens, r)
-    raw = [D[i][i] if i < bound else 0 for i in range(ngens)]
-    orders = [0 if x == 0 else _two_part(x) for x in raw]
+    piv = _pivots(D)
+    orders = [_two_part(d) for d in piv] + [0] * (ngens - len(piv))
     surviving = [i for i in range(ngens) if orders[i] != 1]
     gen_cols = [[Uinv[row][i] for row in range(ngens)] for i in surviving]
     proj_rows = [
@@ -426,17 +363,25 @@ def _quotient_presentation(ngens: int, rel_cols: list[list[int]]):
     return [orders[i] for i in surviving], gen_cols, proj_rows
 
 
-def _kernel_lattice(h: GroupHom) -> list[list[int]]:
-    """Columns spanning {x in Z^k : h(x) = 0 in the codomain}."""
-    k = h.domain.ngens
-    m = h.codomain.ngens
+def _relation_matrix(h: GroupHom) -> Matrix:
+    """h's matrix followed by the column o*e_i of each torsion summand of
+    the codomain: y lies in h's image exactly when y is this matrix times
+    an integer vector, and x in h's kernel exactly when x extends to a
+    solution of the homogeneous system."""
     torsion = [(i, o) for i, o in enumerate(h.codomain.orders) if o]
-    ext = [
-        list(h.matrix[i]) + [o if i == ti else 0 for ti, o in torsion]
-        for i in range(m)
+    return [
+        list(row) + [o if i == ti else 0 for ti, o in torsion]
+        for i, row in enumerate(h.matrix)
     ]
-    basis = _integer_kernel_basis(ext, m, k + len(torsion))
-    return [v[:k] for v in basis]
+
+
+def _kernel_lattice(h: GroupHom) -> list[list[int]]:
+    """Columns spanning {x in Z^k : h(x) = 0 in the codomain}, 2-locally."""
+    k = h.domain.ngens
+    if h.codomain.ngens == 0:
+        return _identity(k)
+    _, D, V, _ = _snf_ext(_relation_matrix(h))
+    return [[row[j] for row in V[:k]] for j in range(len(_pivots(D)), len(V))]
 
 
 def kernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
@@ -448,24 +393,12 @@ def kernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
         return K, GroupHom.zero(K, A)
     lattice = _kernel_lattice(h)
     c = len(lattice)
-    if c == 0:
-        assert all(o == 0 for o in A.orders), "torsion relations must lie in the lattice"
-        K = FinAb2Group.trivial()
-        return K, GroupHom(K, A, tuple(() for _ in range(k)))
     X = [[lattice[j][i] for j in range(c)] for i in range(k)]  # k x c
-    rel_cols = []
-    for j, o in enumerate(A.orders):
-        if o == 0:
-            continue
-        target = [o if i == j else 0 for i in range(k)]
-        z = _solve_exact(X, target, k, c)
-        assert z is not None, "domain relation escaped the kernel lattice"
-        rel_cols.append(z)
+    targets = [[o if i == j else 0 for i in range(k)] for j, o in enumerate(A.orders) if o]
+    rel_cols = _solve_2local(X, targets, k, c)
+    assert None not in rel_cols, "domain relation escaped the kernel lattice"
     orders, gen_cols, _ = _quotient_presentation(c, rel_cols)
-    incl_cols = []
-    for g in gen_cols:
-        col = [sum(X[i][t] * g[t] for t in range(c)) for i in range(k)]
-        incl_cols.append([_reduce_entry(v, o) for v, o in zip(col, A.orders)])
+    incl_cols = [_apply(X, g) for g in gen_cols]
     labels = _dedupe_labels(
         [_contributing_label(col, A.labels, A.orders) for col in incl_cols]
     )
@@ -479,10 +412,7 @@ def cokernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
     keeps the lexicographically smallest contributing generator label."""
     B = h.codomain
     m = B.ngens
-    rel_cols = [[h.matrix[i][j] for i in range(m)] for j in range(h.domain.ngens)]
-    for j, o in enumerate(B.orders):
-        if o:
-            rel_cols.append([o if i == j else 0 for i in range(m)])
+    rel_cols = list(zip(*_relation_matrix(h)))
     orders, _, proj_rows = _quotient_presentation(m, rel_cols)
     labels = _dedupe_labels(
         [
@@ -503,9 +433,7 @@ def image(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
         return S, GroupHom(S, B, tuple(() for _ in range(B.ngens)))
     lattice = _kernel_lattice(h)
     orders, gen_cols, _ = _quotient_presentation(k, lattice)
-    incl_cols = []
-    for g in gen_cols:
-        incl_cols.append(list(h.apply(g)))
+    incl_cols = [h.apply(g) for g in gen_cols]
     labels = _dedupe_labels(
         [_contributing_label(g, A.labels, A.orders) for g in gen_cols]
     )
@@ -521,19 +449,10 @@ def image(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
 def _subgroup_contains(big: GroupHom, small: GroupHom) -> bool:
     """Whether every generator of `small`'s image lies in `big`'s image,
     2-locally, inside their common ambient group."""
-    G = big.codomain
-    m = G.ngens
-    torsion = [(i, o) for i, o in enumerate(G.orders) if o]
-    cols = big.domain.ngens + len(torsion)
-    mat = [
-        list(big.matrix[i]) + [o if i == ti else 0 for ti, o in torsion]
-        for i in range(m)
-    ]
-    for j in range(small.domain.ngens):
-        rhs = [small.matrix[i][j] for i in range(m)]
-        if not _solvable_2local(mat, rhs, m, cols):
-            return False
-    return True
+    m = big.codomain.ngens
+    mat = _relation_matrix(big)
+    cols = [[row[j] for row in small.matrix] for j in range(small.domain.ngens)]
+    return None not in _solve_2local(mat, cols, m, len(mat[0]) if m else 0)
 
 
 def _same_subgroup(a, b) -> bool:
@@ -596,7 +515,8 @@ def inverse_limit(
         stable.append(imgs[onset][0])
     if len(stable) < 2:
         raise NotStabilized(
-            f"tower depth {T} too shallow for window {window}; need at least {window + 1} levels"
+            f"tower depth {T} too shallow for window {window}: image chains settled"
+            f" into {len(stable)} level(s), the limit needs two"
         )
 
     def sorted_summands(group):

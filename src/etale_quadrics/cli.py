@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
     # the rules of abelian.inverse_limit and tower.CoefficientTower, checked
     # for every scope so that the error names the flag
     _check_bound("--window", args.window, None, low=3)
-    _check_bound("--smax", args.smax, None, low=args.window + 1)
+    _check_bound("--smax", args.smax, None, low=args.window + 2)
     opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax, window=args.window)
     results = run_checks(args.scope, opts)
     ok = all(r.passed for r in results)

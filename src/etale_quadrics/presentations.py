@@ -3,9 +3,10 @@
 A presentation lists generators with their (even) cohomological degrees
 and homogeneous integer-coefficient relations.  The degree-k component of
 the quotient is the cokernel of the integer matrix whose columns are all
-products relation * monomial landing in degree k, computed by Smith normal
-form over the monomial basis; coefficients are the 2-adic integers ("Z2",
-free monomial module) or the field of two elements ("F2").
+products relation * monomial landing in degree k, computed by 2-local
+elimination (`abelian.cokernel`) over the monomial basis; coefficients are
+the 2-adic integers ("Z2", free monomial module) or the field of two
+elements ("F2").
 
 Relations in scope are few and degrees bounded, so exhaustive monomial
 enumeration is exact and there is no need for any rewriting theory.

@@ -231,8 +231,10 @@ class CoefficientTower:
 
     def __post_init__(self):
         mod2._check_index(self.n)
-        if self.s_max < self.window + 1:
-            raise ValueError("tower depth must exceed the stabilization window")
+        # the ghost chain settles one level late, so a limit reads two
+        # stabilized levels only from window + 2 levels on
+        if self.s_max < self.window + 2:
+            raise ValueError("tower depth must exceed the stabilization window by two")
 
     def group(self, p: int, q: int, s: int) -> FinAb2Group:
         return mod_2s_group(self.n, p, q, s)

@@ -1,8 +1,10 @@
 """Exact linear algebra over the 2-local integers.
 
-Smith normal form is checked against sympy's implementation; kernels and
-cokernels of finite groups are checked against brute-force element
-enumeration, which stays independent of the matrix route.
+The 2-local elimination kernel is checked against sympy's Smith normal
+form, whose invariant factors must agree with its diagonal up to odd
+factors; kernels and cokernels of finite groups are checked against
+brute-force element enumeration, which stays independent of the matrix
+route, and cokernels with free summands against sympy again.
 """
 
 from collections import Counter
@@ -19,11 +21,12 @@ from etale_quadrics.abelian import (
     CyclicSummand,
     FinAb2Group,
     GroupHom,
+    _snf_ext,
+    _solve_2local,
     cokernel,
     image,
     inverse_limit,
     kernel,
-    smith_normal_form,
 )
 from etale_quadrics.errors import NotStabilized
 
@@ -32,23 +35,36 @@ def _sy(m):
     return sympy.Matrix(m)
 
 
+def _two_part(v):
+    return abs(v) & -abs(v)
+
+
+def reference_two_parts(m):
+    """2-parts of sympy's invariant factors of m (0 for a zero factor)."""
+    ref = reference_snf(_sy(m), domain=sympy.ZZ)
+    return sorted(_two_part(int(ref[i, i])) for i in range(min(ref.shape)))
+
+
 def check_snf(m):
-    """U*m*V = D, unimodular transforms, diagonal divisibility chain."""
-    U, D, V = smith_normal_form(m)
+    """U*m*V = D diagonal, U unimodular with inverse Uinv, det V odd, and
+    the diagonal's 2-parts ascending with the zeros last; returns those
+    2-parts (0 for a zero entry)."""
+    U, D, V, Uinv = _snf_ext(m)
     assert _sy(U) * _sy(m) * _sy(V) == _sy(D)
+    assert _sy(U) * _sy(Uinv) == sympy.eye(len(m))
     assert abs(_sy(U).det()) == 1
-    assert abs(_sy(V).det()) == 1
+    assert _sy(V).det() % 2 == 1
     nr = len(D)
     nc = len(D[0]) if nr else 0
     for i in range(nr):
         for j in range(nc):
             if i != j:
                 assert D[i][j] == 0
-    diag = [D[i][i] for i in range(min(nr, nc))]
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0 if a else b == 0
-    assert all(d >= 0 for d in diag)
-    return diag
+    parts = [_two_part(D[i][i]) for i in range(min(nr, nc))]
+    rank = sum(1 for p in parts if p)
+    assert parts[:rank] == sorted(parts[:rank]) and not any(parts[rank:])
+    assert sorted(parts) == reference_two_parts(m)
+    return parts
 
 
 def test_snf_already_diagonal():
@@ -82,19 +98,34 @@ def int_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(int_matrices())
 def test_snf_matches_reference(m):
-    diag = check_snf(m)
-    ref = reference_snf(_sy(m), domain=sympy.ZZ)
-    ref_diag = [abs(int(ref[i, i])) for i in range(min(len(m), len(m[0])))]
-    assert diag == ref_diag
+    check_snf(m)
+
+
+def _mul(m, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+
+def test_solve_2local_allows_odd_denominators():
+    assert _solve_2local([[3]], [[1]], 1, 1) == [[1]]  # 3*1 = 3*1, 3 odd
+    assert _solve_2local([[2]], [[1]], 1, 1) == [None]
 
 
 @settings(max_examples=60, deadline=None)
-@given(int_matrices())
-def test_snf_tracked_inverses(m):
-    from etale_quadrics.abelian import _snf_ext
-
-    U, D, V, Uinv = _snf_ext(m)
-    assert _sy(U) * _sy(Uinv) == sympy.eye(len(m))
+@given(int_matrices(), st.data())
+def test_solve_2local_solves_the_image(m, data):
+    nr, nc = len(m), len(m[0])
+    xs = [data.draw(st.lists(st.integers(-5, 5), min_size=nc, max_size=nc)) for _ in range(2)]
+    rhs = [_mul(m, x) for x in xs]
+    for b, sol in zip(rhs, _solve_2local(m, rhs, nr, nc)):
+        assert sol is not None and len(sol) == nc
+        mb = _mul(m, sol)
+        i = next((i for i, v in enumerate(b) if v), None)
+        if i is None:
+            assert not any(mb)
+            continue
+        unit, rem = divmod(mb[i], b[i])
+        assert rem == 0 and unit % 2 == 1
+        assert mb == [unit * v for v in b]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +266,49 @@ def test_first_isomorphism_bookkeeping(h):
         assert all(v == 0 for v in h.apply(g))
     for x in elements(h.domain):
         assert all(v == 0 for v in proj.apply(list(h.apply(x))))
+
+
+@st.composite
+def homs_with_free_summands(draw):
+    """Homs whose domain and codomain both have a free summand."""
+    orders = st.sampled_from([0, 2, 4, 8])
+    dom_orders = [0] + draw(st.lists(orders, max_size=2))
+    cod_orders = [0] + draw(st.lists(orders, max_size=2))
+    dom = FinAb2Group.from_orders(dom_orders, prefix="a")
+    cod = FinAb2Group.from_orders(cod_orders, prefix="b")
+    cols = []
+    for o in dom_orders:
+        col = []
+        for oc in cod_orders:
+            if o == 0:
+                col.append(draw(st.integers(-4, 4)))
+            elif oc == 0:
+                col.append(0)  # torsion maps to zero in a free summand
+            else:
+                step = max(oc // gcd(o, oc), 1)
+                col.append(step * draw(st.integers(0, max(oc // step - 1, 0))))
+        cols.append(col)
+    return hom(dom, cod, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homs_with_free_summands())
+def test_free_summands_against_sympy(h):
+    B = h.codomain
+    torsion = [(i, o) for i, o in enumerate(B.orders) if o]
+    m = [
+        list(row) + [o if i == ti else 0 for ti, o in torsion]
+        for i, row in enumerate(h.matrix)
+    ]
+    parts = reference_two_parts(m)
+    rank = sum(1 for p in parts if p)
+    want = (B.ngens - rank, tuple(sorted((p for p in parts if p > 1), reverse=True)))
+    C, _ = cokernel(h)
+    assert C.structure() == want
+    K, _ = kernel(h)
+    S, _ = image(h)
+    assert h.domain.free_rank == K.free_rank + S.free_rank
+    assert B.free_rank == S.free_rank + C.free_rank
 
 
 def test_free_ranks_add_up():

@@ -144,9 +144,12 @@ OUT_OF_BOUND = [
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
     # the tower flags are checked for every scope, also one that builds no tower
-    (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "5.."),
+    (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "6.."),
     (("verify", "--window", "2"), "--window 2", "3.."),
-    (("verify", "--smax", "4", "--window", "4"), "--smax 4", "5.."),
+    (("verify", "--smax", "4", "--window", "4"), "--smax 4", "6.."),
+    # a tower limit needs window + 2 levels: the ghost chain settles one level late
+    (("verify", "--scope", "s5", "--smax", "5", "--window", "4"), "--smax 5", "6.."),
+    (("verify", "--scope", "s3", "--smax", "4", "--window", "3"), "--smax 4", "5.."),
 ]
 
 

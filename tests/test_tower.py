@@ -151,6 +151,14 @@ def test_limits_at_the_three_spots():
     assert ct.limit(6, 7).structure() == (1, ())
 
 
+def test_tower_depth_is_window_plus_two():
+    # the ghost chain at (2, 3) settles one level late, so window + 1
+    # levels leave a single stabilized level
+    with pytest.raises(ValueError):
+        CoefficientTower(2, s_max=5, window=4)
+    assert CoefficientTower(2, s_max=6, window=4).limit(2, 3).is_trivial
+
+
 def test_twist_bidegree():
     assert twist_bidegree(0) == (0, 0)
     assert twist_bidegree(4) == (4, 4)
