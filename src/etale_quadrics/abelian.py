@@ -17,8 +17,8 @@ read-only use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 from .errors import NotStabilized
 
@@ -185,10 +185,6 @@ class FinAb2Group:
             raise ValueError(f"duplicate generator labels: {labels}")
 
     @classmethod
-    def from_orders(cls, orders: Iterable[int], prefix: str = "g") -> "FinAb2Group":
-        return cls(tuple(CyclicSummand(o, f"{prefix}{i}") for i, o in enumerate(orders)))
-
-    @classmethod
     def trivial(cls) -> "FinAb2Group":
         return cls(())
 
@@ -216,16 +212,9 @@ class FinAb2Group:
     def is_trivial(self) -> bool:
         return not self.summands
 
-    def order(self) -> tuple[int, int]:
-        """(free rank, product of the finite summand orders)."""
-        return self.free_rank, prod(self.torsion_orders) if self.torsion_orders else 1
-
     def structure(self) -> tuple[int, tuple[int, ...]]:
         """Isomorphism invariant: (free rank, torsion orders sorted descending)."""
         return self.free_rank, tuple(sorted(self.torsion_orders, reverse=True))
-
-    def same_structure(self, other: "FinAb2Group") -> bool:
-        return self.structure() == other.structure()
 
     def __repr__(self):
         if not self.summands:

@@ -21,7 +21,6 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .errors import InvalidDimension, InvalidIndex, UnknownFamily
 from .graded import Graded2Group
 from .quadrics import (
     assemble_cohomology,
@@ -43,6 +42,9 @@ MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
 # d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
 MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
+# The largest coefficient level s whose order 2^s still prints under the
+# interpreter's default limit of 4300 digits for int-to-str conversion.
+MAX_LEVEL = 14284
 
 
 def _check_bound(name: str, value: int, bound: Optional[int], low: int = 1) -> None:
@@ -112,6 +114,7 @@ def _render_table(target: str, coefficients: str, table: Graded2Group, fmt: str)
 
 
 def _cmd_decompose(args) -> int:
+    _check_bound("quadric dimension", args.d, MAX_DIMENSION)
     dec = decompose_motive(args.d)
     if args.format == "json":
         payload = {
@@ -139,7 +142,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
+    kind, s = parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
+    if kind == "mod2s":
+        _check_bound("coefficient level", s, MAX_LEVEL)
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
@@ -271,7 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidDimension, InvalidIndex, UnknownFamily, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

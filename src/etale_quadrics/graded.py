@@ -62,7 +62,3 @@ class Graded2Group:
     def total_dim_mod2(self) -> int:
         """Total F2-dimension when every summand has order 2 (or counts 1)."""
         return len(self.entries)
-
-    def same_tables(self, other: "Graded2Group") -> bool:
-        """Degree-by-degree equality of (free rank, torsion orders)."""
-        return self.profiles() == other.profiles()

@@ -126,13 +126,6 @@ class Mod2EtaleRing:
             raise ValueError(f"degree {degree} has no basis class")
         return "1" if degree == 0 else ("rho" if degree == 1 else f"rho^{degree}")
 
-    def multiply(self, d1: int, d2: int) -> Optional[int]:
-        """Degree of rho^d1 * rho^d2, or None when the product truncates."""
-        if not (self.dimension(d1) and self.dimension(d2)):
-            raise ValueError("factors outside the ring")
-        s = d1 + d2
-        return s if s <= self.top_degree else None
-
 
 def rost_etale_mod2(n: int) -> Mod2EtaleRing:
     """Mod-2 etale cohomology ring of the index-n Rost motive."""
@@ -172,13 +165,8 @@ def cycle_image_mod2(n: int) -> CycleImageMod2:
     return CycleImageMod2(n, tuple(classes))
 
 
-def nonalgebraic_mod2_degrees(n: int, ambient_quadric: bool = False) -> frozenset[int]:
-    """Degrees 1 .. 2^(n+1) - 2 whose mod-2 class is not a cycle class.
-
-    With ambient_quadric=True the range stops at 2^(n+1) - 3, the degrees
-    whose non-algebraic class is visible in the ambient norm quadric.
-    """
+def nonalgebraic_mod2_degrees(n: int) -> frozenset[int]:
+    """Degrees 1 .. 2^(n+1) - 2 whose mod-2 class is not a cycle class."""
     _check_index(n)
-    upper = top_rho_exponent(n) - (1 if ambient_quadric else 0)
     algebraic = cycle_image_mod2(n).degrees
-    return frozenset(c for c in range(1, upper + 1) if c not in algebraic)
+    return frozenset(c for c in range(1, top_rho_exponent(n) + 1) if c not in algebraic)

@@ -280,14 +280,10 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 # built-in presentations
 
 
-def _pres(text: str) -> RingPresentation:
-    return parse_presentation(text)
-
-
 def _norm_quadric_presentation(n: int) -> RingPresentation:
     if n < 2:
         raise UnknownFamily(f"norm quadric presentations need n >= 2, got {n}")
-    return _pres(
+    return parse_presentation(
         f"""
         coeff Z2
         gen h 2
@@ -373,7 +369,7 @@ def builtin_presentation(family: str, param: Optional[int] = None) -> RingPresen
             raise UnknownFamily("family 'norm' needs the index parameter")
         return _norm_quadric_presentation(param)
     if family in _FIXED_FAMILIES:
-        return _pres(_FIXED_FAMILIES[family])
+        return parse_presentation(_FIXED_FAMILIES[family])
     if family.startswith("G2_"):
         return _g2_presentation(family)
     raise UnknownFamily(f"unknown presentation family {family!r}")

@@ -17,6 +17,7 @@ quotient by the cycle image is computed per degree from those flags.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -83,12 +84,6 @@ def _check_dimension(d: int) -> None:
         raise InvalidDimension(f"quadric dimension must be an integer >= 1, got {d}")
 
 
-def alternating_expansion(d: int) -> list[int]:
-    """Strictly decreasing exponents n_i with
-    d + 2 = 2^(n_0+1) - 2^(n_1+1) + ... up to a final residual 0 or 1."""
-    return list(decompose_motive(d).expansion)
-
-
 def decompose_motive(d: int) -> MotiveDecomposition:
     _check_dimension(d)
     blocks = []
@@ -108,13 +103,15 @@ def decompose_motive(d: int) -> MotiveDecomposition:
 
 
 def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
-    """(kind, level) of a coefficient spec: mod2, mod2s:<s> or 2adic."""
+    """(kind, level) of a coefficient spec: mod2, mod2s:<s> with <s> a
+    decimal level >= 1, or 2adic."""
     if spec == "mod2":
         return "mod2", None
     if spec == "2adic":
         return "2adic", None
-    if spec.startswith("mod2s:"):
-        s = int(spec.split(":", 1)[1])
+    level = re.fullmatch(r"mod2s:([0-9]+)", spec)
+    if level:
+        s = int(level.group(1))
         if s < 1:
             raise ValueError("coefficient level must be >= 1")
         return "mod2s", s
@@ -187,11 +184,6 @@ class NonAlgebraicReport:
     def has_nonalgebraic(self) -> bool:
         return bool(self.dims)
 
-    def degrees(self, residue: Optional[int] = None) -> tuple[int, ...]:
-        return tuple(
-            deg for deg, _ in self.dims if residue is None or deg % 4 == residue
-        )
-
 
 def nonalgebraic_report(d: int) -> NonAlgebraicReport:
     """Non-algebraic torsion classes of Q^d per degree, one block (n, j0, m)
@@ -203,11 +195,9 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
     for n, j0, m in decompose_motive(d).blocks:
         if n < 1:
             continue
-        algebraic = set(rost.chow_torsion_degrees(n))
-        for deg in rost.torsion_degrees(n):
-            if deg not in algebraic:
-                diff[deg + 2 * j0] += 1
-                diff[deg + 2 * (j0 + m)] -= 1
+        for deg in rost.nonalgebraic_quotient(n):
+            diff[deg + 2 * j0] += 1
+            diff[deg + 2 * (j0 + m)] -= 1
     dims, dim = [], 0
     for deg in range(0, max(diff, default=0) + 1, 2):
         dim += diff[deg]
@@ -246,23 +236,6 @@ def _subset_claim(name: str, claimed, report: NonAlgebraicReport) -> ClaimVerdic
     return ClaimVerdict(name, not missing, claimed, missing)
 
 
-def claim_term_windows(d: int) -> list[ClaimVerdict]:
-    """Per summand M_n tensor T^j with n >= 3: every degree c = 0 mod 4
-    in the shifted window [2 + 2j, 2^(n+1) - 2 + 2j] that is not a shifted
-    Chow torsion degree carries a non-algebraic class."""
-    report = nonalgebraic_report(d)
-    verdicts = []
-    for term in decompose_motive(d).terms:
-        if term.n < 3:
-            continue
-        shift = 2 * term.j
-        excluded = {deg + shift for deg in rost.chow_torsion_degrees(term.n)}
-        lo, hi = 2 + shift, top_rho_exponent(term.n) + shift
-        claimed = [c for c in range(lo, hi + 1) if c % 4 == 0 and c not in excluded]
-        verdicts.append(_subset_claim(f"window Q^{d} {term.render()}", claimed, report))
-    return verdicts
-
-
 def claim_neighbor(kind: str, n: int) -> ClaimVerdict:
     """Minimal (d = 2^n - 1) or maximal (d = 2^(n+1) - 3) Pfister neighbor:
     every degree c = 0 mod 4 with 0 < c < 2d - 8 carries a non-algebraic
@@ -299,32 +272,3 @@ def boundary_predicates(d: int) -> tuple[bool, bool, bool]:
         any(n >= 3 for n in decompose_motive(d).expansion),
         d >= 7,
     )
-
-
-def check_theorem_claims(
-    d: Optional[int] = None,
-    family: Optional[str] = None,
-    n: Optional[int] = None,
-    dmax: Optional[int] = None,
-) -> list[ClaimVerdict]:
-    """Evaluate the closed-form claims as subset assertions against the
-    computed non-algebraic report.
-
-    Use d= for the per-summand windows of one quadric, family=/n= for a
-    Pfister neighbor ("minimal"/"maximal") or the norm quadric ("norm"),
-    and dmax= for the dimension-boundary sweep.
-    """
-    verdicts: list[ClaimVerdict] = []
-    if d is not None:
-        verdicts.extend(claim_term_windows(d))
-    if family is not None:
-        if n is None:
-            raise ValueError("family claims need the index n")
-        if family == "norm":
-            verdicts.append(claim_norm_quadric(n))
-        else:
-            verdicts.append(claim_neighbor(family, n))
-    if dmax is not None:
-        bad = tuple(dd for dd in range(1, dmax + 1) if len(set(boundary_predicates(dd))) != 1)
-        verdicts.append(ClaimVerdict(f"non-algebraic boundary agrees on 1..{dmax}", not bad, (), bad))
-    return verdicts

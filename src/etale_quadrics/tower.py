@@ -43,14 +43,6 @@ class PairingResult:
     def torsion_degrees(self) -> tuple[int, ...]:
         return tuple(t for _, t in self.pairs)
 
-    def integral_profile(self, p: int) -> tuple[int, int]:
-        """(free rank, number of 2-torsion classes) the pairing assigns to
-        degree p of this weight."""
-        return (
-            1 if p in self.free_degrees else 0,
-            1 if p in self.torsion_degrees else 0,
-        )
-
 
 def pair_weight(n: int, q: int) -> PairingResult:
     """Match each odd-tau-exponent monomial of weight q with its Bockstein
@@ -236,9 +228,6 @@ class CoefficientTower:
         if self.s_max < self.window + 2:
             raise ValueError("tower depth must exceed the stabilization window by two")
 
-    def group(self, p: int, q: int, s: int) -> FinAb2Group:
-        return mod_2s_group(self.n, p, q, s)
-
     def transitions(self, p: int, q: int, s: int):
         return transition_maps(self.n, p, q, s)
 
@@ -268,14 +257,10 @@ class CoefficientTower:
         )
         return lhs == rhs
 
-    def reduction_tower(self, p: int, q: int) -> tuple[list[FinAb2Group], list[GroupHom]]:
-        """Levels 1..s_max at (p, q) with the reduction maps r between them."""
+    def limit(self, p: int, q: int) -> FinAb2Group:
+        """Inverse limit at (p, q) of levels 1..s_max along the reductions r."""
         groups = [mod_2s_group(self.n, p, q, s) for s in range(1, self.s_max + 1)]
         maps = [self.transitions(p, q, s)[1] for s in range(2, self.s_max + 1)]
-        return groups, maps
-
-    def limit(self, p: int, q: int) -> FinAb2Group:
-        groups, maps = self.reduction_tower(p, q)
         return inverse_limit(groups, maps, window=self.window)
 
 

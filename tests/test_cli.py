@@ -140,6 +140,11 @@ OUT_OF_BOUND = [
     *((("cohomology", "--rost", "11", "--coeff", c), "--rost 11", "1..10") for c in COEFFS),
     *((("cohomology", "--rost", n, "--coeff", "mod2s:1"), f"--rost {n}", "1..10") for n in ("-1", "-2")),
     (("nonalgebraic", "2047"), "quadric dimension 2047", "1..2046"),
+    (("decompose", "2047"), "quadric dimension 2047", "1..2046"),
+    # a level whose order 2^s would not print under the 4300-digit limit
+    (("cohomology", "7", "--coeff", "mod2s:15000"), "coefficient level 15000", "1..14284"),
+    # levels are ASCII decimals, not any spelling int() accepts
+    *((("cohomology", "7", "--coeff", c), repr(c), "mod2 | mod2s:<s> | 2adic") for c in ("mod2s:abc", "mod2s:+2")),
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
@@ -162,12 +167,17 @@ def test_table_bound_rejects(argv, quantity, bound):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1  # no traceback
     assert quantity in res.stderr and bound in res.stderr
-    assert "max_index" not in res.stderr
+    assert "max_index" not in res.stderr and "int()" not in res.stderr
 
 
 @pytest.mark.parametrize(
     "argv",
-    [*(("cohomology", "--rost", "10", "--coeff", c) for c in COEFFS), ("nonalgebraic", "2046")],
+    [
+        *(("cohomology", "--rost", "10", "--coeff", c) for c in COEFFS),
+        ("cohomology", "--rost", "1", "--coeff", "mod2s:14284"),
+        ("nonalgebraic", "2046"),
+        ("decompose", "2046"),
+    ],
     ids=" ".join,
 )
 def test_table_bound_accepts(argv):

@@ -50,13 +50,6 @@ def test_pairing_partitions_the_basis(n, q):
         assert (bockstein(mono, n) is not None) == (a in sources)
 
 
-def test_pairing_profiles():
-    pr = pair_weight(2, 7)
-    assert pr.integral_profile(6) == (1, 0)  # the free class
-    assert pr.integral_profile(5) == (0, 1)  # target of (4, 5)
-    assert pr.integral_profile(0) == (0, 0)  # a source, dies integrally
-
-
 def test_integral_fixtures():
     assert integral_cohomology(2, 4, 4).labels == ("rho_bar_4",)
     assert integral_cohomology(2, 4, 4).structure() == (0, (2,))
