@@ -8,7 +8,8 @@ image), verify (the built-in exactness sweeps).
 Output is deterministic: identical invocations produce identical bytes,
 records are sorted by (degree, Rost index descending, Tate twist, label),
 and nothing carries a timestamp.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input or usage.
+mismatch, 2 invalid input or usage (an --out path that cannot be written
+included).
 """
 
 from __future__ import annotations
@@ -47,10 +48,17 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 MAX_LEVEL = 14284
 
 
-def _check_bound(name: str, value: int, bound: Optional[int], low: int = 1) -> None:
+def _check_bound(name: str, value: int | str, bound: Optional[int], low: int = 1) -> None:
     """Reject a value outside low..bound (no upper end when bound is None),
-    naming what the user passed."""
-    if value < low or (bound is not None and value > bound):
+    naming what the user passed: an int, or the ASCII digits of a level
+    typed inside a spec.  Digits longer than the bound are out of range
+    unread, so int() never sees them (it refuses more than 4300)."""
+    if isinstance(value, str):
+        digits = value.lstrip("0") or "0"
+        inside = len(digits) <= len(str(bound)) and low <= int(digits) <= bound
+    else:
+        inside = low <= value and (bound is None or value <= bound)
+    if not inside:
         raise ValueError(f"{name} {value} is outside {low}..{'' if bound is None else bound}")
 
 
@@ -60,8 +68,11 @@ def _order_str(order: int) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # reported as invalid input, like any bad argument
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -142,9 +153,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    kind, s = parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
-    if kind == "mod2s":
-        _check_bound("coefficient level", s, MAX_LEVEL)
+    kind, _, level = args.coeff.partition(":")
+    if kind == "mod2s" and level.isascii() and level.isdigit():
+        _check_bound("coefficient level", level, MAX_LEVEL)  # before int() reads it
+    parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:

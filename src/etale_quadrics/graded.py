@@ -58,7 +58,3 @@ class Graded2Group:
     @property
     def torsion_entries(self) -> tuple[GradedSummand, ...]:
         return tuple(e for e in self.entries if e.order)
-
-    def total_dim_mod2(self) -> int:
-        """Total F2-dimension when every summand has order 2 (or counts 1)."""
-        return len(self.entries)

@@ -6,8 +6,9 @@ is the degree-1 weight-1 class of -1 and tau the degree-0 weight-1 class,
 truncated by rho^(2^(n+1) - 1) = 0.  The Bockstein acts as a derivation
 with bockstein(tau) = rho and bockstein(rho) = 0.
 
-Also here: the mod-2 etale ring (a truncated polynomial ring on rho), the
-degrees hit by the mod-2 cycle map, and the non-algebraic complement.
+Also here: the degrees hit by the mod-2 cycle map, the mod-2 etale table
+(a truncated polynomial ring on rho) as a Graded2Group flagged by that
+image, and the non-algebraic complement.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidIndex
+from .graded import Graded2Group, GradedSummand
 
 
 def top_rho_exponent(n: int) -> int:
@@ -42,22 +44,6 @@ class Monomial:
         if self.rho_exp < 0 or self.tau_exp < 0:
             raise ValueError("exponents must be non-negative")
 
-    @property
-    def degree(self) -> int:
-        return self.rho_exp
-
-    @property
-    def weight(self) -> int:
-        return self.rho_exp + self.tau_exp
-
-    def label(self) -> str:
-        parts = []
-        if self.rho_exp:
-            parts.append("rho" if self.rho_exp == 1 else f"rho^{self.rho_exp}")
-        if self.tau_exp:
-            parts.append("tau" if self.tau_exp == 1 else f"tau^{self.tau_exp}")
-        return "*".join(parts) if parts else "1"
-
 
 @dataclass(frozen=True)
 class BigradedF2Module:
@@ -81,9 +67,6 @@ class BigradedF2Module:
             return (Monomial(p, q - p),)
         return ()
 
-    def dimension(self, p: int, q: int) -> int:
-        return len(self.basis(p, q))
-
 
 def bockstein(m: Monomial, n: int) -> Optional[Monomial]:
     """Bockstein of a monomial in the index-n model; None means zero.
@@ -101,72 +84,34 @@ def bockstein(m: Monomial, n: int) -> Optional[Monomial]:
     return Monomial(m.rho_exp + 1, m.tau_exp - 1)
 
 
-@dataclass(frozen=True)
-class Mod2EtaleRing:
-    """Truncated polynomial ring on rho: one basis class per degree
-    0 .. 2^(n+1) - 2."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_index(self.n)
-
-    @property
-    def top_degree(self) -> int:
-        return top_rho_exponent(self.n)
-
-    def degrees(self) -> range:
-        return range(self.top_degree + 1)
-
-    def dimension(self, degree: int) -> int:
-        return 1 if 0 <= degree <= self.top_degree else 0
-
-    def basis_label(self, degree: int) -> str:
-        if not self.dimension(degree):
-            raise ValueError(f"degree {degree} has no basis class")
-        return "1" if degree == 0 else ("rho" if degree == 1 else f"rho^{degree}")
-
-
-def rost_etale_mod2(n: int) -> Mod2EtaleRing:
-    """Mod-2 etale cohomology ring of the index-n Rost motive."""
-    return Mod2EtaleRing(n)
-
-
-@dataclass(frozen=True)
-class CycleClassMod2:
-    """One mod-2 cycle class: a Chow generator and the power of rho it hits."""
-
-    label: str
-    chow_index: Optional[int]  # None for the unit class
-    degree: int  # etale degree of the rho power
-    chow_weight: int  # codimension of the Chow class
-    tau_exponent: int  # degree + tau_exponent = chow_weight
-
-
-@dataclass(frozen=True)
-class CycleImageMod2:
-    n: int
-    classes: tuple[CycleClassMod2, ...]
-
-    @property
-    def degrees(self) -> frozenset[int]:
-        return frozenset(c.degree for c in self.classes)
-
-
-def cycle_image_mod2(n: int) -> CycleImageMod2:
-    """Degrees of the mod-2 cycle map image: 0 together with
-    2^(n+1) - 2^(i+1) for 0 <= i <= n-1, with Chow weight bookkeeping."""
+def cycle_image_mod2(n: int) -> frozenset[int]:
+    """Degrees of the mod-2 cycle map image: 0 for the unit class and
+    2^(n+1) - 2^(i+1) for the Chow class c_i, 0 <= i <= n-1."""
     _check_index(n)
-    classes = [CycleClassMod2("1", None, 0, 0, 0)]
-    for i in range(n):
-        degree = 2 ** (n + 1) - 2 ** (i + 1)
-        weight = 2**n - 2**i
-        classes.append(CycleClassMod2(f"c{i}", i, degree, weight, -(2**n) + 2**i))
-    return CycleImageMod2(n, tuple(classes))
+    return frozenset({0} | {2 ** (n + 1) - 2 ** (i + 1) for i in range(n)})
+
+
+def rost_etale_mod2(n: int) -> Graded2Group:
+    """Mod-2 etale cohomology of the index-n Rost motive, a truncated
+    polynomial ring on rho: one class rho^c in each degree
+    0 <= c <= 2^(n+1) - 2, twist None in odd degrees, flagged algebraic
+    on the cycle image, every entry with source (n, 0)."""
+    algebraic = cycle_image_mod2(n)
+    return Graded2Group.from_entries(
+        GradedSummand(
+            c,
+            2,
+            "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"),
+            None if c % 2 else (c // 2) % 2,
+            c in algebraic,
+            (n, 0),
+        )
+        for c in range(top_rho_exponent(n) + 1)
+    )
 
 
 def nonalgebraic_mod2_degrees(n: int) -> frozenset[int]:
     """Degrees 1 .. 2^(n+1) - 2 whose mod-2 class is not a cycle class."""
     _check_index(n)
-    algebraic = cycle_image_mod2(n).degrees
+    algebraic = cycle_image_mod2(n)
     return frozenset(c for c in range(1, top_rho_exponent(n) + 1) if c not in algebraic)

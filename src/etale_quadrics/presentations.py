@@ -388,26 +388,10 @@ def presentation_for_quadric(d: int) -> RingPresentation:
     raise UnknownFamily(f"no built-in presentation for dimension {d}")
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    d: int
-    passed: bool
-    diffs: tuple[tuple[int, tuple, tuple], ...]  # (degree, presentation, assembly)
-
-    def as_dict(self):
-        return {
-            "d": self.d,
-            "passed": self.passed,
-            "diffs": [
-                {"degree": deg, "presentation": list(a), "assembly": list(b)}
-                for deg, a, b in self.diffs
-            ],
-        }
-
-
-def compare_with_assembly(d: int) -> ComparisonResult:
+def compare_with_assembly(d: int) -> list[dict]:
     """Degree-by-degree equality of the built-in ring presentation with the
-    additive assembly from the motive decomposition, up to degree 2d."""
+    additive assembly from the motive decomposition, up to degree 2d.
+    Returns one diff per degree that disagrees."""
     pres = presentation_for_quadric(d)
     table = graded_ranks(pres, 2 * d)
     assembled = assemble_cohomology(d)
@@ -416,5 +400,5 @@ def compare_with_assembly(d: int) -> ComparisonResult:
         a = table.profile(deg)
         b = assembled.profile(deg)
         if a != b:
-            diffs.append((deg, a, b))
-    return ComparisonResult(d, not diffs, tuple(diffs))
+            diffs.append({"d": d, "degree": deg, "presentation": a, "assembly": b})
+    return diffs

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import rost, tower
 from .errors import InvalidDimension
 from .graded import Graded2Group, GradedSummand
-from .mod2 import _check_index, cycle_image_mod2, rost_etale_mod2, top_rho_exponent
+from .mod2 import _check_index, rost_etale_mod2, top_rho_exponent
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class MotiveTerm:
     def __post_init__(self):
         if self.n < 0 or self.j < 0:
             raise ValueError("indices must be non-negative")
-
-    def render(self) -> str:
-        return f"M{self.n}" if self.j == 0 else f"M{self.n}*T{self.j}"
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class MotiveDecomposition:
         return tuple(MotiveTerm(n, j) for n, j0, m in self.blocks for j in range(j0, j0 + m))
 
     def render(self) -> str:
-        return " + ".join(t.render() for t in self.terms)
+        return " + ".join(f"M{t.n}" if t.j == 0 else f"M{t.n}*T{t.j}" for t in self.terms)
 
     def alternating_sum(self) -> int:
         return sum((-1) ** i * 2 ** (n + 1) for i, n in enumerate(self.expansion))
@@ -109,7 +106,7 @@ def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
         return "mod2", None
     if spec == "2adic":
         return "2adic", None
-    level = re.fullmatch(r"mod2s:([0-9]+)", spec)
+    level = re.fullmatch(r"mod2s:0*([0-9]+)", spec)  # int() counts leading zeros too
     if level:
         s = int(level.group(1))
         if s < 1:
@@ -120,28 +117,20 @@ def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
 
 def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
     """Cohomology of the index-n Rost motive with the given coefficients,
-    every entry with source (n, 0): the closed-form 2-adic table, the mod-2
-    ring flagged by its cycle image (twist None in odd degrees), or the
-    Z/2^s groups of the tower route in even degrees."""
+    every entry with source (n, 0): the closed-form 2-adic table of `rost`,
+    the mod-2 table of `mod2`, or the Z/2^s groups of the tower route in
+    even degrees."""
     kind, s = parse_coefficients(coeff)
     _check_index(n)
     if kind == "2adic":
-        return rost.rost_etale_table(n).graded()
+        return rost.rost_etale_table(n)
     if kind == "mod2":
-        ring = rost_etale_mod2(n)
-        algebraic = cycle_image_mod2(n).degrees
-        entries = [
-            GradedSummand(
-                c, 2, ring.basis_label(c), None if c % 2 else (c // 2) % 2, c in algebraic, (n, 0)
-            )
-            for c in ring.degrees()
-        ]
-    else:
-        entries = [
-            GradedSummand(c, sm.order, sm.label, (c // 2) % 2, None, (n, 0))
-            for c in range(0, top_rho_exponent(n) + 1, 2)
-            for sm in tower.mod_2s_group(n, *tower.twist_bidegree(c), s).summands
-        ]
+        return rost_etale_mod2(n)
+    entries = [
+        GradedSummand(c, sm.order, sm.label, (c // 2) % 2, None, (n, 0))
+        for c in range(0, top_rho_exponent(n) + 1, 2)
+        for sm in tower.mod_2s_group(n, *tower.twist_bidegree(c), s).summands
+    ]
     return Graded2Group.from_entries(entries)
 
 
@@ -173,12 +162,6 @@ class NonAlgebraicReport:
 
     d: int
     dims: tuple[tuple[int, int], ...]  # (degree, dim), nonzero dims only
-
-    def dim(self, degree: int) -> int:
-        for deg, dim in self.dims:
-            if deg == degree:
-                return dim
-        return 0
 
     @property
     def has_nonalgebraic(self) -> bool:
@@ -214,53 +197,35 @@ def has_nonalgebraic(d: int) -> bool:
 # claims about the non-algebraic inventory
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
-    claim: str
-    passed: bool
-    claimed_degrees: tuple[int, ...]
-    missing_degrees: tuple[int, ...]
-
-    def as_dict(self):
-        return {
-            "claim": self.claim,
-            "passed": self.passed,
-            "claimed_degrees": list(self.claimed_degrees),
-            "missing_degrees": list(self.missing_degrees),
-        }
-
-
-def _subset_claim(name: str, claimed, report: NonAlgebraicReport) -> ClaimVerdict:
-    claimed = tuple(sorted(claimed))
-    missing = tuple(c for c in claimed if report.dim(c) == 0)
-    return ClaimVerdict(name, not missing, claimed, missing)
-
-
-def claim_neighbor(kind: str, n: int) -> ClaimVerdict:
+def claim_neighbor(kind: str, n: int) -> list[dict]:
     """Minimal (d = 2^n - 1) or maximal (d = 2^(n+1) - 3) Pfister neighbor:
     every degree c = 0 mod 4 with 0 < c < 2d - 8 carries a non-algebraic
-    class."""
+    class.  Returns the failures, empty when the claim holds."""
     if kind == "minimal":
         d = 2**n - 1
     elif kind == "maximal":
         d = 2 ** (n + 1) - 3
     else:
         raise ValueError(f"unknown neighbor kind {kind!r}")
-    report = nonalgebraic_report(d)
-    claimed = [c for c in range(4, 2 * d - 8) if c % 4 == 0]
-    return _subset_claim(f"{kind} neighbor n={n} (d={d})", claimed, report)
+    claim = f"{kind} neighbor n={n} (d={d})"
+    nonalgebraic = dict(nonalgebraic_report(d).dims)
+    missing = [c for c in range(4, 2 * d - 8, 4) if c not in nonalgebraic]
+    return [{"claim": claim, "missing_degrees": missing}] if missing else []
 
 
-def claim_norm_quadric(n: int) -> ClaimVerdict:
+def claim_norm_quadric(n: int) -> list[dict]:
     """Norm quadric d = 2^n - 1: non-algebraic classes in every degree
     c = 0 mod 4 with 4 <= c <= 2^(n+1) - 12, while the free part is fully
-    algebraic."""
+    algebraic.  Returns the failures, empty when the claim holds."""
     d = 2**n - 1
-    report = nonalgebraic_report(d)
-    claimed = [c for c in range(4, 2 ** (n + 1) - 12 + 1) if c % 4 == 0]
-    verdict = _subset_claim(f"norm quadric n={n} (d={d})", claimed, report)
-    free_ok = all(e.algebraic for e in assemble_cohomology(d).free_entries)
-    return replace(verdict, passed=verdict.passed and free_ok)
+    claim = f"norm quadric n={n} (d={d})"
+    nonalgebraic = dict(nonalgebraic_report(d).dims)
+    missing = [c for c in range(4, 2 ** (n + 1) - 12 + 1, 4) if c not in nonalgebraic]
+    free = [e.degree for e in assemble_cohomology(d).free_entries if not e.algebraic]
+    failures = [{"claim": claim, "missing_degrees": missing}] if missing else []
+    if free:
+        failures.append({"claim": claim, "nonalgebraic_free_degrees": free})
+    return failures
 
 
 def boundary_predicates(d: int) -> tuple[bool, bool, bool]:

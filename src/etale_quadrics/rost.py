@@ -8,13 +8,12 @@ hits the free part and exactly the torsion classes in the Chow torsion
 degrees 2^(n+1) - 2^(i+1), 1 <= i <= n-1.  Multiplicatively the torsion is
 the positive part of a truncated polynomial ring on rho_bar_4.
 
-Here: the Chow torsion degrees, the table with its algebraicity flags, and
-the non-algebraic quotient (the torsion degrees that are not Chow degrees).
+Here: the Chow torsion degrees, the table as a Graded2Group with its
+algebraicity flags, and the non-algebraic quotient (the torsion degrees
+that are not Chow degrees).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graded import Graded2Group, GradedSummand
 from .mod2 import _check_index, top_rho_exponent
@@ -33,42 +32,22 @@ def torsion_degrees(n: int) -> tuple[int, ...]:
     return tuple(4 * m for m in range(1, 2 ** (n - 1)))
 
 
-@dataclass(frozen=True)
-class RostTable:
-    """2-adic etale cohomology of one Rost motive with algebraicity flags."""
-
-    n: int
-    free: tuple[GradedSummand, ...]
-    torsion: tuple[GradedSummand, ...]
-
-    @property
-    def top_degree(self) -> int:
-        return top_rho_exponent(self.n)
-
-    def graded(self) -> Graded2Group:
-        return Graded2Group.from_entries(self.free + self.torsion)
-
-
-def rost_etale_table(n: int) -> RostTable:
+def rost_etale_table(n: int) -> Graded2Group:
+    """2-adic etale cohomology of the index-n Rost motive, every entry with
+    source (n, 0): the free classes 1 and pi, one Z/2 class rho_bar_d in each
+    torsion degree, each flagged algebraic when the cycle map hits it."""
     _check_index(n)
     top = top_rho_exponent(n)
-    free = (
-        GradedSummand(0, 0, "1", twist=0, algebraic=True, source=(n, 0)),
-        GradedSummand(top, 0, "pi", twist=(top // 2) % 2, algebraic=True, source=(n, 0)),
-    )
     algebraic = set(chow_torsion_degrees(n))
-    torsion = tuple(
-        GradedSummand(
-            d,
-            2,
-            f"rho_bar_{d}",
-            twist=(d // 2) % 2,
-            algebraic=d in algebraic,
-            source=(n, 0),
-        )
+    free = [
+        GradedSummand(0, 0, "1", 0, True, (n, 0)),
+        GradedSummand(top, 0, "pi", (top // 2) % 2, True, (n, 0)),
+    ]
+    torsion = [
+        GradedSummand(d, 2, f"rho_bar_{d}", (d // 2) % 2, d in algebraic, (n, 0))
         for d in torsion_degrees(n)
-    )
-    return RostTable(n, free, torsion)
+    ]
+    return Graded2Group.from_entries(free + torsion)
 
 
 def nonalgebraic_quotient(n: int) -> tuple[int, ...]:

@@ -29,24 +29,10 @@ from .graded import Graded2Group, GradedSummand
 # Bockstein pairing in one weight
 
 
-@dataclass(frozen=True)
-class PairingResult:
-    """The Bockstein matching of the weight-q basis: pairs of degrees
-    (a, a+1) and the degrees of the free classes."""
-
-    n: int
-    weight: int
-    pairs: tuple[tuple[int, int], ...]
-    free_degrees: tuple[int, ...]
-
-    @property
-    def torsion_degrees(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.pairs)
-
-
-def pair_weight(n: int, q: int) -> PairingResult:
+def pair_weight(n: int, q: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Match each odd-tau-exponent monomial of weight q with its Bockstein
-    image one degree up; what remains unmatched is a free class."""
+    image one degree up; what remains unmatched is a free class.  Returns
+    the pairs of degrees (a, a+1) and the degrees of the free classes."""
     mod2._check_index(n)
     if q < 0:
         raise ValueError("weight must be non-negative")
@@ -61,7 +47,7 @@ def pair_weight(n: int, q: int) -> PairingResult:
         free.append(0)
     if q >= top and (q - top) % 2 == 1:
         free.append(top)
-    return PairingResult(n, q, tuple(pairs), tuple(free))
+    return tuple(pairs), tuple(free)
 
 
 def _bockstein_homology_dim(n: int, p: int, q: int) -> int:
@@ -92,8 +78,8 @@ def integral_cohomology(n: int, p: int, q: int) -> FinAb2Group:
     """
     if p > q + 1:
         raise ValueError(f"bidegree ({p},{q}) outside the pairing region p <= q+1")
-    pairing = pair_weight(n, q)
-    free = 1 if p in pairing.free_degrees else 0
+    pairs, free_degrees = pair_weight(n, q)
+    free = 1 if p in free_degrees else 0
     if p <= q and _bockstein_homology_dim(n, p, q) != free:
         raise HigherTorsionAmbiguity(
             f"Bockstein homology disagrees with the pairing at ({p},{q}), n={n}"
@@ -101,7 +87,7 @@ def integral_cohomology(n: int, p: int, q: int) -> FinAb2Group:
     summands = []
     if free:
         summands.append(CyclicSummand(0, _free_label(n, p, q)))
-    if p in pairing.torsion_degrees:
+    if (p - 1, p) in pairs:
         summands.append(CyclicSummand(2, _torsion_label(p, q)))
     return FinAb2Group(tuple(summands))
 
@@ -278,7 +264,7 @@ def etale_2adic(n: int, s_max: int = 8, window: int = 4) -> Graded2Group:
     tower in every degree.  Algebraicity flags come from the mod-2 cycle
     image degrees."""
     tower = CoefficientTower(n, s_max=s_max, window=window)
-    algebraic_degrees = mod2.cycle_image_mod2(n).degrees
+    algebraic_degrees = mod2.cycle_image_mod2(n)
     entries = []
     for degree in range(0, mod2.top_rho_exponent(n) + 1, 2):
         p, q = twist_bidegree(degree)

@@ -132,6 +132,33 @@ def test_truncated_table_digests(argv):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == TABLE_DIGESTS[argv]
 
 
+# stdout digests pinning the single-motive tables of every coefficient kind
+# and the full verify report byte for byte
+REPORT_DIGESTS = {
+    ("cohomology", "--rost", "4", "--coeff", "2adic"):
+        "3ca385dfcf5d3a12f9fe90d808447966c837c09ffe695965509a44e7927be119",
+    ("cohomology", "--rost", "4", "--coeff", "2adic", "--format", "json"):
+        "c57fe1c0d520800fa1689d7b5497df60d602f2c84b7a8b1f276cd359b56dc63f",
+    ("cohomology", "--rost", "4", "--coeff", "mod2"):
+        "744f089411146b34582ab5d69adf8ee6d4c0cce2522e7ca0baa3fbd65abbf6f0",
+    ("cohomology", "--rost", "4", "--coeff", "mod2", "--format", "json"):
+        "db75d1258d113fca337160f180d79a94184345943ce0da28d6bd469a8b746d0a",
+    ("cohomology", "--rost", "4", "--coeff", "mod2s:3"):
+        "1942e585b05f25896ba9e7c392d0f1861132421681ae50ed6d61d748e0966007",
+    ("cohomology", "--rost", "4", "--coeff", "mod2s:3", "--format", "json"):
+        "78cba092fcf7cf9a9256ef021975619f460c1c788a01449166851fa6ef17d7d8",
+    ("verify", "--scope", "all", "--format", "json"):
+        "5c361a3307efd20d92806a4f0f8f6bfb58a9651eae7e332e4f7ee49cb7032edd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
+def test_report_digests(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
 COEFFS = ("2adic", "mod2", "mod2s:3")
 
 # argv and the two strings stderr must name: the user's quantity and its range
@@ -143,6 +170,9 @@ OUT_OF_BOUND = [
     (("decompose", "2047"), "quadric dimension 2047", "1..2046"),
     # a level whose order 2^s would not print under the 4300-digit limit
     (("cohomology", "7", "--coeff", "mod2s:15000"), "coefficient level 15000", "1..14284"),
+    (("cohomology", "7", "--coeff", "mod2s:0"), "coefficient level 0 ", "1..14284"),
+    # more digits than int() converts: bounded before it reads them
+    (("cohomology", "7", "--coeff", "mod2s:" + "9" * 4301), "coefficient level 999", "1..14284"),
     # levels are ASCII decimals, not any spelling int() accepts
     *((("cohomology", "7", "--coeff", c), repr(c), "mod2 | mod2s:<s> | 2adic") for c in ("mod2s:abc", "mod2s:+2")),
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
@@ -159,7 +189,7 @@ OUT_OF_BOUND = [
 
 
 @pytest.mark.parametrize(
-    "argv, quantity, bound", OUT_OF_BOUND, ids=[" ".join(case[0]) for case in OUT_OF_BOUND]
+    "argv, quantity, bound", OUT_OF_BOUND, ids=[" ".join(case[0])[:60] for case in OUT_OF_BOUND]
 )
 def test_table_bound_rejects(argv, quantity, bound):
     res = run_cli(*argv)
@@ -168,6 +198,7 @@ def test_table_bound_rejects(argv, quantity, bound):
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1  # no traceback
     assert quantity in res.stderr and bound in res.stderr
     assert "max_index" not in res.stderr and "int()" not in res.stderr
+    assert "int_max_str_digits" not in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -175,10 +206,11 @@ def test_table_bound_rejects(argv, quantity, bound):
     [
         *(("cohomology", "--rost", "10", "--coeff", c) for c in COEFFS),
         ("cohomology", "--rost", "1", "--coeff", "mod2s:14284"),
+        ("cohomology", "--rost", "1", "--coeff", "mod2s:" + "0" * 4300 + "3"),
         ("nonalgebraic", "2046"),
         ("decompose", "2046"),
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv)[:60],
 )
 def test_table_bound_accepts(argv):
     assert run_cli(*argv).returncode == 0
@@ -251,6 +283,20 @@ def test_out_writes_identical_bytes(tmp_path):
     )
     assert res2.returncode == 0 and res2.stdout == ""
     assert target.read_text() == res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "7"), ("cohomology", "7"), ("nonalgebraic", "7"), ("verify", "--scope", "s2")],
+    ids=lambda argv: argv[0],
+)
+def test_out_to_an_unwritable_path(tmp_path, argv):
+    target = tmp_path / "missing" / "x.txt"
+    res = run_cli(*argv, "--out", str(target))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_verify_json_format():

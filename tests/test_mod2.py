@@ -14,6 +14,7 @@ from etale_quadrics.mod2 import (
     rost_etale_mod2,
     top_rho_exponent,
 )
+from etale_quadrics.rost import chow_torsion_degrees
 
 
 def test_bockstein_fixtures_n2():
@@ -53,48 +54,44 @@ def test_bockstein_injective_on_sources_below_boundary(n, q):
 
 def test_module_region_and_dimensions():
     mod = BigradedF2Module(2)
-    assert mod.dimension(0, 0) == 1
-    assert mod.dimension(3, 5) == 1
-    assert mod.dimension(7, 9) == 0  # beyond the rho truncation
-    assert mod.dimension(6, 6) == 1
+    assert mod.basis(0, 0) == (Monomial(0, 0),)
+    assert mod.basis(3, 5) == (Monomial(3, 2),)
+    assert mod.basis(7, 9) == ()  # beyond the rho truncation
+    assert mod.basis(6, 6) == (Monomial(6, 0),)
     with pytest.raises(ValueError):
-        mod.dimension(3, 2)  # outside the modeled region
-
-
-def test_monomial_labels():
-    assert Monomial(0, 0).label() == "1"
-    assert Monomial(1, 0).label() == "rho"
-    assert Monomial(2, 3).label() == "rho^2*tau^3"
-    assert Monomial(0, 1).label() == "tau"
+        mod.basis(3, 2)  # outside the modeled region
 
 
 def test_mod2_ring_small_indices():
     r1 = rost_etale_mod2(1)
-    assert list(r1.degrees()) == [0, 1, 2]
+    assert [(e.degree, e.order, e.label) for e in r1.entries] == [
+        (0, 2, "1"), (1, 2, "rho"), (2, 2, "rho^2"),
+    ]
     r2 = rost_etale_mod2(2)
-    assert [r2.dimension(c) for c in range(8)] == [1] * 7 + [0]
-    assert r2.basis_label(0) == "1" and r2.basis_label(6) == "rho^6"
+    assert [e.degree for e in r2.entries] == list(range(7))
+    assert [e.twist for e in r2.entries] == [0, None, 1, None, 0, None, 1]
+    assert [e.algebraic for e in r2.entries] == [True, False, False, False, True, False, True]
+    assert r2.entries[6].label == "rho^6" and {e.source for e in r2.entries} == {(2, 0)}
     r3 = rost_etale_mod2(3)
-    assert len(list(r3.degrees())) == 15
+    assert len(r3.entries) == 15
     with pytest.raises(InvalidIndex):
         rost_etale_mod2(0)
 
 
 def test_cycle_image_degrees():
-    assert cycle_image_mod2(1).degrees == {0, 2}
-    assert cycle_image_mod2(2).degrees == {0, 4, 6}
-    assert cycle_image_mod2(3).degrees == {0, 8, 12, 14}
+    assert cycle_image_mod2(1) == {0, 2}
+    assert cycle_image_mod2(2) == {0, 4, 6}
+    assert cycle_image_mod2(3) == {0, 8, 12, 14}
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8))
-def test_cycle_image_weight_bookkeeping(n):
-    for c in cycle_image_mod2(n).classes:
-        assert c.degree + c.tau_exponent == c.chow_weight
-        if c.chow_index is not None:
-            assert c.degree == 2 ** (n + 1) - 2 ** (c.chow_index + 1)
-            assert c.degree % 2 == 0
-            assert c.degree // 2 >= c.chow_weight
+def test_cycle_image_is_the_unit_the_top_and_the_chow_torsion(n):
+    """The mod-2 image and the 2-adic closed form state the Chow degrees
+    separately; they must agree."""
+    top = top_rho_exponent(n)
+    assert cycle_image_mod2(n) == {0, top} | set(chow_torsion_degrees(n))
+    assert {e.degree for e in rost_etale_mod2(n).entries if e.algebraic} == cycle_image_mod2(n)
 
 
 def test_nonalgebraic_degrees():

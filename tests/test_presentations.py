@@ -190,9 +190,9 @@ def test_flag_dimension_totals():
     series = {k: len(graded_ranks(weyl, 8).at(k)) for k in (0, 2, 4, 6, 8)}
     assert series == {0: 1, 2: 2, 4: 2, 6: 1, 8: 0}
     gt = graded_ranks(builtin_presentation("G2_GT_mod2"), 12)
-    assert gt.total_dim_mod2() == 12
+    assert len(gt.entries) == 12
     chow = graded_ranks(builtin_presentation("G2_flag_chow_mod2"), 12)
-    assert chow.total_dim_mod2() == 18
+    assert len(chow.entries) == 18
 
 
 def test_flag_etale_torsion_is_elementary():
@@ -215,5 +215,4 @@ def test_q7_relation_set():
 
 def test_compare_with_assembly():
     for d in (3, 5, 6, 7, 15):
-        result = compare_with_assembly(d)
-        assert result.passed, result.diffs
+        assert compare_with_assembly(d) == []

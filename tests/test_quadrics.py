@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etale_quadrics import quadrics
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
 from etale_quadrics.mod2 import rost_etale_mod2
 from etale_quadrics.quadrics import (
+    NonAlgebraicReport,
     assemble_cohomology,
     boundary_predicates,
     claim_neighbor,
@@ -222,7 +224,7 @@ def test_nonalgebraic_reports():
     assert tuple(deg for deg, _ in r15.dims if deg % 4 == 0) == (4, 8, 12, 16, 20)
     # odd Tate twists, kept separate
     assert tuple(deg for deg, _ in r15.dims if deg % 4 == 2) == (6, 10, 14, 18)
-    assert r15.dim(8) == 2  # two independent summands land there
+    assert dict(r15.dims)[8] == 2  # two independent summands land there
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,12 +269,19 @@ def test_boundary():
         assert len(set(boundary_predicates(d))) == 1
 
 
-def test_claims():
-    assert claim_neighbor("minimal", 3).passed
-    assert claim_neighbor("minimal", 3).claimed_degrees == (4,)
-    v = claim_neighbor("maximal", 3)
-    assert v.passed and v.claimed_degrees == (4, 8, 12, 16)
+def test_claims(monkeypatch):
+    assert claim_neighbor("minimal", 3) == []
+    assert claim_neighbor("maximal", 3) == []
     for n in (3, 4, 5):
-        assert claim_norm_quadric(n).passed
+        assert claim_norm_quadric(n) == []
     with pytest.raises(ValueError):
         claim_neighbor("median", 3)
+    # against an empty report every claimed degree comes back as missing
+    monkeypatch.setattr(quadrics, "nonalgebraic_report", lambda d: NonAlgebraicReport(d, ()))
+    assert claim_neighbor("minimal", 3) == [
+        {"claim": "minimal neighbor n=3 (d=7)", "missing_degrees": [4]}
+    ]
+    assert claim_neighbor("maximal", 3)[0]["missing_degrees"] == [4, 8, 12, 16]
+    assert claim_norm_quadric(4) == [
+        {"claim": "norm quadric n=4 (d=15)", "missing_degrees": [4, 8, 12, 16, 20]}
+    ]

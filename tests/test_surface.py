@@ -3,7 +3,7 @@ of the package is used by the package itself, so no name exists only for
 tests or for nobody."""
 
 import ast
-import re
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "etale_quadrics"
@@ -11,33 +11,52 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "etale_quadrics"
 ALLOWED = {"format_presentation"}
 
 
+def trees():
+    return {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def public_definitions(tree):
+    """(name, line, owning class or None) of each public top-level function
+    and class, and of each public method or property of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+            yield node.name, node.lineno, None
             if isinstance(node, ast.ClassDef):
-                yield from (
-                    sub
-                    for sub in node.body
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
-                )
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield sub.name, sub.lineno, node.name
 
 
 def test_every_public_name_is_used_in_the_package():
-    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    lines = [
-        (path, number, line)
-        for path, text in sources.items()
-        for number, line in enumerate(text.splitlines(), 1)
-    ]
+    """A method or property counts as used only where package code reads it
+    as an attribute (`.name`); a function or class also where code names or
+    imports it.  Words in docstrings and comments do not count."""
+    attributes, names = set(), set()
+    for tree in trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
     defined, unused = set(), []
-    for path, text in sources.items():
-        for node in public_definitions(ast.parse(text)):
-            defined.add(node.name)
-            word = re.compile(rf"\b{node.name}\b")
-            own_line = (path, node.lineno)
-            used = any(word.search(line) for p, n, line in lines if (p, n) != own_line)
-            if not used and node.name not in ALLOWED:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    for path, tree in trees().items():
+        for name, line, owner in public_definitions(tree):
+            defined.add(name)
+            used = name in attributes or (owner is None and name in names)
+            if not used and name not in ALLOWED:
+                unused.append(f"{path.name}:{line} {name}")
     assert unused == []
     assert ALLOWED <= defined
+
+
+def test_no_two_classes_share_a_public_method_name():
+    """Attribute reads cannot tell two classes' methods of one name apart,
+    so a shared name would let one hide that the other is unused."""
+    owners = defaultdict(list)
+    for path, tree in trees().items():
+        for name, line, owner in public_definitions(tree):
+            if owner is not None:
+                owners[name].append(f"{path.name}:{line} {owner}")
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}
