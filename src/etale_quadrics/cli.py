@@ -6,10 +6,12 @@ single Rost motive), nonalgebraic (per-degree quotient by the cycle
 image), verify (the built-in exactness sweeps).
 
 Output is deterministic: identical invocations produce identical bytes,
-records are sorted by (degree, Rost index descending, Tate twist, label),
-and nothing carries a timestamp.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input or usage (an --out path that cannot be written
-included).
+and nothing carries a timestamp.  Table records are emitted in the order
+(degree, Rost index descending, Tate twist, label) in which
+quadrics.iter_cohomology yields them, not sorted here, and written while
+they are computed.  Exit codes: 0 success (also when the reader of stdout
+stops early), 1 verification mismatch, 2 invalid input or usage (an --out
+path that cannot be written included).
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .graded import Graded2Group
+from .graded import GradedSummand
 from .quadrics import (
-    assemble_cohomology,
     decompose_motive,
+    iter_cohomology,
     nonalgebraic_report,
     parse_coefficients,
     rost_table,
@@ -34,10 +40,13 @@ from .verify import SCOPES, VerifyOptions, run_checks
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
+# Table rows per write: output is streamed, so memory does not grow with d.
+CHUNK_ROWS = 4096
 
 # The table bound: the largest Rost index the CLI tabulates.  The table of
 # M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
-# --coeff mod2` already takes 21 s and 1.0 GB on a 2-core host.  The library
+# --coeff mod2` writes 134 MB in 3.4 s with 20 MB resident on a 2-core Xeon
+# host, where the table built whole took 19 s and 1.0 GB.  The library
 # itself has no bound.
 MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
@@ -66,58 +75,76 @@ def _order_str(order: int) -> str:
     return "Z2" if order == 0 else f"Z/{order}"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:  # reported as invalid input, like any bad argument
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Callable[[str], object]]:
+    """The write function of stdout, or of the --out file, which is opened
+    here, after the arguments are checked and before anything is computed.
+    A path that cannot be written is invalid input, like any bad argument."""
+    if not path:
+        yield sys.stdout.write
+        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _render_table(target: str, coefficients: str, table: Graded2Group, fmt: str) -> str:
+def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
+    """What a row of Rost entry e keeps under every shift M_n tensor T^j:
+    order, generator label, n and algebraicity, formatted once per entry
+    and split around the j column (the source column in text)."""
     if fmt == "json":
-        records = [
-            {
-                "degree": e.degree,
-                "twist": e.twist,
-                "order": e.order,
-                "generator": e.label,
-                "source": {"n": e.source[0], "j": e.source[1]},
-                "algebraic": e.algebraic,
-            }
-            for e in table.entries
-        ]
-        payload = {"target": target, "coefficients": coefficients, "records": records}
-        return json.dumps(payload, indent=2) + "\n"
+        return (
+            f'      "order": {e.order},\n      "generator": {json.dumps(e.label)},\n'
+            f'      "source": {{\n        "n": {e.source[0]},\n        "j": ',
+            f'\n      }},\n      "algebraic": {json.dumps(e.algebraic)}\n    }}',
+        )
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        writer.writerows(
-            (
-                e.degree,
-                "" if e.twist is None else e.twist,
-                e.order,
-                e.label,
-                *e.source,
-                "" if e.algebraic is None else str(e.algebraic).lower(),
-            )
-            for e in table.entries
+        csv.writer(buf, lineterminator="\n").writerow((e.order, e.label, e.source[0], ""))
+        return buf.getvalue()[:-1], f",{'' if e.algebraic is None else str(e.algebraic).lower()}\n"
+    alg = "-" if e.algebraic is None else ("yes" if e.algebraic else "NO")
+    return f"{_order_str(e.order):>6}  {e.label:<24}  ", f"  {alg}\n"
+
+
+def _write_table(
+    write: Callable[[str], object], fmt: str, target: str, coeff: str, rows: Iterable
+) -> None:
+    """Write rows (degree, twist, n, j, _row_parts(fmt, e)) as they come,
+    CHUNK_ROWS to a write, so that no table is ever held whole.  Per row
+    only degree, twist and j are formatted.  The JSON is byte for byte
+    json.dumps(payload, indent=2) of the whole table."""
+    if fmt == "json":
+        write(
+            f'{{\n  "target": {json.dumps(target)},\n'
+            f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
         )
-        return buf.getvalue()
-    lines = [f"# {target}  coefficients={coefficients}"]
-    lines.append(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic")
-    for e in table.entries:
-        src = f"M{e.source[0]}*T{e.source[1]}"
-        alg = "-" if e.algebraic is None else ("yes" if e.algebraic else "NO")
-        twist = "-" if e.twist is None else str(e.twist)
-        lines.append(
-            f"{e.degree:>6}  {twist:>5}  {_order_str(e.order):>6}  {e.label:<24}  {src:<10}  {alg}"
+        twists = {None: "null", 0: "0", 1: "1"}
+        lines = (
+            f'\n    {{\n      "degree": {c},\n      "twist": {twists[t]},\n{mid}{j}{tail}'
+            for c, t, _, j, (mid, tail) in rows
         )
-    return "\n".join(lines) + "\n"
+    elif fmt == "csv":
+        write(",".join(RECORD_FIELDS) + "\n")
+        twists = {None: "", 0: "0", 1: "1"}
+        lines = (f"{c},{twists[t]},{mid}{j}{tail}" for c, t, _, j, (mid, tail) in rows)
+    else:
+        write(f"# {target}  coefficients={coeff}\n")
+        write(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic\n")
+        twists = {t: f"{'-' if t is None else t:>5}" for t in (None, 0, 1)}
+        # str.rjust and str.ljust: format specs cost twice as much per row
+        lines = (
+            f"{str(c).rjust(6)}  {twists[t]}  {mid}{f'M{n}*T{j}'.ljust(10)}{tail}"
+            for c, t, n, j, (mid, tail) in rows
+        )
+    sep, first = ("," if fmt == "json" else ""), True
+    while chunk := list(islice(lines, CHUNK_ROWS)):
+        write(("" if first else sep) + sep.join(chunk))
+        first = False
+    if fmt == "json":
+        write("]\n}\n" if first else "\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +153,22 @@ def _render_table(target: str, coefficients: str, table: Graded2Group, fmt: str)
 
 def _cmd_decompose(args) -> int:
     _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-    dec = decompose_motive(args.d)
-    if args.format == "json":
-        payload = {
-            "d": dec.d,
-            "expansion": list(dec.expansion),
-            "residual": dec.residual,
-            "terms": [{"n": t.n, "j": t.j} for t in dec.terms],
-            "rendered": dec.render(),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("n", "j"))
-        for t in dec.terms:
-            writer.writerow((t.n, t.j))
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [
-            f"Q^{dec.d}: {dec.render()}",
-            f"expansion: {list(dec.expansion)} residual: {dec.residual}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:
+        dec = decompose_motive(args.d)
+        if args.format == "json":
+            payload = {
+                "d": dec.d,
+                "expansion": list(dec.expansion),
+                "residual": dec.residual,
+                "terms": [{"n": t.n, "j": t.j} for t in dec.terms],
+                "rendered": dec.render(),
+            }
+            write(json.dumps(payload, indent=2) + "\n")
+        elif args.format == "csv":  # integers only: nothing to quote
+            write("n,j\n" + "".join(f"{t.n},{t.j}\n" for t in dec.terms))
+        else:
+            write(f"Q^{dec.d}: {dec.render()}\n")
+            write(f"expansion: {list(dec.expansion)} residual: {dec.residual}\n")
     return 0
 
 
@@ -161,41 +181,44 @@ def _cmd_cohomology(args) -> int:
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
         _check_bound("--rost", args.rost, MAX_INDEX)
-        target, table = f"M{args.rost}", rost_table(args.rost, args.coeff)
+        target = f"M{args.rost}"
     else:
         _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-        target, table = f"Q^{args.d}", assemble_cohomology(args.d, args.coeff)
-    _emit(_render_table(target, args.coeff, table, args.format), args.out)
+        target = f"Q^{args.d}"
+    view = partial(_row_parts, args.format)
+    with _output(args.out) as write:
+        if args.rost is None:
+            rows = iter_cohomology(args.d, args.coeff, view)
+        else:
+            entries = rost_table(args.rost, args.coeff).entries
+            rows = ((e.degree, e.twist, args.rost, 0, view(e)) for e in entries)
+        _write_table(write, args.format, target, args.coeff, rows)
     return 0
 
 
 def _cmd_nonalgebraic(args) -> int:
     _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-    report = nonalgebraic_report(args.d)
-    rows = [{"degree": deg, "dim": dim, "mod4": deg % 4} for deg, dim in report.dims]
-    if args.format == "json":
-        payload = {
-            "target": f"Q^{args.d}",
-            "has_nonalgebraic": report.has_nonalgebraic,
-            "records": rows,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("degree", "dim", "mod4"))
-        for r in rows:
-            writer.writerow((r["degree"], r["dim"], r["mod4"]))
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"# Q^{args.d}  non-algebraic quotient (torsion only; free part is algebraic)"]
-        if rows:
-            lines.append(f"{'degree':>6}  {'dim':>3}  c mod 4")
-            lines += [f"{r['degree']:>6}  {r['dim']:>3}  {r['mod4']}" for r in rows]
+    with _output(args.out) as write:
+        report = nonalgebraic_report(args.d)
+        rows = [{"degree": deg, "dim": dim, "mod4": deg % 4} for deg, dim in report.dims]
+        if args.format == "json":
+            payload = {
+                "target": f"Q^{args.d}",
+                "has_nonalgebraic": report.has_nonalgebraic,
+                "records": rows,
+            }
+            write(json.dumps(payload, indent=2) + "\n")
+        elif args.format == "csv":  # integers only: nothing to quote
+            write("degree,dim,mod4\n" + "".join(f"{r['degree']},{r['dim']},{r['mod4']}\n" for r in rows))
         else:
-            lines.append("all classes algebraic")
-        lines.append(f"has_nonalgebraic: {str(report.has_nonalgebraic).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
+            lines = [f"# Q^{args.d}  non-algebraic quotient (torsion only; free part is algebraic)"]
+            if rows:
+                lines.append(f"{'degree':>6}  {'dim':>3}  c mod 4")
+                lines += [f"{r['degree']:>6}  {r['dim']:>3}  {r['mod4']}" for r in rows]
+            else:
+                lines.append("all classes algebraic")
+            lines.append(f"has_nonalgebraic: {str(report.has_nonalgebraic).lower()}")
+            write("\n".join(lines) + "\n")
     return 0
 
 
@@ -207,25 +230,26 @@ def _cmd_verify(args) -> int:
     _check_bound("--window", args.window, None, low=3)
     _check_bound("--smax", args.smax, None, low=args.window + 2)
     opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax, window=args.window)
-    results = run_checks(args.scope, opts)
-    ok = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {
-            "scope": args.scope,
-            "passed": ok,
-            "checks": [r.as_dict() for r in results],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            line = f"{mark} {r.check_id}: {r.detail}"
-            if not r.passed:
-                line += f"  diff={json.dumps(r.diff, sort_keys=True)}"
-            lines.append(line)
-        lines.append(f"{'OK' if ok else 'MISMATCH'} ({sum(r.passed for r in results)}/{len(results)} checks)")
-        _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:
+        results = run_checks(args.scope, opts)
+        ok = all(r.passed for r in results)
+        if args.format == "json":
+            payload = {
+                "scope": args.scope,
+                "passed": ok,
+                "checks": [r.as_dict() for r in results],
+            }
+            write(json.dumps(payload, indent=2) + "\n")
+        else:
+            lines = []
+            for r in results:
+                mark = "PASS" if r.passed else "FAIL"
+                line = f"{mark} {r.check_id}: {r.detail}"
+                if not r.passed:
+                    line += f"  diff={json.dumps(r.diff, sort_keys=True)}"
+                lines.append(line)
+            lines.append(f"{'OK' if ok else 'MISMATCH'} ({sum(r.passed for r in results)}/{len(results)} checks)")
+            write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -291,6 +315,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): end quietly, and point
+        # stdout at /dev/null so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import rost, tower
 from .errors import InvalidDimension
@@ -134,23 +134,42 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
     return Graded2Group.from_entries(entries)
 
 
-def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
-    """Cohomology of the dimension-d anisotropic quadric as the direct sum
-    of its shifted Rost tables: M_0 tensor T^j is the algebraic unit class
-    in degree 2j, and M_n tensor T^j moves every class of rost_table(n) up
-    by 2j in degree, recomputing the twist parity there."""
+def iter_cohomology(
+    d: int, coeff: str = "2adic", view: Callable[[GradedSummand], Any] = lambda e: e
+) -> Iterator[tuple[int, Optional[int], int, int, Any]]:
+    """Rows (degree, twist, n, j, view(e)) of the cohomology of the
+    dimension-d anisotropic quadric, the direct sum of its shifted Rost
+    tables: M_0 tensor T^j is the algebraic unit class in degree 2j, and
+    M_n tensor T^j moves every class e of rost_table(n) up by 2j in degree,
+    recomputing the twist parity there.  The rows come in the order of
+    graded._sort_key with no sort: per degree c, the blocks (n strictly
+    decreasing), j ascending, then the entries at c - 2j of a per-degree
+    index of the table, in its label order.  view runs once per entry of
+    the O(d) entries held, not once per row of the Θ(d²)."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
     unit = GradedSummand(0, unit_order, "1", 0, True, (0, 0))  # M_0 tensor T^0
-    entries = []
+    blocks = []
     for n, j0, m in decompose_motive(d).blocks:  # each n occurs in one block
         table = rost_table(n, coeff).entries if n else (unit,)
-        for j in range(j0, j0 + m):
-            for e in table:
-                degree = e.degree + 2 * j
-                twist = None if e.twist is None else (degree // 2) % 2
-                entries.append(GradedSummand(degree, e.order, e.label, twist, e.algebraic, (n, j)))
-    return Graded2Group.from_entries(entries)
+        at = [[] for _ in range(table[-1].degree + 1)]  # the top degree sorts last
+        for e in table:
+            at[e.degree].append((e.twist is None, view(e)))
+        blocks.append((n, j0, j0 + m - 1, at))
+    top = max(len(at) - 1 + 2 * j1 for _, _, j1, at in blocks)
+    for c in range(top + 1):
+        parity = (c // 2) % 2
+        for n, j0, j1, at in blocks:
+            for j in range(max(j0, (c - len(at) + 2) // 2), min(j1, c // 2) + 1):
+                for untwisted, item in at[c - 2 * j]:
+                    yield c, None if untwisted else parity, n, j, item
+
+
+def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
+    """The rows of iter_cohomology as a Graded2Group, already in order."""
+    rows = iter_cohomology(d, coeff)
+    entries = (GradedSummand(c, e.order, e.label, t, e.algebraic, (n, j)) for c, t, n, j, e in rows)
+    return Graded2Group(tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -130,6 +131,66 @@ def test_truncated_table_digests(argv):
     res = run_cli("cohomology", *argv)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == TABLE_DIGESTS[argv]
+
+
+# stdout digests of full quadric tables, pinned before the tables were
+# streamed: every coefficient kind in every format, up to d = 255
+QUADRIC_DIGESTS = {
+    (1, "2adic", "text"): "08a7fa9867b0a1482678a144328706987be4a2d6cc07e5ac9df2e98cf251988e",
+    (1, "2adic", "json"): "f779547ee700b1db658c43dabbe3197ad094be261bc0c9175574c38b94d9fd1f",
+    (1, "2adic", "csv"): "1e5802656f6466b7f4229dcc4c2bcfb5d8b7c836146254bc52533a79ec9bbda1",
+    (1, "mod2", "text"): "a1c7a98c1af38cb07e975aa970c0353ef260b950091ba43de1f6ef145280fd04",
+    (1, "mod2", "json"): "d253025ff79c0aae192f7c162b04566e78f6170bb520a06ad5f124c6c39ecb31",
+    (1, "mod2", "csv"): "1e730cc13ec3677d6944b83da65f7e38047dfc2449bf1c3d97c904c4d763696b",
+    (1, "mod2s:3", "text"): "3db1db3aac70ae22a232b408e2d69aa143fb588984e3d7295447558d71e96cbd",
+    (1, "mod2s:3", "json"): "e50f54ea88fa7d27e68bd9aec1603a362edbd4a1b2b7424515e14ccbfd6dcc16",
+    (1, "mod2s:3", "csv"): "e9a84c6765aa1456db2ddcc49840c0704d7d82d2dcd877fe1fbda3c16d3a1be5",
+    (2, "2adic", "text"): "adbdce1644d9bb74a0eab8d5ac72b2c1b007e5a202d8fd825589d43a4e4eb069",
+    (2, "2adic", "json"): "ee4b7e71f1af30ace9f64866634bf6147032117ec3a2f10e79b1df1796a3ce41",
+    (2, "2adic", "csv"): "db1e5355a694f17ed9b7105a877482cd60461c53fd8e690c7cff1d02800f57bb",
+    (2, "mod2", "text"): "055a407563a9c74f68970428e040baba22fefcdee38a6a4a86344c68acd349ff",
+    (2, "mod2", "json"): "0646bac5dd1e13a504f45acc20200bc2ed4f50a10c64ba19f395b6f949d13503",
+    (2, "mod2", "csv"): "466a27dee1ad4b787b722a223b13c1c8c0e6281e207568829684603c5e988fd6",
+    (2, "mod2s:3", "text"): "fe88b1d03225746c4207e12b74063f0f77a191043b9ecfcb6b95660e51aebaf7",
+    (2, "mod2s:3", "json"): "acaac8b870d0a0c0616224b2812ca3867a60d2376e0caef4da5c16aa632cb0e7",
+    (2, "mod2s:3", "csv"): "f4389ef9e022e7de89b159ebd6d337e93a1ce3cbe4ead92564b87cf794f242d4",
+    (7, "2adic", "text"): "caeeaee12583056a55de5ad3c13198ff4c09d782cfaedaf209f3d5eed23afe2b",
+    (7, "2adic", "json"): "a89d5fc2cb7da73c84565be82f1d744b5f7c95f89ab0ec473c1236f00106da81",
+    (7, "2adic", "csv"): "89130ca2c4aaa6922d87e9a66004295ebb849eb5f4275225d3fe89561de00c4f",
+    (7, "mod2", "text"): "4f8d147724748fbc0fbf99c12c81247e6b2a4cb64a5e2932013a8cc1e736dcb5",
+    (7, "mod2", "json"): "d80638e0faea943acb1f822da9df9c92100e6b976d96dd2f0551bf56ff1efeac",
+    (7, "mod2", "csv"): "bfa222dde60359df1e4764b6b64545e5522956ac21464106fd5e35cfbbdca355",
+    (7, "mod2s:3", "text"): "6c1d096613025683362d7e50f322cd13bfd65581908524b690e1725df2dfe1fe",
+    (7, "mod2s:3", "json"): "2cce8d752fdc5889c5ecd22ab0749d6bede9e8fd51cbed811a8e77bb867f2541",
+    (7, "mod2s:3", "csv"): "171d41540c2d5e46ee42e5f3522266ceb3bae44a644f8153980695a69e23c5a7",
+    (63, "2adic", "text"): "130c56850746dbcb85a0fb550ef3ad51876244947f7b41a6242751bbe1e25f82",
+    (63, "2adic", "json"): "8159b31c7c0aa58c0342e669197950825c9c8520fafe362c3ad8bd304fa5b6a2",
+    (63, "2adic", "csv"): "454ae610ed095a901bb44917e15e39841342e7e520a4380f7cec4161d94d95c2",
+    (63, "mod2", "text"): "b4ab7019f8a52c29c5b246a6c098408caff74b53867c1c8a8f6e8597123112d6",
+    (63, "mod2", "json"): "04d55b811cba1d4887115d980faa6fad15dc8159d9de6c1bf142f8954bbb4b02",
+    (63, "mod2", "csv"): "4bd16b3c5e19d69c261620defd3533d53baccdd3763ae5835563b1d91045b1c7",
+    (63, "mod2s:3", "text"): "a26656a95e5ff6fb436cad149741e8a186bc65948ee68c8b57b193a66353eb7e",
+    (63, "mod2s:3", "json"): "5005726fb203a22e83320f843731ebc127e0d61e1aa46ed62ee135d64da3b31c",
+    (63, "mod2s:3", "csv"): "cbe8ea8b516da6849307aef4caf754d33fb2fc170e3789d712fce8623c164320",
+    (255, "2adic", "text"): "61597f0ceb0884b9704d7761a6b6e791342073816742faab5f6313a038613aff",
+    (255, "2adic", "json"): "164153c5672a36c9c6f81bcae57e90dab3c265f4ff5d84956d702d136bb106b3",
+    (255, "2adic", "csv"): "4fada1e9626fe76ebca15bd38a05e36bc616a82948ddf6ed20446d4f1699f34e",
+    (255, "mod2", "text"): "6399c7f7df3177ec1aef3305bb493be0579316e0293acf53bcb37e5b8129d3c8",
+    (255, "mod2", "json"): "9d045de6f5e3797263502a8f5c769ec356dcf2942a353af6899d0d10684b4245",
+    (255, "mod2", "csv"): "4e11c3eefed97677b02da11e4b2db945bb837db02a7837d87fd64e2d627339d3",
+    (255, "mod2s:3", "text"): "cc3ff0340c3d1d55dc4745acea23f41e618592855860ff9db6a097e2b496bc75",
+    (255, "mod2s:3", "json"): "27f0f4c161e8dfd49a1bcde27ab72218f2918b1fc3dea1ba2ada8e59cba47679",
+    (255, "mod2s:3", "csv"): "9ea2afb60bc161312bf207c8607f13f128374cda5da24f52608b8b6a83ed04c5",
+}
+
+
+@pytest.mark.parametrize("d, coeff, fmt", sorted(QUADRIC_DIGESTS), ids=lambda v: str(v))
+def test_quadric_table_digests(capsys, d, coeff, fmt):
+    from etale_quadrics import cli
+
+    assert cli.main(["cohomology", str(d), "--coeff", coeff, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == QUADRIC_DIGESTS[d, coeff, fmt]
 
 
 # stdout digests pinning the single-motive tables of every coefficient kind
@@ -297,6 +358,73 @@ def test_out_to_an_unwritable_path(tmp_path, argv):
     assert res.stdout == ""
     assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", [["2046", "--coeff", "mod2"], ["--rost", "10"]], ids=" ".join)
+def test_out_is_opened_before_the_table_is_computed(monkeypatch, capsys, tmp_path, target):
+    from etale_quadrics import cli, quadrics
+
+    def unreachable(*args):
+        raise AssertionError("a table was computed before --out was opened")
+
+    monkeypatch.setattr(quadrics, "rost_table", unreachable)
+    monkeypatch.setattr(cli, "rost_table", unreachable)
+    path = tmp_path / "missing" / "x.txt"
+    assert cli.main(["cohomology", *target, "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (("cohomology", "2045"), 10),
+        (("cohomology", "2045", "--format", "json"), 10),
+        (("cohomology", "1022", "--coeff", "mod2", "--format", "csv"), 10),
+        (("verify", "--scope", "s2"), 10),
+        (("decompose", "7"), 0),
+        (("nonalgebraic", "7", "--format", "json"), 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"read {v}",
+)
+def test_closed_stdout_ends_quietly(argv, read, unbuffered):
+    """A reader that stops early (`| head -c 10`, or before reading at all)
+    ends the CLI with exit 0 and nothing on stderr: no BrokenPipeError
+    traceback, and no failed flush at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with subprocess.Popen(
+        [sys.executable, "-m", "etale_quadrics", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 0
+    assert err == b""
+
+
+def test_table_memory_is_flat_in_d(tmp_path):
+    """Rows are written as they are computed: the traced peak of a mod2 JSON
+    table at d = 1022 (about 520,000 rows) stays within twice that at
+    d = 127, where a table built whole grows like d^2."""
+    import tracemalloc
+
+    from etale_quadrics import cli
+
+    peaks = {}
+    for d in (127, 1022):
+        argv = ["cohomology", str(d), "--coeff", "mod2", "--format", "json", "--out", str(tmp_path / "t.json")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1022] <= 2 * peaks[127], peaks
 
 
 def test_verify_json_format():

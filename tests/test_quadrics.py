@@ -1,13 +1,14 @@
 """Motive decomposition of quadrics, additive assembly, and the
 non-algebraic inventory."""
 
+import functools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_quadrics import quadrics
+from etale_quadrics import graded, quadrics
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
 from etale_quadrics.mod2 import rost_etale_mod2
 from etale_quadrics.quadrics import (
@@ -157,6 +158,22 @@ def test_assembly_is_the_shifted_rost_tables(coeff):
                 for e in rost_table(n, coeff).entries
             )
             assert got == want, (d, n, j)
+
+
+@pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
+def test_rows_come_in_sort_order(monkeypatch, coeff):
+    """iter_cohomology emits rows in the order of the global sort it
+    replaced, ties by label included, with no sort of its own: for d <= 64
+    the assembly equals its own sort by graded._sort_key, and for every
+    d <= 300 the rows' keys (degree, -n, j, label) are already sorted."""
+    cached = functools.lru_cache(maxsize=None)(quadrics.rost_table)
+    monkeypatch.setattr(quadrics, "rost_table", cached)  # one table per (n, coeff)
+    for d in range(1, 301):
+        if d <= 64:
+            entries = list(assemble_cohomology(d, coeff).entries)
+            assert entries == sorted(entries, key=graded._sort_key), d
+        keys = [(c, -n, j, e.label) for c, _, n, j, e in quadrics.iter_cohomology(d, coeff)]
+        assert keys == sorted(keys), d
 
 
 def test_assembly_fixtures():
