@@ -24,6 +24,10 @@ from .errors import NotStabilized
 
 Matrix = list[list[int]]
 
+# Consecutive depths over which an image chain must stay constant before
+# inverse_limit reads it as stable.
+WINDOW = 4
+
 
 # ---------------------------------------------------------------------------
 # exact integer matrices
@@ -452,23 +456,18 @@ def _same_subgroup(a, b) -> bool:
     return _subgroup_contains(ia, ib) and _subgroup_contains(ib, ia)
 
 
-def inverse_limit(
-    tower: Sequence[FinAb2Group],
-    maps: Sequence[GroupHom],
-    window: int = 4,
-) -> FinAb2Group:
+def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> FinAb2Group:
     """Limit of the system tower[0] <- tower[1] <- ... along maps[s]:
     tower[s+1] -> tower[s].
 
     For each level k the decreasing chain of images Im(tower[m] -> tower[k])
-    must become constant for `window` consecutive depths; the limit is then
-    read off the stable images: a generator chain whose order keeps doubling
-    contributes a free 2-adic summand, a chain of constant order contributes
-    that torsion summand, and chains with eventually-zero transition maps
+    must become constant for WINDOW consecutive depths (the Mittag-Leffler
+    condition, read on a finite tower); the limit is then read off the
+    stable images: a generator chain whose order keeps doubling contributes
+    a free 2-adic summand, a chain of constant order contributes that
+    torsion summand, and chains with eventually-zero transition maps
     contribute nothing.
     """
-    if window < 3:
-        raise ValueError("stabilization window must be at least 3")
     T = len(tower)
     if len(maps) != max(T - 1, 0):
         raise ValueError("need exactly one map per adjacent pair of levels")
@@ -481,7 +480,7 @@ def inverse_limit(
     stable = []
     for k in range(T):
         avail = T - k
-        if avail < window:
+        if avail < WINDOW:
             break
         comp = GroupHom.identity(tower[k])
         imgs = [image(comp)]
@@ -489,14 +488,14 @@ def inverse_limit(
             comp = comp.compose(maps[m - 1])
             imgs.append(image(comp))
         onset = None
-        for m0 in range(len(imgs) - window + 1):
-            if all(_same_subgroup(imgs[m0 + i], imgs[m0 + i + 1]) for i in range(window - 1)):
+        for m0 in range(len(imgs) - WINDOW + 1):
+            if all(_same_subgroup(imgs[m0 + i], imgs[m0 + i + 1]) for i in range(WINDOW - 1)):
                 onset = m0
                 break
         if onset is None:
             if k == 0:
                 raise NotStabilized(
-                    f"image chain into level 0 not constant for {window} consecutive depths"
+                    f"image chain into level 0 not constant for {WINDOW} consecutive depths"
                 )
             # the chain into this level would only settle beyond the supplied
             # depth; the certified prefix of levels carries the pattern
@@ -504,7 +503,7 @@ def inverse_limit(
         stable.append(imgs[onset][0])
     if len(stable) < 2:
         raise NotStabilized(
-            f"tower depth {T} too shallow for window {window}: image chains settled"
+            f"tower depth {T} too shallow for window {WINDOW}: image chains settled"
             f" into {len(stable)} level(s), the limit needs two"
         )
 

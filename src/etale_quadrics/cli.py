@@ -36,6 +36,7 @@ from .quadrics import (
     parse_coefficients,
     rost_table,
 )
+from .tower import MIN_DEPTH
 from .verify import SCOPES, VerifyOptions, run_checks
 
 
@@ -55,20 +56,24 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # The largest coefficient level s whose order 2^s still prints under the
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
+# The deepest coefficient tower verify builds.  Its tower checks grow about
+# quadratically with the depth: `verify --scope all` takes 0.95 s at --smax
+# 8, 4.3 s at 32, 11 s at 64 and 48 s at 128 on a 2-core Xeon host.
+MAX_DEPTH = 64
 
 
-def _check_bound(name: str, value: int | str, bound: Optional[int], low: int = 1) -> None:
-    """Reject a value outside low..bound (no upper end when bound is None),
-    naming what the user passed: an int, or the ASCII digits of a level
-    typed inside a spec.  Digits longer than the bound are out of range
-    unread, so int() never sees them (it refuses more than 4300)."""
+def _check_bound(name: str, value: int | str, bound: int, low: int = 1) -> None:
+    """Reject a value outside low..bound, naming what the user passed: an
+    int, or the ASCII digits of a level typed inside a spec.  Digits longer
+    than the bound are out of range unread, so int() never sees them (it
+    refuses more than 4300)."""
     if isinstance(value, str):
         digits = value.lstrip("0") or "0"
         inside = len(digits) <= len(str(bound)) and low <= int(digits) <= bound
     else:
-        inside = low <= value and (bound is None or value <= bound)
+        inside = low <= value <= bound
     if not inside:
-        raise ValueError(f"{name} {value} is outside {low}..{'' if bound is None else bound}")
+        raise ValueError(f"{name} {value} is outside {low}..{bound}")
 
 
 def _order_str(order: int) -> str:
@@ -112,32 +117,33 @@ def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
 def _write_table(
     write: Callable[[str], object], fmt: str, target: str, coeff: str, rows: Iterable
 ) -> None:
-    """Write rows (degree, twist, n, j, _row_parts(fmt, e)) as they come,
+    """Write rows (degree, n, j, _row_parts(fmt, e)) as they come,
     CHUNK_ROWS to a write, so that no table is ever held whole.  Per row
-    only degree, twist and j are formatted.  The JSON is byte for byte
-    json.dumps(payload, indent=2) of the whole table."""
+    only degree, twist and j are formatted; the twist string is looked up
+    by degree mod 4 (0 and 2: parity 0 and 1, odd: none).  The JSON is
+    byte for byte json.dumps(payload, indent=2) of the whole table."""
     if fmt == "json":
         write(
             f'{{\n  "target": {json.dumps(target)},\n'
             f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
         )
-        twists = {None: "null", 0: "0", 1: "1"}
+        twists = ("0", "null", "1", "null")
         lines = (
-            f'\n    {{\n      "degree": {c},\n      "twist": {twists[t]},\n{mid}{j}{tail}'
-            for c, t, _, j, (mid, tail) in rows
+            f'\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n{mid}{j}{tail}'
+            for c, _, j, (mid, tail) in rows
         )
     elif fmt == "csv":
         write(",".join(RECORD_FIELDS) + "\n")
-        twists = {None: "", 0: "0", 1: "1"}
-        lines = (f"{c},{twists[t]},{mid}{j}{tail}" for c, t, _, j, (mid, tail) in rows)
+        twists = ("0", "", "1", "")
+        lines = (f"{c},{twists[c & 3]},{mid}{j}{tail}" for c, _, j, (mid, tail) in rows)
     else:
         write(f"# {target}  coefficients={coeff}\n")
         write(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic\n")
-        twists = {t: f"{'-' if t is None else t:>5}" for t in (None, 0, 1)}
+        twists = tuple(t.rjust(5) for t in ("0", "-", "1", "-"))
         # str.rjust and str.ljust: format specs cost twice as much per row
         lines = (
-            f"{str(c).rjust(6)}  {twists[t]}  {mid}{f'M{n}*T{j}'.ljust(10)}{tail}"
-            for c, t, n, j, (mid, tail) in rows
+            f"{str(c).rjust(6)}  {twists[c & 3]}  {mid}{f'M{n}*T{j}'.ljust(10)}{tail}"
+            for c, n, j, (mid, tail) in rows
         )
     sep, first = ("," if fmt == "json" else ""), True
     while chunk := list(islice(lines, CHUNK_ROWS)):
@@ -191,7 +197,7 @@ def _cmd_cohomology(args) -> int:
             rows = iter_cohomology(args.d, args.coeff, view)
         else:
             entries = rost_table(args.rost, args.coeff).entries
-            rows = ((e.degree, e.twist, args.rost, 0, view(e)) for e in entries)
+            rows = ((e.degree, args.rost, 0, view(e)) for e in entries)
         _write_table(write, args.format, target, args.coeff, rows)
     return 0
 
@@ -225,11 +231,10 @@ def _cmd_nonalgebraic(args) -> int:
 def _cmd_verify(args) -> int:
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
-    # the rules of abelian.inverse_limit and tower.CoefficientTower, checked
-    # for every scope so that the error names the flag
-    _check_bound("--window", args.window, None, low=3)
-    _check_bound("--smax", args.smax, None, low=args.window + 2)
-    opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax, window=args.window)
+    # the rule of tower.CoefficientTower, checked for every scope so that
+    # the error names the flag
+    _check_bound("--smax", args.smax, MAX_DEPTH, low=MIN_DEPTH)
+    opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
     with _output(args.out) as write:
         results = run_checks(args.scope, opts)
         ok = all(r.passed for r in results)
@@ -299,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=int, default=8, help="tower depth (default: 8)")
     p.add_argument("--dmax", type=int, default=512, help="dimension sweep bound (default: 512)")
     p.add_argument("--nmax", type=int, default=6, help="Rost index bound (default: 6)")
-    p.add_argument("--window", type=int, default=4, help="stabilization window (default: 4)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)

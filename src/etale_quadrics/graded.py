@@ -2,8 +2,10 @@
 
 The common output shape of the table generators: each summand carries its
 cohomological degree, order (0 = free over the 2-adic integers), generator
-label, the twist parity of the coefficient sheaf, an algebraicity flag
-(None when not meaningful) and optionally the motive term it came from.
+label, an algebraicity flag (None when not meaningful) and optionally the
+motive term it came from.  Tables use the twisted even-degree grading,
+where degree c carries the coefficients Z2(c/2), so the twist parity is
+read off the degree, not stored.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ class GradedSummand:
     degree: int
     order: int  # 0 = free rank 1 over the 2-adic integers, else a power of 2
     label: str
-    twist: Optional[int] = None  # parity 0/1 of the coefficient twist
     algebraic: Optional[bool] = None
     source: Optional[tuple[int, int]] = None  # (rost index n, tate twist j)
+
+    @property
+    def twist(self) -> Optional[int]:
+        """Parity 0/1 of the coefficient twist c/2 in even degree c, None in odd."""
+        return None if self.degree % 2 else (self.degree // 2) % 2
 
 
 def _sort_key(e: GradedSummand):

@@ -4,7 +4,8 @@ The bigraded mod-2 cohomology is one-dimensional in each bidegree (p, q)
 of the region p <= q, spanned by the monomial rho^p tau^(q-p), where rho
 is the degree-1 weight-1 class of -1 and tau the degree-0 weight-1 class,
 truncated by rho^(2^(n+1) - 1) = 0.  The Bockstein acts as a derivation
-with bockstein(tau) = rho and bockstein(rho) = 0.
+with bockstein(tau) = rho and bockstein(rho) = 0; a monomial is handled
+as its exponent pair (a, b) = (p, q - p).
 
 Also here: the degrees hit by the mod-2 cycle map, the mod-2 etale table
 (a truncated polynomial ring on rho) as a Graded2Group flagged by that
@@ -13,7 +14,6 @@ image, and the non-algebraic complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidIndex
@@ -33,55 +33,21 @@ def _check_index(n: int) -> None:
         raise InvalidIndex(f"Rost index must be an integer >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """rho^rho_exp * tau^tau_exp; degree = rho_exp, weight = rho_exp + tau_exp."""
-
-    rho_exp: int
-    tau_exp: int
-
-    def __post_init__(self):
-        if self.rho_exp < 0 or self.tau_exp < 0:
-            raise ValueError("exponents must be non-negative")
-
-
-@dataclass(frozen=True)
-class BigradedF2Module:
-    """Bidegree-indexed basis of the mod-2 model for one Rost index."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_index(self.n)
-
-    @property
-    def top(self) -> int:
-        return top_rho_exponent(self.n)
-
-    def basis(self, p: int, q: int) -> tuple[Monomial, ...]:
-        if p > q:
-            raise ValueError(
-                f"bidegree ({p},{q}) outside the modeled region p <= q"
-            )
-        if 0 <= p <= min(q, self.top):
-            return (Monomial(p, q - p),)
-        return ()
-
-
-def bockstein(m: Monomial, n: int) -> Optional[Monomial]:
-    """Bockstein of a monomial in the index-n model; None means zero.
+def bockstein(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
+    """Bockstein of rho^a tau^b in the index-n model, as the exponent pair
+    of the image; None means zero.
 
     Derivation rule over F2: the image is rho^(a+1) tau^(b-1) when the tau
     exponent b is odd, zero when b is even or the rho truncation applies.
     """
     _check_index(n)
-    if m.rho_exp > top_rho_exponent(n):
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be non-negative")
+    if a > top_rho_exponent(n):
         raise ValueError(f"monomial exceeds the rho truncation for n={n}")
-    if m.tau_exp % 2 == 0:
+    if b % 2 == 0 or a + 1 > top_rho_exponent(n):
         return None
-    if m.rho_exp + 1 > top_rho_exponent(n):
-        return None
-    return Monomial(m.rho_exp + 1, m.tau_exp - 1)
+    return a + 1, b - 1
 
 
 def cycle_image_mod2(n: int) -> frozenset[int]:
@@ -94,18 +60,11 @@ def cycle_image_mod2(n: int) -> frozenset[int]:
 def rost_etale_mod2(n: int) -> Graded2Group:
     """Mod-2 etale cohomology of the index-n Rost motive, a truncated
     polynomial ring on rho: one class rho^c in each degree
-    0 <= c <= 2^(n+1) - 2, twist None in odd degrees, flagged algebraic
-    on the cycle image, every entry with source (n, 0)."""
+    0 <= c <= 2^(n+1) - 2, flagged algebraic on the cycle image, every
+    entry with source (n, 0)."""
     algebraic = cycle_image_mod2(n)
     return Graded2Group.from_entries(
-        GradedSummand(
-            c,
-            2,
-            "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"),
-            None if c % 2 else (c // 2) % 2,
-            c in algebraic,
-            (n, 0),
-        )
+        GradedSummand(c, 2, "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"), c in algebraic, (n, 0))
         for c in range(top_rho_exponent(n) + 1)
     )
 

@@ -263,16 +263,7 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
             component, _ = cokernel(hom)
         else:
             component = module
-        for sm in component.summands:
-            entries.append(
-                GradedSummand(
-                    degree=k,
-                    order=sm.order,
-                    label=sm.label,
-                    twist=(k // 2) % 2 if k % 2 == 0 else None,
-                    algebraic=None,
-                )
-            )
+        entries += (GradedSummand(k, sm.order, sm.label) for sm in component.summands)
     return Graded2Group.from_entries(entries)
 
 

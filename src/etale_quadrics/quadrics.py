@@ -127,7 +127,7 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
     if kind == "mod2":
         return rost_etale_mod2(n)
     entries = [
-        GradedSummand(c, sm.order, sm.label, (c // 2) % 2, None, (n, 0))
+        GradedSummand(c, sm.order, sm.label, None, (n, 0))
         for c in range(0, top_rho_exponent(n) + 1, 2)
         for sm in tower.mod_2s_group(n, *tower.twist_bidegree(c), s).summands
     ]
@@ -136,39 +136,38 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
 
 def iter_cohomology(
     d: int, coeff: str = "2adic", view: Callable[[GradedSummand], Any] = lambda e: e
-) -> Iterator[tuple[int, Optional[int], int, int, Any]]:
-    """Rows (degree, twist, n, j, view(e)) of the cohomology of the
-    dimension-d anisotropic quadric, the direct sum of its shifted Rost
-    tables: M_0 tensor T^j is the algebraic unit class in degree 2j, and
-    M_n tensor T^j moves every class e of rost_table(n) up by 2j in degree,
-    recomputing the twist parity there.  The rows come in the order of
+) -> Iterator[tuple[int, int, int, Any]]:
+    """Rows (degree, n, j, view(e)) of the cohomology of the dimension-d
+    anisotropic quadric, the direct sum of its shifted Rost tables: M_0
+    tensor T^j is the algebraic unit class in degree 2j, and M_n tensor T^j
+    moves every class e of rost_table(n) up by 2j in degree (the twist
+    parity of a row is that of its degree).  The rows come in the order of
     graded._sort_key with no sort: per degree c, the blocks (n strictly
     decreasing), j ascending, then the entries at c - 2j of a per-degree
     index of the table, in its label order.  view runs once per entry of
     the O(d) entries held, not once per row of the Θ(d²)."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
-    unit = GradedSummand(0, unit_order, "1", 0, True, (0, 0))  # M_0 tensor T^0
+    unit = GradedSummand(0, unit_order, "1", True, (0, 0))  # M_0 tensor T^0
     blocks = []
     for n, j0, m in decompose_motive(d).blocks:  # each n occurs in one block
         table = rost_table(n, coeff).entries if n else (unit,)
         at = [[] for _ in range(table[-1].degree + 1)]  # the top degree sorts last
         for e in table:
-            at[e.degree].append((e.twist is None, view(e)))
+            at[e.degree].append(view(e))
         blocks.append((n, j0, j0 + m - 1, at))
     top = max(len(at) - 1 + 2 * j1 for _, _, j1, at in blocks)
     for c in range(top + 1):
-        parity = (c // 2) % 2
         for n, j0, j1, at in blocks:
             for j in range(max(j0, (c - len(at) + 2) // 2), min(j1, c // 2) + 1):
-                for untwisted, item in at[c - 2 * j]:
-                    yield c, None if untwisted else parity, n, j, item
+                for item in at[c - 2 * j]:
+                    yield c, n, j, item
 
 
 def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
     """The rows of iter_cohomology as a Graded2Group, already in order."""
     rows = iter_cohomology(d, coeff)
-    entries = (GradedSummand(c, e.order, e.label, t, e.algebraic, (n, j)) for c, t, n, j, e in rows)
+    entries = (GradedSummand(c, e.order, e.label, e.algebraic, (n, j)) for c, n, j, e in rows)
     return Graded2Group(tuple(entries))
 
 

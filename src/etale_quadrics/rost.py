@@ -40,11 +40,11 @@ def rost_etale_table(n: int) -> Graded2Group:
     top = top_rho_exponent(n)
     algebraic = set(chow_torsion_degrees(n))
     free = [
-        GradedSummand(0, 0, "1", 0, True, (n, 0)),
-        GradedSummand(top, 0, "pi", (top // 2) % 2, True, (n, 0)),
+        GradedSummand(0, 0, "1", True, (n, 0)),
+        GradedSummand(top, 0, "pi", True, (n, 0)),
     ]
     torsion = [
-        GradedSummand(d, 2, f"rho_bar_{d}", (d // 2) % 2, d in algebraic, (n, 0))
+        GradedSummand(d, 2, f"rho_bar_{d}", d in algebraic, (n, 0))
         for d in torsion_degrees(n)
     ]
     return Graded2Group.from_entries(free + torsion)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from . import mod2
-from .abelian import CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
+from .abelian import WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
 from .errors import HigherTorsionAmbiguity
 from .graded import Graded2Group, GradedSummand
 
@@ -52,19 +52,12 @@ def pair_weight(n: int, q: int) -> tuple[tuple[tuple[int, int], ...], tuple[int,
 
 def _bockstein_homology_dim(n: int, p: int, q: int) -> int:
     """dim (ker B / im B) at bidegree (p, q), computed directly from the
-    monomial Bockstein rather than from the pairing."""
-    module = mod2.BigradedF2Module(n)
-
-    def basis(pp):
-        if pp > q or pp < 0:
-            return ()
-        return module.basis(pp, q)
-
-    here = basis(p)
-    if not here:
-        return 0
-    closed = sum(1 for m in here if mod2.bockstein(m, n) is None)
-    hit = sum(1 for m in basis(p - 1) if mod2.bockstein(m, n) is not None)
+    Bockstein of the basis monomial rho^p tau^(q-p) and of the one below
+    it, rho^(p-1) tau^(q-p+1), rather than from the pairing."""
+    if not 0 <= p <= min(q, mod2.top_rho_exponent(n)):
+        return 0  # no basis monomial here
+    closed = mod2.bockstein(p, q - p, n) is None
+    hit = p > 0 and mod2.bockstein(p - 1, q - p + 1, n) is not None
     return closed - hit
 
 
@@ -198,24 +191,23 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom,
 # the coefficient tower
 
 
+# The ghost chain settles one level late, so a limit reads two stabilized
+# levels only from WINDOW + 2 levels on: the least tower depth.
+MIN_DEPTH = WINDOW + 2
+
+
 @dataclass(frozen=True)
 class CoefficientTower:
-    """All Z/2^s groups of one Rost motive over a bidegree window, with the
+    """All Z/2^s groups of one Rost motive over its bidegrees, with the
     transition maps and the long-exact-sequence bookkeeping."""
 
     n: int
     s_max: int = 8
-    window: int = 4
 
     def __post_init__(self):
         mod2._check_index(self.n)
-        # the ghost chain settles one level late, so a limit reads two
-        # stabilized levels only from window + 2 levels on
-        if self.s_max < self.window + 2:
-            raise ValueError("tower depth must exceed the stabilization window by two")
-
-    def transitions(self, p: int, q: int, s: int):
-        return transition_maps(self.n, p, q, s)
+        if self.s_max < MIN_DEPTH:
+            raise ValueError(f"tower depth must be at least {MIN_DEPTH}")
 
     def bidegrees(self) -> list[tuple[int, int]]:
         top = mod2.top_rho_exponent(self.n)
@@ -246,8 +238,8 @@ class CoefficientTower:
     def limit(self, p: int, q: int) -> FinAb2Group:
         """Inverse limit at (p, q) of levels 1..s_max along the reductions r."""
         groups = [mod_2s_group(self.n, p, q, s) for s in range(1, self.s_max + 1)]
-        maps = [self.transitions(p, q, s)[1] for s in range(2, self.s_max + 1)]
-        return inverse_limit(groups, maps, window=self.window)
+        maps = [transition_maps(self.n, p, q, s)[1] for s in range(2, self.s_max + 1)]
+        return inverse_limit(groups, maps)
 
 
 def twist_bidegree(degree: int) -> tuple[int, int]:
@@ -258,25 +250,15 @@ def twist_bidegree(degree: int) -> tuple[int, int]:
     return (degree, degree) if degree % 4 == 0 else (degree, degree + 1)
 
 
-def etale_2adic(n: int, s_max: int = 8, window: int = 4) -> Graded2Group:
+def etale_2adic(n: int, s_max: int = 8) -> Graded2Group:
     """2-adic etale cohomology of the index-n Rost motive in the twisted
     even-degree grading, assembled as the inverse limit of the reduction
     tower in every degree.  Algebraicity flags come from the mod-2 cycle
     image degrees."""
-    tower = CoefficientTower(n, s_max=s_max, window=window)
+    tower = CoefficientTower(n, s_max=s_max)
     algebraic_degrees = mod2.cycle_image_mod2(n)
     entries = []
     for degree in range(0, mod2.top_rho_exponent(n) + 1, 2):
-        p, q = twist_bidegree(degree)
-        limit = tower.limit(p, q)
-        for sm in limit.summands:
-            entries.append(
-                GradedSummand(
-                    degree=degree,
-                    order=sm.order,
-                    label=sm.label,
-                    twist=(degree // 2) % 2,
-                    algebraic=degree in algebraic_degrees,
-                )
-            )
+        limit = tower.limit(*twist_bidegree(degree))
+        entries += (GradedSummand(degree, sm.order, sm.label, degree in algebraic_degrees) for sm in limit.summands)
     return Graded2Group.from_entries(entries)

@@ -41,7 +41,6 @@ class VerifyOptions:
     smax: int = 8
     dmax: int = 512
     nmax: int = 6
-    window: int = 4
 
 
 def _result(check_id, scope, failures, detail):
@@ -119,11 +118,9 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
     only a ghost class at every finite level and vanishes in the limit."""
     failures = []
     for n in range(2, min(opts.nmax, 4) + 1):
-        ct = tower.CoefficientTower(n, s_max=opts.smax, window=opts.window)
+        ct = tower.CoefficientTower(n, s_max=opts.smax)
         top = mod2.top_rho_exponent(n)
         for degree in range(2, top, 4):
-            if degree == top:
-                continue
             p, q = tower.twist_bidegree(degree)
             for s in range(1, opts.smax + 1):
                 grp = tower.mod_2s_group(n, p, q, s)
@@ -168,7 +165,7 @@ def check_z4_table(opts: VerifyOptions) -> CheckResult:
 def check_les_identity(opts: VerifyOptions) -> CheckResult:
     failures = []
     for n in (2, 3):
-        ct = tower.CoefficientTower(n, s_max=opts.smax, window=opts.window)
+        ct = tower.CoefficientTower(n, s_max=opts.smax)
         for p, q in ct.bidegrees():
             if p > q:
                 continue
@@ -200,9 +197,9 @@ def check_tower_pattern(opts: VerifyOptions) -> CheckResult:
 
 def check_limits(opts: VerifyOptions) -> CheckResult:
     failures = []
-    ct = tower.CoefficientTower(2, s_max=opts.smax, window=opts.window)
+    ct = tower.CoefficientTower(2, s_max=opts.smax)
     for s in range(2, opts.smax + 1):
-        _, r, _ = ct.transitions(2, 3, s)
+        _, r, _ = tower.transition_maps(2, 2, 3, s)
         if not r.is_zero:
             failures.append({"s": s, "r_on_ghost": r.matrix})
     lim_ghost = ct.limit(2, 3)
@@ -224,12 +221,12 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
     """t after r and r after t are multiplication by 2 at every level."""
     failures = []
     for n in (2, 3):
-        ct = tower.CoefficientTower(n, s_max=opts.smax, window=opts.window)
+        ct = tower.CoefficientTower(n, s_max=opts.smax)
         for p, q in ct.bidegrees():
             if p > q:
                 continue
             for s in range(2, opts.smax + 1):
-                t, r, _ = ct.transitions(p, q, s)
+                t, r, _ = tower.transition_maps(n, p, q, s)
                 hi = tower.mod_2s_group(n, p, q, s)
                 lo = tower.mod_2s_group(n, p, q, s - 1)
                 two_hi = tuple(
@@ -257,7 +254,7 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
 def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
     failures = []
     for n in range(1, min(opts.nmax, 5) + 1):
-        computed = tower.etale_2adic(n, s_max=opts.smax, window=opts.window)
+        computed = tower.etale_2adic(n, s_max=opts.smax)
         table = rost.rost_etale_table(n)
         a = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in computed.entries]
         b = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in table.entries]

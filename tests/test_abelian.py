@@ -383,13 +383,7 @@ def test_limit_of_mixed_tower():
 def test_limit_requires_depth():
     groups, maps = reduction_tower(3)
     with pytest.raises(NotStabilized):
-        inverse_limit(groups, maps, window=4)
-
-
-def test_limit_rejects_small_window():
-    groups, maps = reduction_tower(8)
-    with pytest.raises(ValueError):
-        inverse_limit(groups, maps, window=2)
+        inverse_limit(groups, maps)
 
 
 def test_limit_rejects_mismatched_maps():

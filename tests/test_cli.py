@@ -210,6 +210,8 @@ REPORT_DIGESTS = {
         "78cba092fcf7cf9a9256ef021975619f460c1c788a01449166851fa6ef17d7d8",
     ("verify", "--scope", "all", "--format", "json"):
         "5c361a3307efd20d92806a4f0f8f6bfb58a9651eae7e332e4f7ee49cb7032edd",
+    ("verify", "--scope", "all", "--smax", "6", "--format", "json"):
+        "2332fccb3430d83e3ec541f5b78f16db334bbb9fcb4db28472410dfded57d483",
 }
 
 
@@ -239,13 +241,13 @@ OUT_OF_BOUND = [
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
-    # the tower flags are checked for every scope, also one that builds no tower
+    # the tower depth is checked for every scope, also one that builds no tower
     (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "6.."),
-    (("verify", "--window", "2"), "--window 2", "3.."),
-    (("verify", "--smax", "4", "--window", "4"), "--smax 4", "6.."),
-    # a tower limit needs window + 2 levels: the ghost chain settles one level late
-    (("verify", "--scope", "s5", "--smax", "5", "--window", "4"), "--smax 5", "6.."),
-    (("verify", "--scope", "s3", "--smax", "4", "--window", "3"), "--smax 4", "5.."),
+    (("verify", "--smax", "4"), "--smax 4", "6.."),
+    # a tower limit needs WINDOW + 2 levels: the ghost chain settles one level late
+    (("verify", "--scope", "s5", "--smax", "5"), "--smax 5", "6.."),
+    (("verify", "--scope", "s3", "--smax", "5"), "--smax 5", "6.."),
+    (("verify", "--scope", "s2", "--smax", "65"), "--smax 65", "6..64"),
 ]
 
 
@@ -270,11 +272,18 @@ def test_table_bound_rejects(argv, quantity, bound):
         ("cohomology", "--rost", "1", "--coeff", "mod2s:" + "0" * 4300 + "3"),
         ("nonalgebraic", "2046"),
         ("decompose", "2046"),
+        ("verify", "--scope", "s2", "--smax", "64"),
     ],
     ids=lambda argv: " ".join(argv)[:60],
 )
 def test_table_bound_accepts(argv):
     assert run_cli(*argv).returncode == 0
+
+
+def test_verify_has_no_window_flag():
+    res = run_cli("verify", "--window", "4")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unrecognized arguments: --window 4" in res.stderr
 
 
 def test_cohomology_requires_one_target():

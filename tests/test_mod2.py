@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from etale_quadrics.errors import InvalidIndex
 from etale_quadrics.mod2 import (
-    BigradedF2Module,
-    Monomial,
     bockstein,
     cycle_image_mod2,
     nonalgebraic_mod2_degrees,
@@ -18,15 +16,24 @@ from etale_quadrics.rost import chow_torsion_degrees
 
 
 def test_bockstein_fixtures_n2():
-    assert bockstein(Monomial(2, 1), 2) == Monomial(3, 0)
-    assert bockstein(Monomial(1, 2), 2) is None  # even tau exponent
-    assert bockstein(Monomial(6, 1), 2) is None  # killed by the truncation
-    assert bockstein(Monomial(0, 3), 2) == Monomial(1, 2)
+    assert bockstein(2, 1, 2) == (3, 0)
+    assert bockstein(1, 2, 2) is None  # even tau exponent
+    assert bockstein(6, 1, 2) is None  # killed by the truncation
+    assert bockstein(0, 3, 2) == (1, 2)
 
 
 def test_bockstein_rejects_truncated_input():
     with pytest.raises(ValueError):
-        bockstein(Monomial(7, 0), 2)
+        bockstein(7, 0, 2)
+
+
+def test_bockstein_rejects_negative_exponents_and_bad_index():
+    with pytest.raises(ValueError):
+        bockstein(-1, 1, 2)
+    with pytest.raises(ValueError):
+        bockstein(0, -1, 2)
+    with pytest.raises(InvalidIndex):
+        bockstein(0, 1, 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -34,9 +41,9 @@ def test_bockstein_rejects_truncated_input():
 def test_bockstein_squares_to_zero(n, a, b):
     if a > top_rho_exponent(n):
         a = a % (top_rho_exponent(n) + 1)
-    first = bockstein(Monomial(a, b), n)
+    first = bockstein(a, b, n)
     if first is not None:
-        assert bockstein(first, n) is None
+        assert bockstein(*first, n) is None
 
 
 @settings(max_examples=120, deadline=None)
@@ -45,21 +52,20 @@ def test_bockstein_injective_on_sources_below_boundary(n, q):
     top = top_rho_exponent(n)
     images = []
     for a in range(0, min(q, top) + 1):
-        m = Monomial(a, q - a)
-        out = bockstein(m, n)
+        out = bockstein(a, q - a, n)
         if out is not None:
             images.append(out)
     assert len(images) == len(set(images))
 
 
 def test_module_region_and_dimensions():
-    mod = BigradedF2Module(2)
-    assert mod.basis(0, 0) == (Monomial(0, 0),)
-    assert mod.basis(3, 5) == (Monomial(3, 2),)
-    assert mod.basis(7, 9) == ()  # beyond the rho truncation
-    assert mod.basis(6, 6) == (Monomial(6, 0),)
+    """The model has one monomial rho^a tau^b per exponent pair with
+    a <= top; the Bockstein takes exactly those pairs."""
+    assert bockstein(0, 0, 2) is None
+    assert bockstein(3, 2, 2) is None
+    assert bockstein(6, 0, 2) is None
     with pytest.raises(ValueError):
-        mod.basis(3, 2)  # outside the modeled region
+        bockstein(7, 2, 2)  # beyond the rho truncation
 
 
 def test_mod2_ring_small_indices():

@@ -172,7 +172,7 @@ def test_rows_come_in_sort_order(monkeypatch, coeff):
         if d <= 64:
             entries = list(assemble_cohomology(d, coeff).entries)
             assert entries == sorted(entries, key=graded._sort_key), d
-        keys = [(c, -n, j, e.label) for c, _, n, j, e in quadrics.iter_cohomology(d, coeff)]
+        keys = [(c, -n, j, e.label) for c, n, j, e in quadrics.iter_cohomology(d, coeff)]
         assert keys == sorted(keys), d
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_quadrics.mod2 import BigradedF2Module, bockstein, top_rho_exponent
+from etale_quadrics.abelian import WINDOW
+from etale_quadrics.mod2 import bockstein, top_rho_exponent
 from etale_quadrics.rost import rost_etale_table
 from etale_quadrics.tower import (
+    MIN_DEPTH,
     CoefficientTower,
     etale_2adic,
     integral_cohomology,
@@ -38,11 +40,9 @@ def test_pairing_partitions_the_basis(n, q):
     basis = set(range(0, min(q, top) + 1))
     assert sources | targets | free == basis
     assert not (sources & targets) and not (sources & free) and not (targets & free)
-    # sources are exactly the monomials with nonzero Bockstein
-    module = BigradedF2Module(n)
+    # sources are exactly the monomials rho^a tau^(q-a) with nonzero Bockstein
     for a in basis:
-        mono = module.basis(a, q)[0]
-        assert (bockstein(mono, n) is not None) == (a in sources)
+        assert (bockstein(a, q - a, n) is not None) == (a in sources)
 
 
 def test_integral_fixtures():
@@ -94,10 +94,10 @@ def test_tower_pattern_all_levels():
 @given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 1))
 def test_level_one_matches_the_mod2_model(n, p, dq):
     """With s = 1 the universal-coefficient answer must have the same
-    F2-dimension as the monomial basis."""
+    F2-dimension as the monomial basis: rho^p tau^(q-p) when p <= top."""
     q = p + dq
     grp = mod_2s_group(n, p, q, 1)
-    dim = len(BigradedF2Module(n).basis(p, q))
+    dim = 1 if p <= top_rho_exponent(n) else 0
     assert len(grp.torsion_orders) == dim
     assert all(o == 2 for o in grp.torsion_orders)
 
@@ -140,11 +140,12 @@ def test_limits_at_the_three_spots():
 
 
 def test_tower_depth_is_window_plus_two():
-    # the ghost chain at (2, 3) settles one level late, so window + 1
+    # the ghost chain at (2, 3) settles one level late, so WINDOW + 1 = 5
     # levels leave a single stabilized level
+    assert MIN_DEPTH == WINDOW + 2 == 6
     with pytest.raises(ValueError):
-        CoefficientTower(2, s_max=5, window=4)
-    assert CoefficientTower(2, s_max=6, window=4).limit(2, 3).is_trivial
+        CoefficientTower(2, s_max=5)
+    assert CoefficientTower(2, s_max=6).limit(2, 3).is_trivial
 
 
 def test_twist_bidegree():
