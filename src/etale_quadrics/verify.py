@@ -167,8 +167,6 @@ def check_les_identity(opts: VerifyOptions) -> CheckResult:
     for n in (2, 3):
         ct = tower.CoefficientTower(n, s_max=opts.smax)
         for p, q in ct.bidegrees():
-            if p > q:
-                continue
             for s in range(2, opts.smax + 1):
                 if not ct.les_order_identity(p, q, s):
                     failures.append({"n": n, "bidegree": (p, q), "s": s})
@@ -223,8 +221,6 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
     for n in (2, 3):
         ct = tower.CoefficientTower(n, s_max=opts.smax)
         for p, q in ct.bidegrees():
-            if p > q:
-                continue
             for s in range(2, opts.smax + 1):
                 t, r, _ = tower.transition_maps(n, p, q, s)
                 hi = tower.mod_2s_group(n, p, q, s)

@@ -181,6 +181,20 @@ QUADRIC_DIGESTS = {
     (255, "mod2s:3", "text"): "cc3ff0340c3d1d55dc4745acea23f41e618592855860ff9db6a097e2b496bc75",
     (255, "mod2s:3", "json"): "27f0f4c161e8dfd49a1bcde27ab72218f2918b1fc3dea1ba2ada8e59cba47679",
     (255, "mod2s:3", "csv"): "9ea2afb60bc161312bf207c8607f13f128374cda5da24f52608b8b6a83ed04c5",
+    # six blocks with M_0 (every kind) and seven blocks (2adic), pinned before
+    # the rows were grouped by degree: narrow block windows and their edges
+    (300, "2adic", "text"): "3b8c1f1da3f74659f941b6e275dc845feb30fd407819c4e916b72af725be01f9",
+    (300, "2adic", "json"): "be39d07036b7bad2e22f48d5ae63633a11f3763f3df60d02da634dc4c3ce6568",
+    (300, "2adic", "csv"): "58f2224346aeb37813f60ee6e870ef1dec9cdac1be2ecce6d4654d60488c7397",
+    (300, "mod2", "text"): "48bcfe5666879845405495249c86561c602874abd47c0f25085bb3664bbe883d",
+    (300, "mod2", "json"): "e9f9404d49e802c61cef2752589d87ce4ec8a052584fabe0c1bbc51660b210a5",
+    (300, "mod2", "csv"): "7f3759c97dd90c5fae9300a37ccccdb6c6e5c0eeceb82a870ba933b954140967",
+    (300, "mod2s:3", "text"): "85dcd76728cf69a20c798ca731d1c50f4e748a8e56c3bc1b702f941737f204bc",
+    (300, "mod2s:3", "json"): "acd14e2c1efdf95410e74496d63c04e0638b7df10b16565e8c4d368b2a78e0ea",
+    (300, "mod2s:3", "csv"): "db7effe761f4497985030b2f91f84061442be54d3519273c1dfd215cec4a78a6",
+    (936, "2adic", "text"): "76c917e61598ff54ff25aadd626ee55378a3840718b4985611f12c8130f17fb5",
+    (936, "2adic", "json"): "1bb0358e853d17087721db229af3e050e76c79c3d50f885eb3369637aac8eaf3",
+    (936, "2adic", "csv"): "1159b79c87a42ee922c9aae1053fc125ece93d692f93195049da53d4a14d9f2f",
 }
 
 

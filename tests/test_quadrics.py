@@ -160,20 +160,66 @@ def test_assembly_is_the_shifted_rost_tables(coeff):
             assert got == want, (d, n, j)
 
 
+@pytest.fixture
+def cached_rost_tables(monkeypatch):
+    """One rost_table per (n, coeff) for the sweeps over d."""
+    cached = functools.lru_cache(maxsize=None)(quadrics.rost_table)
+    monkeypatch.setattr(quadrics, "rost_table", cached)
+    return cached
+
+
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
-def test_rows_come_in_sort_order(monkeypatch, coeff):
+def test_rows_come_in_sort_order(cached_rost_tables, coeff):
     """iter_cohomology emits rows in the order of the global sort it
     replaced, ties by label included, with no sort of its own: for d <= 64
     the assembly equals its own sort by graded._sort_key, and for every
     d <= 300 the rows' keys (degree, -n, j, label) are already sorted."""
-    cached = functools.lru_cache(maxsize=None)(quadrics.rost_table)
-    monkeypatch.setattr(quadrics, "rost_table", cached)  # one table per (n, coeff)
     for d in range(1, 301):
         if d <= 64:
             entries = list(assemble_cohomology(d, coeff).entries)
             assert entries == sorted(entries, key=graded._sort_key), d
-        keys = [(c, -n, j, e.label) for c, n, j, e in quadrics.iter_cohomology(d, coeff)]
+        keys = [
+            (c, -n, j, e.label)
+            for c, rows in quadrics.iter_cohomology(d, coeff)
+            for n, j, e in rows
+        ]
         assert keys == sorted(keys), d
+
+
+def shifted_reference(d, coeff):
+    """Every Rost entry shifted by every term of the decomposition, sorted:
+    the table by definition, with no windows and no per-degree index."""
+    entries = []
+    for t in decompose_motive(d).terms:
+        if t.n == 0:
+            entries.append(graded.GradedSummand(2 * t.j, UNIT_ORDER[coeff], "1", True, (0, t.j)))
+            continue
+        for e in rost_table(t.n, coeff).entries:
+            entries.append(
+                graded.GradedSummand(e.degree + 2 * t.j, e.order, e.label, e.algebraic, (t.n, t.j))
+            )
+    return sorted(entries, key=graded._sort_key)
+
+
+@pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
+def test_rows_are_complete(cached_rost_tables, coeff):
+    """No row is lost at a window edge, which sorted rows alone would not
+    show: for every d <= 300 each group is one nonempty degree, degrees
+    strictly increasing, and the row count is that of the shifted Rost
+    tables, M_0 counting one; for d <= 64 the table is the shifted
+    reference entry for entry."""
+    for d in range(1, 301):
+        degrees, count = [], 0
+        for c, rows in quadrics.iter_cohomology(d, coeff):
+            assert rows, (d, c)
+            degrees.append(c)
+            count += len(rows)
+        assert degrees == sorted(set(degrees)), d
+        blocks = decompose_motive(d).blocks
+        sizes = {n: len(cached_rost_tables(n, coeff).entries) if n else 1 for n, _, _ in blocks}
+        assert count == sum(m * sizes[n] for n, _, m in blocks), d
+        if d <= 64:
+            assert list(assemble_cohomology(d, coeff).entries) == shifted_reference(d, coeff), d
 
 
 def test_assembly_fixtures():
