@@ -11,11 +11,10 @@ read off the degree, not stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class GradedSummand:
+class GradedSummand(NamedTuple):
     degree: int
     order: int  # 0 = free rank 1 over the 2-adic integers, else a power of 2
     label: str

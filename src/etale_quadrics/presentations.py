@@ -176,13 +176,6 @@ def parse_presentation(text: str) -> RingPresentation:
     return RingPresentation(coeff, tuple(gens), relations)
 
 
-def format_presentation(p: RingPresentation) -> str:
-    lines = [f"coeff {p.coefficients}"]
-    lines += [f"gen {name} {deg}" for name, deg in p.generators]
-    lines += [f"rel {format_poly(rel, p.generator_names)}" for rel in p.relations]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # graded ranks
 

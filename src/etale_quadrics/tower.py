@@ -4,8 +4,11 @@ This is the independent computation route.  Within one weight, every basis
 monomial either maps isomorphically onto the next-degree monomial under the
 Bockstein (a *pair*: the source dies integrally, the target witnesses a
 2-torsion class) or is a *free class* (Bockstein-closed, not a Bockstein
-image) contributing a free 2-adic summand.  From that integral answer the
-groups with Z/2^s coefficients follow by universal coefficients
+image) contributing a free 2-adic summand.  Which of the two a degree p of
+weight q is follows from (n, p, q) in closed form, so one bidegree costs
+O(1) and a table costs O(its size); the rule is cross-checked against the
+Bockstein homology at every bidegree it answers.  From that integral answer
+the groups with Z/2^s coefficients follow by universal coefficients
 
     H^p(Z/2^s) = H^p(Z) (x) Z/2^s  (+)  Tor(H^(p+1)(Z), Z/2^s),
 
@@ -29,25 +32,17 @@ from .graded import Graded2Group, GradedSummand
 # Bockstein pairing in one weight
 
 
-def pair_weight(n: int, q: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Match each odd-tau-exponent monomial of weight q with its Bockstein
-    image one degree up; what remains unmatched is a free class.  Returns
-    the pairs of degrees (a, a+1) and the degrees of the free classes."""
+def pairing(n: int, p: int, q: int) -> tuple[bool, bool]:
+    """(free, target) of degree p in weight q: whether the monomial
+    rho^p tau^(q-p) is a free class, and whether it is the Bockstein image
+    of the monomial one degree down, the target of a pair."""
     mod2._check_index(n)
     if q < 0:
         raise ValueError("weight must be non-negative")
     top = mod2.top_rho_exponent(n)
-    pairs = []
-    for a in range(0, min(q, top) + 1):
-        b = q - a
-        if b % 2 == 1 and a + 1 <= top:
-            pairs.append((a, a + 1))
-    free = []
-    if q % 2 == 0:
-        free.append(0)
-    if q >= top and (q - top) % 2 == 1:
-        free.append(top)
-    return tuple(pairs), tuple(free)
+    free = (p == 0 and q % 2 == 0) or (p == top and q >= top and (q - top) % 2 == 1)
+    target = 1 <= p <= min(q, top) and (q - p) % 2 == 0
+    return free, target
 
 
 def _bockstein_homology_dim(n: int, p: int, q: int) -> int:
@@ -64,15 +59,14 @@ def _bockstein_homology_dim(n: int, p: int, q: int) -> int:
 def integral_cohomology(n: int, p: int, q: int) -> FinAb2Group:
     """2-local integral motivic cohomology at bidegree (p, q), p <= q + 1.
 
-    Free rank = number of free classes of the pairing in degree p; one Z/2
-    summand for every pair targeting p.  The free count is cross-checked
-    against the Bockstein homology; a mismatch would mean the answer needs
-    higher-torsion input and aborts instead of guessing.
+    Read off the pairing rule in O(1): free rank 1 when degree p is a free
+    class, one Z/2 summand when p is the target of a pair.  The free rank is
+    cross-checked against the Bockstein homology; a mismatch would mean the
+    answer needs higher-torsion input and aborts instead of guessing.
     """
     if p > q + 1:
         raise ValueError(f"bidegree ({p},{q}) outside the pairing region p <= q+1")
-    pairs, free_degrees = pair_weight(n, q)
-    free = 1 if p in free_degrees else 0
+    free, target = pairing(n, p, q)
     if p <= q and _bockstein_homology_dim(n, p, q) != free:
         raise HigherTorsionAmbiguity(
             f"Bockstein homology disagrees with the pairing at ({p},{q}), n={n}"
@@ -80,7 +74,7 @@ def integral_cohomology(n: int, p: int, q: int) -> FinAb2Group:
     summands = []
     if free:
         summands.append(CyclicSummand(0, _free_label(n, p, q)))
-    if (p - 1, p) in pairs:
+    if target:
         summands.append(CyclicSummand(2, _torsion_label(p, q)))
     return FinAb2Group(tuple(summands))
 

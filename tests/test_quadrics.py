@@ -24,7 +24,7 @@ from etale_quadrics.quadrics import (
     rost_table,
 )
 from etale_quadrics.rost import chow_torsion_degrees, rost_etale_table, torsion_degrees
-from etale_quadrics.tower import pair_weight
+from etale_quadrics.tower import pairing
 from etale_quadrics.verify import coefficient_change
 
 
@@ -101,7 +101,7 @@ INDEX_ENTRY_POINTS = {
     "rost_table mod2s:1": lambda n: rost_table(n, "mod2s:1"),
     "rost_etale_table": rost_etale_table,
     "rost_etale_mod2": rost_etale_mod2,
-    "pair_weight": lambda n: pair_weight(n, 3),
+    "pairing": lambda n: pairing(n, 1, 3),
 }
 
 

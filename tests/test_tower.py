@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_quadrics.abelian import WINDOW
+from etale_quadrics.cli import MAX_INDEX
 from etale_quadrics.mod2 import bockstein, top_rho_exponent
+from etale_quadrics.quadrics import rost_table
 from etale_quadrics.rost import rost_etale_table
 from etale_quadrics.tower import (
     MIN_DEPTH,
@@ -14,17 +16,26 @@ from etale_quadrics.tower import (
     etale_2adic,
     integral_cohomology,
     mod_2s_group,
-    pair_weight,
+    pairing,
     transition_maps,
     twist_bidegree,
 )
 
 
+def weight_lists(n, q):
+    """The pairs (p - 1, p) and the free degrees of one weight, read off
+    the per-bidegree rule at every degree p <= q + 1."""
+    pairs = tuple((p - 1, p) for p in range(q + 2) if pairing(n, p, q)[1])
+    free = tuple(p for p in range(q + 2) if pairing(n, p, q)[0])
+    return pairs, free
+
+
 def test_pairing_fixtures():
-    assert pair_weight(2, 3) == (((0, 1), (2, 3)), ())
+    assert weight_lists(2, 3) == (((0, 1), (2, 3)), ())
     # the truncation stops the last source
-    assert pair_weight(2, 7) == (((0, 1), (2, 3), (4, 5)), (6,))
-    assert pair_weight(2, 0) == ((), (0,))
+    assert weight_lists(2, 7) == (((0, 1), (2, 3), (4, 5)), (6,))
+    assert weight_lists(2, 0) == ((), (0,))
+    assert pairing(2, 6, 7) == (True, False) and pairing(2, 5, 7) == (False, True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -32,12 +43,12 @@ def test_pairing_fixtures():
 def test_pairing_partitions_the_basis(n, q):
     """Every monomial of one weight is a source, a target, or free -
     exactly one of the three."""
-    pairs, free_degrees = pair_weight(n, q)
     top = top_rho_exponent(n)
-    sources = {a for a, _ in pairs}
-    targets = {b for _, b in pairs}
-    free = set(free_degrees)
     basis = set(range(0, min(q, top) + 1))
+    degrees = range(-1, q + 3)
+    sources = {p - 1 for p in degrees if pairing(n, p, q)[1]}
+    targets = {p for p in degrees if pairing(n, p, q)[1]}
+    free = {p for p in degrees if pairing(n, p, q)[0]}
     assert sources | targets | free == basis
     assert not (sources & targets) and not (sources & free) and not (targets & free)
     # sources are exactly the monomials rho^a tau^(q-a) with nonzero Bockstein
@@ -65,6 +76,8 @@ def test_integral_torsion_ladder():
 def test_integral_region_guard():
     with pytest.raises(ValueError):
         integral_cohomology(2, 5, 3)
+    with pytest.raises(ValueError, match="weight must be non-negative"):
+        integral_cohomology(2, 0, -1)
 
 
 def test_mod2s_region_guard():
@@ -177,9 +190,21 @@ def test_etale_2adic_small_indices():
 
 
 def test_etale_2adic_equals_closed_form():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 8):
         a = etale_2adic(n)
         b = rost_etale_table(n)
         assert [
             (e.degree, e.order, e.label, e.twist, e.algebraic) for e in a.entries
         ] == [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in b.entries]
+
+
+@pytest.mark.parametrize("s", (1, 2, 8))
+def test_rost_mod2s_tables_are_universal_coefficients(s):
+    """Every mod-2^s Rost table the CLI prints, built by the tower route, is
+    universal coefficients on the closed form: Z2 becomes Z/2^s, Z/2 stays,
+    and each degree c = 2 mod 4 with 0 < c < top gains a ghost Z/2."""
+    for n in range(1, MAX_INDEX + 1):
+        closed = [(e.degree, e.order or 2**s, e.label, e.source) for e in rost_etale_table(n).entries]
+        ghosts = [(c, 2, f"ghost(rho_bar_{c + 1})", (n, 0)) for c in range(2, top_rho_exponent(n), 4)]
+        got = [(e.degree, e.order, e.label, e.source) for e in rost_table(n, f"mod2s:{s}").entries]
+        assert got == sorted(closed + ghosts), n
