@@ -5,8 +5,10 @@ summand over the 2-adic integers, any other order is a power of 2.
 Homomorphisms are integer matrices (column i = image of the i-th domain
 generator).  Kernels, cokernels and images run through one elimination
 kernel that diagonalizes over the integers localized at 2 (pivot of least
-2-adic valuation), and inverse limits of towers are computed by
-Mittag-Leffler stabilization.
+2-adic valuation).  Inverse limits take towers of finite groups: each
+chain of images into a level shrinks, so it is read by the structures of
+its images alone, computed only until the first stable run (Mittag-Leffler
+stabilization).
 
 Everything is exact over arbitrary-precision integers: odd factors are
 units 2-locally and get discarded.  All values are immutable
@@ -439,36 +441,23 @@ def image(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
 # inverse limits
 
 
-def _subgroup_contains(big: GroupHom, small: GroupHom) -> bool:
-    """Whether every generator of `small`'s image lies in `big`'s image,
-    2-locally, inside their common ambient group."""
-    m = big.codomain.ngens
-    mat = _relation_matrix(big)
-    cols = [[row[j] for row in small.matrix] for j in range(small.domain.ngens)]
-    return None not in _solve_2local(mat, cols, m, len(mat[0]) if m else 0)
-
-
-def _same_subgroup(a, b) -> bool:
-    ga, ia = a
-    gb, ib = b
-    if ga.structure() != gb.structure():
-        return False
-    return _subgroup_contains(ia, ib) and _subgroup_contains(ib, ia)
-
-
 def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> FinAb2Group:
-    """Limit of the system tower[0] <- tower[1] <- ... along maps[s]:
+    """Limit of the finite system tower[0] <- tower[1] <- ... along maps[s]:
     tower[s+1] -> tower[s].
 
-    For each level k the decreasing chain of images Im(tower[m] -> tower[k])
-    must become constant for WINDOW consecutive depths (the Mittag-Leffler
-    condition, read on a finite tower); the limit is then read off the
-    stable images: a generator chain whose order keeps doubling contributes
-    a free 2-adic summand, a chain of constant order contributes that
-    torsion summand, and chains with eventually-zero transition maps
-    contribute nothing.
+    For each level k the images Im(tower[m] -> tower[k]) shrink as m grows,
+    and the levels are finite, so two of them are the same subgroup exactly
+    when they have the same structure.  They are computed one depth at a
+    time until WINDOW consecutive ones agree (the Mittag-Leffler condition,
+    read on a finite tower), and the first image of that run is the stable
+    one.  The limit is read off the stable images: a generator chain whose
+    order keeps doubling contributes a free 2-adic summand, a chain of
+    constant order contributes that torsion summand, and chains with
+    eventually-zero transition maps contribute nothing.
     """
     T = len(tower)
+    if any(g.free_rank for g in tower):
+        raise ValueError("inverse limits take finite levels only")
     if len(maps) != max(T - 1, 0):
         raise ValueError("need exactly one map per adjacent pair of levels")
     for s, f in enumerate(maps):
@@ -478,21 +467,16 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
         return FinAb2Group.trivial()
 
     stable = []
-    for k in range(T):
-        avail = T - k
-        if avail < WINDOW:
-            break
+    for k in range(T - WINDOW + 1):
         comp = GroupHom.identity(tower[k])
-        imgs = [image(comp)]
-        for m in range(k + 1, T):
-            comp = comp.compose(maps[m - 1])
-            imgs.append(image(comp))
-        onset = None
-        for m0 in range(len(imgs) - WINDOW + 1):
-            if all(_same_subgroup(imgs[m0 + i], imgs[m0 + i + 1]) for i in range(WINDOW - 1)):
-                onset = m0
+        first, run = image(comp)[0], 1  # the image where the current run began
+        for f in maps[k:]:
+            if run == WINDOW:
                 break
-        if onset is None:
+            comp = comp.compose(f)
+            img = image(comp)[0]
+            first, run = (first, run + 1) if img.structure() == first.structure() else (img, 1)
+        if run < WINDOW:
             if k == 0:
                 raise NotStabilized(
                     f"image chain into level 0 not constant for {WINDOW} consecutive depths"
@@ -500,32 +484,24 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             # the chain into this level would only settle beyond the supplied
             # depth; the certified prefix of levels carries the pattern
             break
-        stable.append(imgs[onset][0])
+        stable.append(first)
     if len(stable) < 2:
         raise NotStabilized(
             f"tower depth {T} too shallow for window {WINDOW}: image chains settled"
             f" into {len(stable)} level(s), the limit needs two"
         )
 
-    def sorted_summands(group):
-        return sorted(group.summands, key=lambda s: (0 if s.order == 0 else 1, -s.order, s.label))
-
-    profiles = [sorted_summands(g) for g in stable]
+    profiles = [sorted(g.summands, key=lambda s: (-s.order, s.label)) for g in stable]
     counts = {len(p) for p in profiles}
     if len(counts) != 1:
         raise NotStabilized("stable images change their number of summands")
-    npos = counts.pop()
     result = []
-    last = profiles[-1]
-    for pos in range(npos):
+    for pos, last in enumerate(profiles[-1]):
         seq = [p[pos].order for p in profiles]
-        if all(o == 0 for o in seq):
-            result.append(CyclicSummand(0, last[pos].label))
-        elif all(o == seq[0] for o in seq) and seq[0] != 0:
-            result.append(CyclicSummand(seq[0], last[pos].label))
-        elif all(seq[i] and seq[i + 1] == 2 * seq[i] for i in range(len(seq) - 1)):
-            result.append(CyclicSummand(0, last[pos].label))
+        if all(o == seq[0] for o in seq):
+            result.append(CyclicSummand(seq[0], last.label))
+        elif all(seq[i + 1] == 2 * seq[i] for i in range(len(seq) - 1)):
+            result.append(CyclicSummand(0, last.label))
         else:
             raise NotStabilized(f"no constant or doubling pattern in orders {seq}")
-    labels = _dedupe_labels([s.label for s in result])
-    return FinAb2Group(tuple(CyclicSummand(s.order, lbl) for s, lbl in zip(result, labels)))
+    return FinAb2Group(tuple(result))

@@ -150,9 +150,12 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom,
          mod-2^(s-1) reduction of the integral Bockstein, so it sends a
          ghost generator to the matching integral torsion class one degree
          up and kills everything in the image of the reduction.
+    Requires p <= q, as mod_2s_group does: delta lands at (p+1, q).
     """
     if s < 2:
         raise ValueError("transition maps need s >= 2")
+    if p > q:
+        raise ValueError(f"bidegree ({p},{q}) outside the region p <= q")
     lo = _uct_parts(n, p, q, s - 1)
     hi = _uct_parts(n, p, q, s)
     G_lo, G_hi = _group_of(lo), _group_of(hi)
@@ -188,6 +191,8 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom,
 # The ghost chain settles one level late, so a limit reads two stabilized
 # levels only from WINDOW + 2 levels on: the least tower depth.
 MIN_DEPTH = WINDOW + 2
+# The tower depth used when none is given.
+DEFAULT_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ class CoefficientTower:
     transition maps and the long-exact-sequence bookkeeping."""
 
     n: int
-    s_max: int = 8
+    s_max: int = DEFAULT_DEPTH
 
     def __post_init__(self):
         mod2._check_index(self.n)
@@ -230,10 +235,10 @@ class CoefficientTower:
         return lhs == rhs
 
     def limit(self, p: int, q: int) -> FinAb2Group:
-        """Inverse limit at (p, q) of levels 1..s_max along the reductions r."""
-        groups = [mod_2s_group(self.n, p, q, s) for s in range(1, self.s_max + 1)]
+        """Inverse limit at (p, q) of levels 1..s_max along the reductions r,
+        with the levels read off the reductions themselves."""
         maps = [transition_maps(self.n, p, q, s)[1] for s in range(2, self.s_max + 1)]
-        return inverse_limit(groups, maps)
+        return inverse_limit([maps[0].codomain] + [r.domain for r in maps], maps)
 
 
 def twist_bidegree(degree: int) -> tuple[int, int]:
@@ -244,7 +249,7 @@ def twist_bidegree(degree: int) -> tuple[int, int]:
     return (degree, degree) if degree % 4 == 0 else (degree, degree + 1)
 
 
-def etale_2adic(n: int, s_max: int = 8) -> Graded2Group:
+def etale_2adic(n: int, s_max: int = DEFAULT_DEPTH) -> Graded2Group:
     """2-adic etale cohomology of the index-n Rost motive in the twisted
     even-degree grading, assembled as the inverse limit of the reduction
     tower in every degree.  Algebraicity flags come from the mod-2 cycle

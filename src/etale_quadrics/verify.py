@@ -38,7 +38,7 @@ class CheckResult:
 
 @dataclass
 class VerifyOptions:
-    smax: int = 8
+    smax: int = tower.DEFAULT_DEPTH
     dmax: int = 512
     nmax: int = 6
 

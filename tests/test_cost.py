@@ -1,21 +1,24 @@
-"""Cost contracts: how the work of a table grows with its size.
+"""Cost contracts: how the work of a computation grows with its size.
 
 A Rost table of index n has Θ(2^n) entries, so building it should cost
-Θ(2^n) too: about ×2 per step of n.  The work is counted as profiler
-events (every Python and C call and return), which depend on the code
-alone, not on the host, so the ratio between two indices is exact on
-every Python.  Only ratios are asserted, never counts, because the
-interpreter's own calls differ between Python versions.
+Θ(2^n) too: about ×2 per step of n.  An inverse limit over a tower of
+depth S should cost Θ(S), and the non-algebraic report of Q^d O(d): about
+×2 when S or d doubles.  The work is counted as profiler events (every
+Python and C call and return), which depend on the code alone, not on the
+host, so the ratio between two sizes is exact on every Python.  Only
+ratios are asserted, never counts, because the interpreter's own calls
+differ between Python versions.
 """
 
 import sys
 
 import pytest
 
-from etale_quadrics.quadrics import rost_table
+from etale_quadrics.quadrics import nonalgebraic_report, rost_table
+from etale_quadrics.tower import CoefficientTower, etale_2adic
 
-# ×2 per n is the target; the rest is headroom for terms that are
-# constant in n.  A Θ(4^n) table reads close to ×4.
+# ×2 per doubling of the size is the target; the rest is headroom for
+# terms that do not grow with it.  A quadratic cost reads close to ×4.
 MAX_RATIO = 2.5
 
 
@@ -40,3 +43,20 @@ def test_rost_table_cost_doubles_per_index(coeff):
     rost_table(1, coeff)  # first-use caches (the coefficient-spec regex) fill here
     ratio = profile_events(rost_table, 10, coeff) / profile_events(rost_table, 9, coeff)
     assert ratio <= MAX_RATIO, f"rost_table(n, {coeff!r}) grows x{ratio:.2f} per n"
+
+
+@pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
+def test_tower_limit_cost_is_linear_in_depth(bidegree):
+    shallow, deep = (CoefficientTower(2, s_max=s).limit for s in (16, 32))
+    ratio = profile_events(deep, *bidegree) / profile_events(shallow, *bidegree)
+    assert ratio <= MAX_RATIO, f"limit{bidegree} grows x{ratio:.2f} from depth 16 to 32"
+
+
+def test_etale_2adic_cost_doubles_per_index():
+    ratio = profile_events(etale_2adic, 7) / profile_events(etale_2adic, 6)
+    assert ratio <= MAX_RATIO, f"etale_2adic(n) grows x{ratio:.2f} per n"
+
+
+def test_nonalgebraic_report_cost_is_linear_in_d():
+    ratio = profile_events(nonalgebraic_report, 2046) / profile_events(nonalgebraic_report, 1023)
+    assert ratio <= MAX_RATIO, f"nonalgebraic_report(d) grows x{ratio:.2f} from d = 1023 to 2046"
