@@ -59,8 +59,8 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
 # The deepest coefficient tower verify builds.  Its tower checks grow about
-# linearly with the depth: `verify --scope all` takes 0.89 s at --smax 8,
-# 2.1 s at 32 and 3.9 s at 64 on a 2-core Xeon host.
+# linearly with the depth: `verify --scope all` takes 0.77 s at --smax 8,
+# 2.0 s at 32 and 3.5 s at 64 on a 2-core Xeon host.
 MAX_DEPTH = 64
 
 
@@ -86,8 +86,9 @@ def _order_str(order: int) -> str:
 def _output(path: Optional[str]) -> Iterator[Callable[[str], object]]:
     """The write function of stdout, or of the --out file, which is opened
     here, after the arguments are checked and before anything is computed.
-    A path that cannot be written is invalid input, like any bad argument."""
-    if not path:
+    A path that cannot be written, the empty one too, is invalid input,
+    like any bad argument."""
+    if path is None:
         yield sys.stdout.write
         sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
         return

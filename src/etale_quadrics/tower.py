@@ -13,13 +13,17 @@ the groups with Z/2^s coefficients follow by universal coefficients
     H^p(Z/2^s) = H^p(Z) (x) Z/2^s  (+)  Tor(H^(p+1)(Z), Z/2^s),
 
 with the Tor part made of "ghost" generators whose tower transition maps
-vanish, so they die in the 2-adic limit.  Deriving the tower this way
-removes every extension ambiguity; the long-exact-sequence order identity
-is kept as a verification invariant, not as the construction.
+vanish, so they die in the 2-adic limit.  The parts of a bidegree are the
+same at every level s and only the free part's order, 2^s, depends on it,
+so every level and every coefficient map is read off one list of parts.
+Deriving the tower this way removes every extension ambiguity; the
+long-exact-sequence order identity is kept as a verification invariant,
+not as the construction.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import prod
 from . import mod2
@@ -96,36 +100,45 @@ def _torsion_label(p: int, q: int) -> str:
 # universal-coefficient groups and transition maps
 
 
-@dataclass(frozen=True)
-class _Part:
-    kind: str  # "free" | "tors" | "ghost"
-    label: str
-    base: str  # integral class the part comes from
-    order: int
+# What a part of each kind is at level s: its order, and its entries in t
+# (level s-1 -> s) and r (level s -> s-1).  A free class gives Z (x) Z/2^s,
+# which t multiplies by 2; a ghost, Tor(Z/2, Z/2^s), dies under r.
+_Kind = namedtuple("_Kind", "order t r")
+_KINDS = {
+    "free": _Kind(lambda s: 2**s, 2, 1),
+    "tors": _Kind(lambda s: 2, 0, 1),
+    "ghost": _Kind(lambda s: 2, 1, 0),
+}
 
 
-def _uct_parts(n: int, p: int, q: int, s: int) -> tuple[_Part, ...]:
-    """Labeled summands of H^(p,q) with Z/2^s coefficients, p <= q + 1.
+def _uct_parts(n: int, p: int, q: int) -> tuple[tuple[str, str, str], ...]:
+    """(kind, label, base) of each summand of H^(p,q) with Z/2^s
+    coefficients, p <= q + 1: the same list at every level s.
 
     Tensor parts inherit the integral label; Tor parts are marked "ghost".
     Outside p <= q the Tor input would sit beyond the model and the
     integral group there is zero, so only tensor parts can appear.
     """
-    parts = []
-    for sm in integral_cohomology(n, p, q).summands:
-        if sm.order == 0:
-            parts.append(_Part("free", sm.label, sm.label, 2**s))
-        else:
-            parts.append(_Part("tors", sm.label, sm.label, 2))
+    here = integral_cohomology(n, p, q).summands
+    parts = [("tors" if sm.order else "free", sm.label, sm.label) for sm in here]
     if p <= q:  # otherwise (p+1, q) falls outside the pairing region
-        for sm in integral_cohomology(n, p + 1, q).summands:
-            if sm.order:
-                parts.append(_Part("ghost", f"ghost({sm.label})", sm.label, 2))
+        up = integral_cohomology(n, p + 1, q).summands
+        parts += (("ghost", f"ghost({sm.label})", sm.label) for sm in up if sm.order)
     return tuple(parts)
 
 
-def _group_of(parts: tuple[_Part, ...]) -> FinAb2Group:
-    return FinAb2Group(tuple(CyclicSummand(pt.order, pt.label) for pt in parts))
+def _group_of(parts: tuple[tuple[str, str, str], ...], s: int) -> FinAb2Group:
+    return FinAb2Group(tuple(CyclicSummand(_KINDS[kind].order(s), label) for kind, label, _ in parts))
+
+
+def _diagonal(dom: FinAb2Group, cod: FinAb2Group, values: list[int]) -> GroupHom:
+    k = len(values)
+    return GroupHom(dom, cod, tuple(tuple(v if i == j else 0 for j in range(k)) for i, v in enumerate(values)))
+
+
+def _check_region(p: int, q: int) -> None:
+    if p > q:
+        raise ValueError(f"bidegree ({p},{q}) outside the region p <= q")
 
 
 def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
@@ -134,9 +147,8 @@ def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
     Tor input one degree up stays inside the model."""
     if s < 1:
         raise ValueError("coefficient level s must be >= 1")
-    if p > q:
-        raise ValueError(f"bidegree ({p},{q}) outside the region p <= q")
-    return _group_of(_uct_parts(n, p, q, s))
+    _check_region(p, q)
+    return _group_of(_uct_parts(n, p, q), s)
 
 
 def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom, GroupHom]:
@@ -154,34 +166,16 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom,
     """
     if s < 2:
         raise ValueError("transition maps need s >= 2")
-    if p > q:
-        raise ValueError(f"bidegree ({p},{q}) outside the region p <= q")
-    lo = _uct_parts(n, p, q, s - 1)
-    hi = _uct_parts(n, p, q, s)
-    G_lo, G_hi = _group_of(lo), _group_of(hi)
-    k = len(lo)
-
-    def diag(values):
-        return tuple(tuple(values[i] if i == j else 0 for j in range(k)) for i in range(k))
-
-    t_entries = [2 if pt.kind == "free" else (1 if pt.kind == "ghost" else 0) for pt in lo]
-    r_entries = [0 if pt.kind == "ghost" else 1 for pt in hi]
-    t = GroupHom(G_lo, G_hi, diag(t_entries))
-    r = GroupHom(G_hi, G_lo, diag(r_entries))
-
-    dom_parts = _uct_parts(n, p, q, 1)
-    cod_parts = _uct_parts(n, p + 1, q, s - 1)
-    dom = _group_of(dom_parts)
-    cod = _group_of(cod_parts)
-    rows = [[0] * len(dom_parts) for _ in range(len(cod_parts))]
-    for j, pt in enumerate(dom_parts):
-        if pt.kind != "ghost":
-            continue
-        for i, ct in enumerate(cod_parts):
-            if ct.kind == "tors" and ct.base == pt.base:
-                rows[i][j] = 1
-    delta = GroupHom(dom, cod, tuple(tuple(row) for row in rows))
-    return t, r, delta
+    _check_region(p, q)
+    parts, up = _uct_parts(n, p, q), _uct_parts(n, p + 1, q)
+    lo, hi = _group_of(parts, s - 1), _group_of(parts, s)
+    t = _diagonal(lo, hi, [_KINDS[kind].t for kind, _, _ in parts])
+    r = _diagonal(hi, lo, [_KINDS[kind].r for kind, _, _ in parts])
+    rows = tuple(
+        tuple(int(kind == "ghost" and up_kind == "tors" and base == up_base) for kind, _, base in parts)
+        for up_kind, _, up_base in up
+    )
+    return t, r, GroupHom(_group_of(parts, 1), _group_of(up, s - 1), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +230,12 @@ class CoefficientTower:
 
     def limit(self, p: int, q: int) -> FinAb2Group:
         """Inverse limit at (p, q) of levels 1..s_max along the reductions r,
-        with the levels read off the reductions themselves."""
-        maps = [transition_maps(self.n, p, q, s)[1] for s in range(2, self.s_max + 1)]
-        return inverse_limit([maps[0].codomain] + [r.domain for r in maps], maps)
+        all read off one list of parts."""
+        _check_region(p, q)
+        parts = _uct_parts(self.n, p, q)
+        levels = [_group_of(parts, s) for s in range(1, self.s_max + 1)]
+        r = [_KINDS[kind].r for kind, _, _ in parts]
+        return inverse_limit(levels, [_diagonal(hi, lo, r) for lo, hi in zip(levels, levels[1:])])
 
 
 def twist_bidegree(degree: int) -> tuple[int, int]:

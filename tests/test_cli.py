@@ -375,12 +375,13 @@ def test_out_writes_identical_bytes(tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_out_to_an_unwritable_path(tmp_path, argv):
-    target = tmp_path / "missing" / "x.txt"
-    res = run_cli(*argv, "--out", str(target))
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
-    assert not target.parent.exists()
+    # an empty path names no file: it is rejected, not read as stdout
+    for target in (str(tmp_path / "missing" / "x.txt"), ""):
+        res = run_cli(*argv, "--out", target)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("target", [["2046", "--coeff", "mod2"], ["--rost", "10"]], ids=" ".join)

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from etale_quadrics import tower
 from etale_quadrics.quadrics import nonalgebraic_report, rost_table
 from etale_quadrics.tower import CoefficientTower, etale_2adic
 
@@ -50,6 +51,28 @@ def test_tower_limit_cost_is_linear_in_depth(bidegree):
     shallow, deep = (CoefficientTower(2, s_max=s).limit for s in (16, 32))
     ratio = profile_events(deep, *bidegree) / profile_events(shallow, *bidegree)
     assert ratio <= MAX_RATIO, f"limit{bidegree} grows x{ratio:.2f} from depth 16 to 32"
+
+
+@pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
+def test_tower_limit_reads_the_integral_groups_once(monkeypatch, bidegree):
+    """A bidegree's universal-coefficient parts are the same at every level,
+    so a limit reads the integral groups a fixed number of times, whatever
+    the depth."""
+    calls = 0
+    integral = tower.integral_cohomology
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return integral(*args)
+
+    monkeypatch.setattr(tower, "integral_cohomology", counted)
+    counts = []
+    for depth in (8, 32):
+        calls = 0
+        CoefficientTower(2, s_max=depth).limit(*bidegree)
+        counts.append(calls)
+    assert counts[0] == counts[1], f"limit{bidegree} reads the integral groups {counts} times at depths 8, 32"
 
 
 def test_etale_2adic_cost_doubles_per_index():

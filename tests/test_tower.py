@@ -1,6 +1,8 @@
 """The Bockstein pairing route: integral groups, finite-coefficient towers,
 transition maps, and the 2-adic limit."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,10 +83,21 @@ def test_integral_region_guard():
 
 
 def test_mod2s_region_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"outside the region p <= q"):
         mod_2s_group(2, 5, 4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 1"):
         mod_2s_group(2, 2, 3, 0)
+
+
+def test_tower_region_guards():
+    """transition_maps and limit reject p > q with the mod_2s_group message;
+    transition maps compare two levels, so they need s >= 2."""
+    with pytest.raises(ValueError, match=r"\(5,4\) outside the region p <= q"):
+        transition_maps(2, 5, 4, 2)
+    with pytest.raises(ValueError, match=r"\(5,4\) outside the region p <= q"):
+        CoefficientTower(2).limit(5, 4)
+    with pytest.raises(ValueError, match="need s >= 2"):
+        transition_maps(2, 2, 3, 1)
 
 
 def test_z4_orders():
@@ -134,6 +147,26 @@ def test_transitions_on_the_free_spot():
         hi = mod_2s_group(2, 6, 7, s)
         tr = t.compose(r)
         assert tr.apply([1]) == (2 % 2**s,)
+
+
+# sha256 over the tower route as first written, with one part list per
+# level: every transition map (t, r, delta) for n <= 3, s = 2..6 and every
+# limit in the twisted grading for n <= 4, summand order and labels included
+TOWER_ROUTE_SHA256 = "937a1cfd52b18bdd68e5dad3a74184ec836646c0ad31b6a0ebe819470931fb68"
+
+
+def test_tower_route_is_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 4):
+        for p, q in CoefficientTower(n).bidegrees():
+            for s in range(2, 7):
+                for f in transition_maps(n, p, q, s):
+                    h.update(repr((f.domain.summands, f.codomain.summands, f.matrix)).encode())
+    for n in range(1, 5):
+        tower = CoefficientTower(n)
+        for c in range(0, top_rho_exponent(n) + 1, 2):
+            h.update(repr(tower.limit(*twist_bidegree(c)).summands).encode())
+    assert h.hexdigest() == TOWER_ROUTE_SHA256
 
 
 def test_les_identity_n2():
@@ -190,7 +223,8 @@ def test_etale_2adic_small_indices():
 
 
 def test_etale_2adic_equals_closed_form():
-    for n in range(1, 8):
+    # every 2adic table `cohomology --rost n` prints, re-derived by the tower
+    for n in range(1, MAX_INDEX + 1):
         a = etale_2adic(n)
         b = rost_etale_table(n)
         assert [
