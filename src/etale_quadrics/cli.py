@@ -12,6 +12,10 @@ quadrics.iter_cohomology yields them, one group per degree, not sorted
 here, and written while they are computed.  Exit codes: 0 success (also
 when the reader of stdout stops early), 1 verification mismatch, 2 invalid
 input or usage (an --out path that cannot be written included).
+
+Each subcommand imports only the modules it runs, since every process pays
+its imports: the tables need quadrics, rost, mod2 and graded, mod2s:<s> adds
+tower and abelian, and only verify loads verify and presentations.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from .quadrics import (
     parse_coefficients,
     rost_table,
 )
-from .tower import MIN_DEPTH
-from .verify import SCOPES, VerifyOptions, run_checks
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
@@ -62,6 +64,8 @@ MAX_LEVEL = 14284
 # linearly with the depth: `verify --scope all` takes 0.77 s at --smax 8,
 # 2.0 s at 32 and 3.5 s at 64 on a 2-core Xeon host.
 MAX_DEPTH = 64
+# verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
+SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
 
 
 def _check_bound(name: str, value: int | str, bound: int, low: int = 1) -> None:
@@ -237,14 +241,16 @@ def _cmd_nonalgebraic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import tower, verify
+
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
     # the rule of tower.CoefficientTower, checked for every scope so that
     # the error names the flag
-    _check_bound("--smax", args.smax, MAX_DEPTH, low=MIN_DEPTH)
-    opts = VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
+    _check_bound("--smax", args.smax, MAX_DEPTH, low=tower.MIN_DEPTH)
+    opts = verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
     with _output(args.out) as write:
-        results = run_checks(args.scope, opts)
+        results = verify.run_checks(args.scope, opts)
         ok = all(r.passed for r in results)
         if args.format == "json":
             payload = {
@@ -309,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", default="all", choices=SCOPES,
         help="check group to run (default: all)",
     )
-    p.add_argument("--smax", type=int, default=VerifyOptions.smax, help="tower depth (default: %(default)s)")
-    p.add_argument("--dmax", type=int, default=VerifyOptions.dmax, help="dimension sweep bound (default: %(default)s)")
-    p.add_argument("--nmax", type=int, default=VerifyOptions.nmax, help="Rost index bound (default: %(default)s)")
+    p.add_argument("--smax", type=int, default=8, help="tower depth (default: %(default)s)")
+    p.add_argument("--dmax", type=int, default=512, help="dimension sweep bound (default: %(default)s)")
+    p.add_argument("--nmax", type=int, default=6, help="Rost index bound (default: %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)

@@ -10,7 +10,9 @@ read off the degree, not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -32,29 +34,34 @@ def _sort_key(e: GradedSummand):
     return (e.degree, -n, j, e.label)
 
 
-@dataclass(frozen=True)
-class Graded2Group:
+_degree = attrgetter("degree")
+
+
+def _profile(here: Iterable[GradedSummand]) -> tuple[int, tuple[int, ...]]:
+    orders = [e.order for e in here]
+    return orders.count(0), tuple(sorted(filter(None, orders), reverse=True))
+
+
+class Graded2Group(NamedTuple):
+    """Entries sorted by degree (from_entries sorts, assemble_cohomology
+    builds them in order), so at(c) bisects: O(log size + answer)."""
+
     entries: tuple[GradedSummand, ...]
 
     @classmethod
     def from_entries(cls, entries: Iterable[GradedSummand]) -> "Graded2Group":
         return cls(tuple(sorted(entries, key=_sort_key)))
 
-    def degrees(self) -> list[int]:
-        return sorted({e.degree for e in self.entries})
-
     def at(self, degree: int) -> tuple[GradedSummand, ...]:
-        return tuple(e for e in self.entries if e.degree == degree)
+        lo = bisect_left(self.entries, degree, key=_degree)
+        return self.entries[lo : bisect_right(self.entries, degree, lo, key=_degree)]
 
     def profile(self, degree: int) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion orders sorted descending) in one degree."""
-        here = self.at(degree)
-        free = sum(1 for e in here if e.order == 0)
-        torsion = tuple(sorted((e.order for e in here if e.order), reverse=True))
-        return free, torsion
+        return _profile(self.at(degree))
 
     def profiles(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        return {d: self.profile(d) for d in self.degrees()}
+        return {c: _profile(here) for c, here in groupby(self.entries, key=_degree)}
 
     @property
     def free_entries(self) -> tuple[GradedSummand, ...]:

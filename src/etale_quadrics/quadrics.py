@@ -20,30 +20,27 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
-from . import rost, tower
+from . import rost
 from .errors import InvalidDimension
 from .graded import Graded2Group, GradedSummand
 from .mod2 import _check_index, rost_etale_mod2, top_rho_exponent
 
 
-@dataclass(frozen=True)
-class MotiveTerm:
+class MotiveTerm(NamedTuple("MotiveTerm", [("n", int), ("j", int)])):
     """One summand M_n tensor T^j: the index-n Rost table shifted by
     (+2j degree, +j twist).  Its complex realization has rank 2."""
 
-    n: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.j < 0:
+    def __new__(cls, n: int, j: int):
+        if n < 0 or j < 0:
             raise ValueError("indices must be non-negative")
+        return super().__new__(cls, n, j)
 
 
-@dataclass(frozen=True)
-class MotiveDecomposition:
+class MotiveDecomposition(NamedTuple):
     """The motive of Q^d as run-length blocks (n, j0, m), M_n tensor T^j for
     j0 <= j < j0 + m, one per step of the alternating 2-power expansion:
     m >= 1, the j0 contiguous from 0 and the n strictly decreasing, so the
@@ -127,6 +124,7 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
         return rost.rost_etale_table(n)
     if kind == "mod2":
         return rost_etale_mod2(n)
+    from . import tower  # imported here: no other table needs the tower route
     entries = [
         GradedSummand(c, sm.order, sm.label, None, (n, 0))
         for c in range(0, top_rho_exponent(n) + 1, 2)
@@ -181,8 +179,7 @@ def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
     return Graded2Group(tuple(entries))
 
 
-@dataclass(frozen=True)
-class NonAlgebraicReport:
+class NonAlgebraicReport(NamedTuple):
     """Per-degree dimension of torsion / (algebraic torsion).  The free
     part is generated by cycle classes, so the quotient is torsion-only;
     degrees 2 mod 4 come from odd Tate twists and are reported alongside

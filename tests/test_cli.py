@@ -467,7 +467,75 @@ def test_verify_exit_code_on_mismatch(monkeypatch, capsys):
     from etale_quadrics.verify import CheckResult
 
     fabricated = [CheckResult("X0", "s2", False, "fabricated mismatch", {"got": 1})]
-    monkeypatch.setattr(cli, "run_checks", lambda scope, opts: fabricated)
+    # _cmd_verify imports verify when it runs and reads verify.run_checks
+    monkeypatch.setattr("etale_quadrics.verify.run_checks", lambda scope, opts: fabricated)
     assert cli.main(["verify", "--scope", "s2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL X0" in out and '"got": 1' in out
+
+
+def test_verify_parser_states_the_verify_scopes_and_defaults():
+    """The parser writes out verify.SCOPES and the VerifyOptions defaults
+    so that a table never imports verify; they must not drift apart."""
+    from etale_quadrics import cli, verify
+
+    assert cli.SCOPES == verify.SCOPES
+    args = cli.build_parser().parse_args(["verify"])
+    assert args.scope == "all"
+    assert verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax) == verify.VerifyOptions()
+
+
+# Runs cli.main on argv[2:] in a fresh interpreter and writes to the file
+# argv[1] the modules it loaded that the interpreter had not loaded before,
+# so whatever the host's site setup imports at start-up is not counted.
+LOADED_BY_MAIN = """
+import sys
+before = set(sys.modules)
+from etale_quadrics.cli import main
+try:
+    main(sys.argv[2:])
+except SystemExit:  # --version
+    pass
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+OFF_THE_TABLE_PATH = {
+    "etale_quadrics.verify",
+    "etale_quadrics.presentations",
+    "etale_quadrics.tower",
+    "etale_quadrics.abelian",
+    "dataclasses",
+}
+TOWER_ROUTE = {"etale_quadrics.tower", "etale_quadrics.abelian"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, not_loaded",
+    [
+        *(
+            (argv, set(), OFF_THE_TABLE_PATH)
+            for argv in (
+                ("--version",),
+                ("decompose", "7"),
+                ("nonalgebraic", "7"),
+                ("cohomology", "7"),
+                ("cohomology", "7", "--coeff", "mod2"),
+            )
+        ),
+        (("cohomology", "7", "--coeff", "mod2s:3"), TOWER_ROUTE, {"etale_quadrics.verify"}),
+        (("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set()),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded):
+    report = tmp_path / "modules.txt"
+    res = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_MAIN, str(report), *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    modules = set(report.read_text().split())
+    assert "etale_quadrics.cli" in modules
+    assert loaded <= modules
+    assert not (not_loaded & modules)

@@ -12,6 +12,7 @@ from etale_quadrics import graded, quadrics
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
 from etale_quadrics.mod2 import rost_etale_mod2
 from etale_quadrics.quadrics import (
+    MotiveTerm,
     NonAlgebraicReport,
     assemble_cohomology,
     boundary_predicates,
@@ -60,6 +61,34 @@ def test_expansion_reconstructs(d):
 def test_complex_rank_rule(d):
     dec = decompose_motive(d)
     assert dec.complex_rank() == (d + 1 if d % 2 else d + 2)
+
+
+def test_invalid_motive_terms():
+    for n, j in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            MotiveTerm(n, j)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: MotiveTerm(3, 1), ("n", "j")),
+        (lambda: decompose_motive(7), ("d", "blocks", "residual")),
+        (lambda: nonalgebraic_report(7), ("d", "dims")),
+        (lambda: assemble_cohomology(7), ("entries",)),
+    ],
+    ids=["MotiveTerm", "MotiveDecomposition", "NonAlgebraicReport", "Graded2Group"],
+)
+def test_value_types_are_frozen_values(make, fields):
+    """The value types are immutable, and equal values, built twice,
+    compare and hash equal."""
+    value, twin = make(), make()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 0
 
 
 def test_huge_dimension_is_a_few_blocks():
@@ -220,6 +249,27 @@ def test_rows_are_complete(cached_rost_tables, coeff):
         assert count == sum(m * sizes[n] for n, _, m in blocks), d
         if d <= 64:
             assert list(assemble_cohomology(d, coeff).entries) == shifted_reference(d, coeff), d
+
+
+@pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
+def test_lookups_match_a_linear_scan(cached_rost_tables, coeff):
+    """at(c) bisects the degree-sorted entries; for d <= 64 and every
+    degree from below the bottom to past the top, those with no entry
+    included, it returns what a linear filter returns, and profile and
+    profiles count free ranks and torsion orders from that filter."""
+    tables = [assemble_cohomology(d, coeff) for d in range(1, 65)]
+    tables += [cached_rost_tables(n, coeff) for n in range(1, 6)]
+    for table in tables:
+        profiles = {}
+        for c in range(-1, table.entries[-1].degree + 3):
+            here = tuple(e for e in table.entries if e.degree == c)
+            assert table.at(c) == here, c
+            orders = [e.order for e in here]
+            profile = (orders.count(0), tuple(sorted((o for o in orders if o), reverse=True)))
+            assert table.profile(c) == profile, c
+            if here:
+                profiles[c] = profile
+        assert list(table.profiles().items()) == list(profiles.items())
 
 
 def test_assembly_fixtures():
