@@ -5,7 +5,9 @@ summand over the 2-adic integers, any other order is a power of 2.
 Homomorphisms are integer matrices (column i = image of the i-th domain
 generator).  Kernels, cokernels and images run through one elimination
 kernel that diagonalizes over the integers localized at 2 (pivot of least
-2-adic valuation).  Inverse limits take towers of finite groups: each
+2-adic valuation); each returns the group alone, its generators labeled by
+the smallest contributing domain (kernel, image) or codomain (cokernel)
+generator.  Inverse limits take towers of finite groups: each
 chain of images into a level shrinks, so it is read by the structures of
 its images alone, computed only until the first stable run (Mittag-Leffler
 stabilization).
@@ -273,21 +275,9 @@ class GroupHom:
                     )
 
     @classmethod
-    def zero(cls, domain: FinAb2Group, codomain: FinAb2Group) -> "GroupHom":
-        return cls(domain, codomain, tuple((0,) * domain.ngens for _ in range(codomain.ngens)))
-
-    @classmethod
     def identity(cls, group: FinAb2Group) -> "GroupHom":
         n = group.ngens
         return cls(group, group, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def apply(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        if len(coeffs) != self.domain.ngens:
-            raise ValueError("coefficient vector has wrong length")
-        return tuple(
-            _reduce_entry(sum(row[j] * coeffs[j] for j in range(len(coeffs))), o)
-            for row, o in zip(self.matrix, self.codomain.orders)
-        )
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -312,25 +302,20 @@ class GroupHom:
 # kernels, cokernels, images
 
 
-def _dedupe_labels(labels: list[str]) -> list[str]:
+def _group(orders, vectors, labels, moduli) -> FinAb2Group:
+    """Summands of the given orders, one per generator vector, each labeled
+    by the smallest label at a coordinate where its vector is nonzero
+    modulo `moduli`; a label taken again gets the suffix ~2, ~3, ..."""
     seen: dict[str, int] = {}
-    out = []
-    for lbl in labels:
-        count = seen.get(lbl, 0)
-        seen[lbl] = count + 1
-        out.append(lbl if count == 0 else f"{lbl}~{count + 1}")
-    return out
-
-
-def _contributing_label(vector, labels, orders):
-    cands = [
-        labels[j]
-        for j, v in enumerate(vector)
-        if (v % orders[j] if orders[j] else v) != 0
-    ]
-    if not cands:
-        raise AssertionError("generator vector vanished")
-    return min(cands)
+    summands = []
+    for o, vector in zip(orders, vectors):
+        cands = [lbl for lbl, v, m in zip(labels, vector, moduli) if (v % m if m else v)]
+        if not cands:
+            raise AssertionError("generator vector vanished")
+        lbl = min(cands)
+        seen[lbl] = count = seen.get(lbl, 0) + 1
+        summands.append(CyclicSummand(o, lbl if count == 1 else f"{lbl}~{count}"))
+    return FinAb2Group(tuple(summands))
 
 
 def _quotient_presentation(ngens: int, rel_cols: Sequence[Sequence[int]]):
@@ -379,13 +364,10 @@ def _kernel_lattice(h: GroupHom) -> list[list[int]]:
     return [[row[j] for row in V[:k]] for j in range(len(_pivots(D)), len(V))]
 
 
-def kernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
-    """Kernel subgroup with its inclusion into the domain."""
+def kernel(h: GroupHom) -> FinAb2Group:
+    """The kernel, a subgroup of the domain labeled by domain generators."""
     A = h.domain
     k = A.ngens
-    if k == 0:
-        K = FinAb2Group.trivial()
-        return K, GroupHom.zero(K, A)
     lattice = _kernel_lattice(h)
     c = len(lattice)
     X = [[lattice[j][i] for j in range(c)] for i in range(k)]  # k x c
@@ -393,48 +375,23 @@ def kernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
     rel_cols = _solve_2local(X, targets, k, c)
     assert None not in rel_cols, "domain relation escaped the kernel lattice"
     orders, gen_cols, _ = _quotient_presentation(c, rel_cols)
-    incl_cols = [_apply(X, g) for g in gen_cols]
-    labels = _dedupe_labels(
-        [_contributing_label(col, A.labels, A.orders) for col in incl_cols]
-    )
-    K = FinAb2Group(tuple(CyclicSummand(o, lbl) for o, lbl in zip(orders, labels)))
-    matrix = tuple(tuple(col[i] for col in incl_cols) for i in range(k))
-    return K, GroupHom(K, A, matrix)
+    return _group(orders, [_apply(X, g) for g in gen_cols], A.labels, A.orders)
 
 
-def cokernel(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
-    """Cokernel with the projection from the codomain.  A surviving class
-    keeps the lexicographically smallest contributing generator label."""
+def cokernel(h: GroupHom) -> FinAb2Group:
+    """The cokernel.  A surviving class keeps the lexicographically smallest
+    contributing codomain generator label."""
     B = h.codomain
-    m = B.ngens
-    rel_cols = list(zip(*_relation_matrix(h)))
-    orders, _, proj_rows = _quotient_presentation(m, rel_cols)
-    labels = _dedupe_labels(
-        [
-            _contributing_label(row, B.labels, [o] * m)
-            for row, o in zip(proj_rows, orders)
-        ]
-    )
-    C = FinAb2Group(tuple(CyclicSummand(o, lbl) for o, lbl in zip(orders, labels)))
-    return C, GroupHom(B, C, tuple(tuple(row) for row in proj_rows))
+    orders, _, proj_rows = _quotient_presentation(B.ngens, list(zip(*_relation_matrix(h))))
+    # each projection row is already reduced modulo its class's order
+    return _group(orders, proj_rows, B.labels, (0,) * B.ngens)
 
 
-def image(h: GroupHom) -> tuple[FinAb2Group, GroupHom]:
-    """Image subgroup with its inclusion into the codomain."""
-    A, B = h.domain, h.codomain
-    k = A.ngens
-    if k == 0:
-        S = FinAb2Group.trivial()
-        return S, GroupHom(S, B, tuple(() for _ in range(B.ngens)))
-    lattice = _kernel_lattice(h)
-    orders, gen_cols, _ = _quotient_presentation(k, lattice)
-    incl_cols = [h.apply(g) for g in gen_cols]
-    labels = _dedupe_labels(
-        [_contributing_label(g, A.labels, A.orders) for g in gen_cols]
-    )
-    S = FinAb2Group(tuple(CyclicSummand(o, lbl) for o, lbl in zip(orders, labels)))
-    matrix = tuple(tuple(col[i] for col in incl_cols) for i in range(B.ngens))
-    return S, GroupHom(S, B, matrix)
+def image(h: GroupHom) -> FinAb2Group:
+    """The image, a subgroup of the codomain labeled by domain generators."""
+    A = h.domain
+    orders, gen_cols, _ = _quotient_presentation(A.ngens, _kernel_lattice(h))
+    return _group(orders, gen_cols, A.labels, A.orders)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +426,12 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     stable = []
     for k in range(T - WINDOW + 1):
         comp = GroupHom.identity(tower[k])
-        first, run = image(comp)[0], 1  # the image where the current run began
+        first, run = image(comp), 1  # the image where the current run began
         for f in maps[k:]:
             if run == WINDOW:
                 break
             comp = comp.compose(f)
-            img = image(comp)[0]
+            img = image(comp)
             first, run = (first, run + 1) if img.structure() == first.structure() else (img, 1)
         if run < WINDOW:
             if k == 0:

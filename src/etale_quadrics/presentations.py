@@ -180,21 +180,17 @@ def parse_presentation(text: str) -> RingPresentation:
 # graded ranks
 
 
-def monomials_of_degree(degrees: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree k, lexicographically descending."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: int, prefix: tuple[int, ...]):
-        if idx == len(degrees):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        step = degrees[idx]
-        for e in range(remaining // step, -1, -1):
-            rec(idx + 1, remaining - e * step, prefix + (e,))
-
-    rec(0, k, ())
-    return out
+def monomial_table(degrees: tuple[int, ...], max_degree: int) -> list[list[tuple[int, ...]]]:
+    """Entry k lists the exponent tuples of total degree k, lexicographically
+    descending, for every k <= max_degree; built one generator at a time
+    from the last."""
+    table = [[()]] + [[] for _ in range(max_degree)]
+    for step in reversed(degrees):
+        table = [
+            [(e,) + rest for e in range(k // step, -1, -1) for rest in table[k - e * step]]
+            for k in range(max_degree + 1)
+        ]
+    return table
 
 
 def _multiply(poly: Poly, exps: tuple[int, ...]) -> Poly:
@@ -223,12 +219,11 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     names = p.generator_names
-    degrees = p.generator_degrees
     rel_degs = p.relation_degrees()
     base_order = 0 if p.coefficients == "Z2" else 2
+    table = monomial_table(p.generator_degrees, max_degree)
     entries = []
-    for k in range(max_degree + 1):
-        monos = monomials_of_degree(degrees, k)
+    for k, monos in enumerate(table):
         if not monos:
             continue
         index = {m: i for i, m in enumerate(monos)}
@@ -239,24 +234,16 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
         for rel, rdeg in zip(p.relations, rel_degs):
             if rdeg > k:
                 continue
-            for m in monomials_of_degree(degrees, k - rdeg):
+            for m in table[k - rdeg]:
                 col = [0] * len(monos)
                 for exps, coeff in _multiply(rel, m):
                     col[index[exps]] += coeff
                 cols.append(col)
-        if cols:
-            domain = FinAb2Group(
-                tuple(CyclicSummand(0, f"r{i}") for i in range(len(cols)))
-            )
-            hom = GroupHom(
-                domain,
-                module,
-                tuple(tuple(col[i] for col in cols) for i in range(len(monos))),
-            )
-            component, _ = cokernel(hom)
-        else:
-            component = module
-        entries += (GradedSummand(k, sm.order, sm.label) for sm in component.summands)
+        domain = FinAb2Group(tuple(CyclicSummand(0, f"r{i}") for i in range(len(cols))))
+        hom = GroupHom(
+            domain, module, tuple(tuple(col[i] for col in cols) for i in range(len(monos)))
+        )
+        entries += (GradedSummand(k, sm.order, sm.label) for sm in cokernel(hom).summands)
     return Graded2Group.from_entries(entries)
 
 

@@ -214,10 +214,6 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
     return NonAlgebraicReport(d, tuple(dims))
 
 
-def has_nonalgebraic(d: int) -> bool:
-    return nonalgebraic_report(d).has_nonalgebraic
-
-
 # ---------------------------------------------------------------------------
 # claims about the non-algebraic inventory
 
@@ -258,7 +254,7 @@ def boundary_predicates(d: int) -> tuple[bool, bool, bool]:
     class": the computed quotient, the presence of a Rost index >= 3 in
     the decomposition, and the dimension bound d >= 7."""
     return (
-        has_nonalgebraic(d),
+        nonalgebraic_report(d).has_nonalgebraic,
         any(n >= 3 for n in decompose_motive(d).expansion),
         d >= 7,
     )

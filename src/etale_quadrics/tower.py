@@ -220,8 +220,8 @@ class CoefficientTower:
             coker_grp = mod_2s_group(self.n, p, q, s - 1)
         else:
             _, _, delta_prev = transition_maps(self.n, p - 1, q, s)
-            coker_grp, _ = cokernel(delta_prev)
-        ker_grp, _ = kernel(delta_p)
+            coker_grp = cokernel(delta_prev)
+        ker_grp = kernel(delta_p)
         lhs = prod(mod_2s_group(self.n, p, q, s).torsion_orders, start=1)
         rhs = prod(ker_grp.torsion_orders, start=1) * prod(
             coker_grp.torsion_orders, start=1

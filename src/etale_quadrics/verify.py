@@ -11,6 +11,7 @@ here is tolerance-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Any, Callable, Iterable, Optional
 
 from . import mod2, presentations, quadrics, rost, tower
@@ -144,20 +145,15 @@ _N2_SPOTS = ((0, 0), (2, 3), (4, 4), (6, 7))
 
 
 def check_z4_table(opts: VerifyOptions) -> CheckResult:
-    failures = []
+    failures, groups = [], []
     expected = (4, 2, 2, 4)
     for (p, q), want in zip(_N2_SPOTS, expected):
         grp = tower.mod_2s_group(2, p, q, 2)
-        order = 1
-        for o in grp.torsion_orders:
-            order *= o
-        if order != want or grp.free_rank:
+        groups.append(grp)
+        if prod(grp.torsion_orders) != want or grp.free_rank:
             failures.append({"bidegree": (p, q), "orders": grp.torsion_orders})
     # graded pieces: log2 of the order, i.e. 2,1,1,2 one-dimensional layers
-    layers = [
-        sum(o.bit_length() - 1 for o in tower.mod_2s_group(2, p, q, 2).torsion_orders)
-        for p, q in _N2_SPOTS
-    ]
+    layers = [sum(o.bit_length() - 1 for o in grp.torsion_orders) for grp in groups]
     if layers != [2, 1, 1, 2]:
         failures.append({"layers": layers})
     return _result("C2", "s4", failures, "Z/4 table orders are (4, 2, 2, 4) at the four even spots")
@@ -224,20 +220,11 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
         for p, q in ct.bidegrees():
             for s in range(2, opts.smax + 1):
                 t, r, _ = tower.transition_maps(n, p, q, s)
-                hi = tower.mod_2s_group(n, p, q, s)
-                lo = tower.mod_2s_group(n, p, q, s - 1)
-                two_hi = tuple(
-                    tuple((2 if i == j else 0) for j in range(hi.ngens))
-                    for i in range(hi.ngens)
-                )
-                two_lo = tuple(
-                    tuple((2 if i == j else 0) for j in range(lo.ngens))
-                    for i in range(lo.ngens)
-                )
-                if t.compose(r).matrix != tower.GroupHom(hi, hi, two_hi).matrix:
-                    failures.append({"n": n, "bidegree": (p, q), "s": s, "side": "t*r"})
-                if r.compose(t).matrix != tower.GroupHom(lo, lo, two_lo).matrix:
-                    failures.append({"n": n, "bidegree": (p, q), "s": s, "side": "r*t"})
+                squares = (("t*r", t.compose(r), t.codomain), ("r*t", r.compose(t), t.domain))
+                for side, square, grp in squares:
+                    twice = tuple(tuple(2 * (i == j) for j in range(grp.ngens)) for i in range(grp.ngens))
+                    if square.matrix != tower.GroupHom(grp, grp, twice).matrix:
+                        failures.append({"n": n, "bidegree": (p, q), "s": s, "side": side})
     return _result(
         "s5.squares", "s5", failures,
         "coefficient inclusion after reduction is multiplication by 2",

@@ -3,7 +3,8 @@
 A Rost table of index n has Θ(2^n) entries, so building it should cost
 Θ(2^n) too: about ×2 per step of n.  An inverse limit over a tower of
 depth S should cost Θ(S), and the non-algebraic report of Q^d O(d): about
-×2 when S or d doubles.  The work is counted as profiler events (every
+×2 when S or d doubles.  The motive decomposition of Q^d should cost
+O(log d): about ×2 when the bits of d double.  The work is counted as profiler events (every
 Python and C call and return), which depend on the code alone, not on the
 host, so the ratio between two sizes is exact on every Python.  Only
 ratios are asserted, never counts, because the interpreter's own calls
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 from etale_quadrics import tower
-from etale_quadrics.quadrics import nonalgebraic_report, rost_table
+from etale_quadrics.quadrics import decompose_motive, nonalgebraic_report, rost_table
 from etale_quadrics.tower import CoefficientTower, etale_2adic
 
 # ×2 per doubling of the size is the target; the rest is headroom for
@@ -83,3 +84,12 @@ def test_etale_2adic_cost_doubles_per_index():
 def test_nonalgebraic_report_cost_is_linear_in_d():
     ratio = profile_events(nonalgebraic_report, 2046) / profile_events(nonalgebraic_report, 1023)
     assert ratio <= MAX_RATIO, f"nonalgebraic_report(d) grows x{ratio:.2f} from d = 1023 to 2046"
+
+
+def test_decompose_motive_cost_is_linear_in_the_bits_of_d():
+    """d = 0b1010...10 takes one block per bit but the last two, so its
+    decomposition costs O(log d): about ×2 from 20 bits (18 blocks) to 40
+    bits (38 blocks)."""
+    short, long = int("10" * 10, 2), int("10" * 20, 2)
+    ratio = profile_events(decompose_motive, long) / profile_events(decompose_motive, short)
+    assert ratio <= MAX_RATIO, f"decompose_motive(d) grows x{ratio:.2f} from 20 to 40 bits"

@@ -6,6 +6,8 @@ row-reduction oracle written here from scratch, and one integer fixture
 against a hand-built Smith form.
 """
 
+from itertools import product
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as reference_snf
@@ -17,7 +19,7 @@ from etale_quadrics.presentations import (
     compare_with_assembly,
     format_poly,
     graded_ranks,
-    monomials_of_degree,
+    monomial_table,
     parse_poly,
     parse_presentation,
     presentation_for_quadric,
@@ -130,14 +132,24 @@ def test_flag_degree_four_by_hand():
     assert table.profile(4) == (2, (2,))
 
 
+@pytest.mark.parametrize("degrees", ((2,), (2, 4), (2, 2), (2, 4, 6), (4, 6, 2)))
+def test_monomial_table(degrees):
+    """Every exponent tuple of each degree, lexicographically descending."""
+    table = monomial_table(degrees, 14)
+    every = sorted(product(range(8), repeat=len(degrees)), reverse=True)
+    assert table == [
+        [m for m in every if sum(e * d for e, d in zip(m, degrees)) == k] for k in range(15)
+    ]
+
+
 def gf2_dimensions(p: RingPresentation, max_degree: int) -> dict[int, int]:
     """Independent oracle: per-degree dimension over GF(2) by naive row
-    reduction of the relation products, no shared code with the package
-    machinery."""
+    reduction of the relation products; it shares only the monomial basis
+    with the package, which test_monomial_table checks by brute force."""
     degrees = p.generator_degrees
+    table = monomial_table(degrees, max_degree)
     dims = {}
-    for k in range(max_degree + 1):
-        monos = monomials_of_degree(degrees, k)
+    for k, monos in enumerate(table):
         if not monos:
             continue
         index = {m: i for i, m in enumerate(monos)}
@@ -146,7 +158,7 @@ def gf2_dimensions(p: RingPresentation, max_degree: int) -> dict[int, int]:
             rdeg = sum(e * d for e, d in zip(rel[0][0], degrees))
             if rdeg > k:
                 continue
-            for m in monomials_of_degree(degrees, k - rdeg):
+            for m in table[k - rdeg]:
                 row = [0] * len(monos)
                 for exps, coeff in rel:
                     shifted = tuple(a + b for a, b in zip(exps, m))

@@ -19,7 +19,6 @@ from etale_quadrics.quadrics import (
     claim_neighbor,
     claim_norm_quadric,
     decompose_motive,
-    has_nonalgebraic,
     nonalgebraic_report,
     parse_coefficients,
     rost_table,
@@ -376,8 +375,8 @@ def test_tower_route_is_universal_coefficients_on_the_closed_form(d, s):
 
 
 def test_boundary():
-    assert [has_nonalgebraic(d) for d in range(1, 7)] == [False] * 6
-    assert all(has_nonalgebraic(d) for d in range(7, 65))
+    assert [nonalgebraic_report(d).has_nonalgebraic for d in range(1, 7)] == [False] * 6
+    assert all(nonalgebraic_report(d).has_nonalgebraic for d in range(7, 65))
     for d in range(1, 65):
         assert len(set(boundary_predicates(d))) == 1
 

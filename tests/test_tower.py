@@ -144,9 +144,7 @@ def test_transitions_on_the_free_spot():
         t, r, _ = transition_maps(2, 6, 7, s)
         assert t.matrix == ((2,),)
         assert r.matrix == ((1,),)
-        hi = mod_2s_group(2, 6, 7, s)
-        tr = t.compose(r)
-        assert tr.apply([1]) == (2 % 2**s,)
+        assert t.compose(r).matrix == ((2 % 2**s,),)
 
 
 # sha256 over the tower route as first written, with one part list per
