@@ -215,6 +215,17 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
     Degree k is presented on its monomial basis modulo the columns
     relation * monomial; generator labels keep the smallest contributing
     monomial.
+
+    Before the cokernel, a column whose only live entry (nonzero in the
+    coefficients) is odd kills its monomial: an odd integer is a unit over
+    the 2-local integers, so that monomial is 0 in the quotient and its row
+    and the column drop out with no change to the group.  Dropping rows
+    leaves other columns with a lone odd entry, so this repeats until no
+    column has one; then the columns with no live entry left go too, and
+    `cokernel` runs on what remains.  A killed monomial projects to 0 on
+    every surviving class, so it never was a contributing label; the other
+    labels are read off the elimination of the smaller matrix, and for
+    every built-in family they are those of the full one.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
@@ -227,22 +238,30 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
         if not monos:
             continue
         index = {m: i for i, m in enumerate(monos)}
-        module = FinAb2Group(
-            tuple(CyclicSummand(base_order, monomial_label(m, names)) for m in monos)
-        )
-        cols = []
+        cols = []  # each column as {row: entry}, live entries only
         for rel, rdeg in zip(p.relations, rel_degs):
             if rdeg > k:
                 continue
             for m in table[k - rdeg]:
-                col = [0] * len(monos)
+                col: dict[int, int] = {}
                 for exps, coeff in _multiply(rel, m):
-                    col[index[exps]] += coeff
-                cols.append(col)
-        domain = FinAb2Group(tuple(CyclicSummand(0, f"r{i}") for i in range(len(cols))))
-        hom = GroupHom(
-            domain, module, tuple(tuple(col[i] for col in cols) for i in range(len(monos)))
+                    i = index[exps]
+                    col[i] = col.get(i, 0) + coeff
+                cols.append({i: c for i, c in col.items() if (c % base_order if base_order else c)})
+        dead: set[int] = set()
+        while True:
+            lives = ([i for i in col if i not in dead] for col in cols)
+            kills = {live[0] for live, col in zip(lives, cols) if len(live) == 1 and col[live[0]] & 1}
+            if not kills:
+                break
+            dead |= kills
+        rows = [i for i in range(len(monos)) if i not in dead]
+        cols = [col for col in cols if not dead.issuperset(col)]
+        module = FinAb2Group(
+            tuple(CyclicSummand(base_order, monomial_label(monos[i], names)) for i in rows)
         )
+        domain = FinAb2Group(tuple(CyclicSummand(0, f"r{i}") for i in range(len(cols))))
+        hom = GroupHom(domain, module, tuple(tuple(col.get(i, 0) for col in cols) for i in rows))
         entries += (GradedSummand(k, sm.order, sm.label) for sm in cokernel(hom).summands)
     return Graded2Group.from_entries(entries)
 

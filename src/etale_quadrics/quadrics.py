@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from itertools import accumulate
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import rost
@@ -196,22 +196,22 @@ class NonAlgebraicReport(NamedTuple):
 def nonalgebraic_report(d: int) -> NonAlgebraicReport:
     """Non-algebraic torsion classes of Q^d per degree, one block (n, j0, m)
     at a time: a non-algebraic degree c of M_n adds +1 at c + 2 j0 and -1
-    at c + 2 (j0 + m) of a difference array, summed over the even degrees.
-    The block indices strictly decrease, so the 2^(n-1) of the blocks sum
-    to at most d + 2 and the report costs O(d)."""
-    diff: Counter[int] = Counter()
-    for n, j0, m in decompose_motive(d).blocks:
+    at c + 2 (j0 + m) of a difference array, one flat list indexed by
+    degree / 2 (every degree here is even), and its running sums are the
+    dims.  The top class of M_n tensor T^(j0+m-1) sits in degree
+    2^(n+1) - 2 + 2 (j0 + m - 1) <= 2d and c <= 2^(n+1) - 4, so every index
+    is at most d.  The block indices strictly decrease, so the 2^(n-1) of
+    the blocks sum to at most d + 2 and the report costs O(d)."""
+    blocks = decompose_motive(d).blocks  # rejects an invalid d first
+    diff = [0] * (d + 1)
+    for n, j0, m in blocks:
         if n < 1:
             continue
         for deg in rost.nonalgebraic_quotient(n):
-            diff[deg + 2 * j0] += 1
-            diff[deg + 2 * (j0 + m)] -= 1
-    dims, dim = [], 0
-    for deg in range(0, max(diff, default=0) + 1, 2):
-        dim += diff[deg]
-        if dim:
-            dims.append((deg, dim))
-    return NonAlgebraicReport(d, tuple(dims))
+            diff[deg // 2 + j0] += 1
+            diff[deg // 2 + j0 + m] -= 1
+    dims = tuple((2 * h, dim) for h, dim in enumerate(accumulate(diff)) if dim)
+    return NonAlgebraicReport(d, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ def _result(check_id, scope, failures, detail):
     return CheckResult(check_id, scope, not failures, detail, diff=failures or None)
 
 
+def _nothing(lo: int, hi: int) -> str:
+    """The detail of a check over an empty index range n=lo..hi, hi < lo:
+    it passes, but over nothing."""
+    return f"nothing checked, the range n={lo}..{hi} is empty"
+
+
 # ---------------------------------------------------------------------------
 # s2: the mod-2 ring and its cycle image
 
@@ -111,7 +117,8 @@ def check_torsion_ladder(opts: VerifyOptions) -> CheckResult:
             failures.append({"n": n, "free": (repr(one), repr(pi))})
     return _result(
         "s3.ladder", "s3", failures,
-        "one 2-torsion class per degree 1..top on the diagonal, frees at 0 and top",
+        "one 2-torsion class per degree 1..top on the diagonal, frees at 0 and top"
+        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})"),
     )
 
 
@@ -133,7 +140,8 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
                 failures.append({"n": n, "degree": degree, "limit": "nonzero"})
     return _result(
         "s3.remark", "s3", failures,
-        "2 mod 4 degrees below the top are ghost-only and vanish in the limit",
+        "2 mod 4 degrees below the top are ghost-only and vanish in the limit"
+        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})"),
     )
 
 
@@ -285,9 +293,10 @@ def check_decomposition_fixtures(opts: VerifyOptions) -> CheckResult:
     bad = [d for d in range(1, opts.dmax + 1) if not sweep_ok(d)]
     if bad:
         failures.append({"sweep_failures": bad})
+    closed = f"for n=2..{opts.nmax}" if opts.nmax >= 2 else f"({_nothing(2, opts.nmax)})"
     return _result(
         "C6", "s7", failures,
-        f"closed-form decompositions for n=2..{opts.nmax} and sweep invariants for d<=" f"{opts.dmax}",
+        f"closed-form decompositions {closed} and sweep invariants for d<={opts.dmax}",
     )
 
 
@@ -313,7 +322,8 @@ def check_norm_quadrics(opts: VerifyOptions) -> CheckResult:
         failures += quadrics.claim_norm_quadric(n)
     return _result(
         "C8", "s7", failures,
-        f"norm quadrics n=3..{opts.nmax}: 0 mod 4 degrees up to 2^(n+1)-12 are non-algebraic, free part algebraic",
+        f"norm quadrics n=3..{opts.nmax}: 0 mod 4 degrees up to 2^(n+1)-12 are non-algebraic, free part algebraic"
+        if opts.nmax >= 3 else f"norm quadrics: {_nothing(3, opts.nmax)}",
     )
 
 
@@ -324,7 +334,8 @@ def check_neighbors(opts: VerifyOptions) -> CheckResult:
             failures += quadrics.claim_neighbor(kind, n)
     return _result(
         "C9", "s7", failures,
-        f"Pfister neighbors n=3..{opts.nmax}: 0 mod 4 degrees below 2d-8 are non-algebraic",
+        f"Pfister neighbors n=3..{opts.nmax}: 0 mod 4 degrees below 2d-8 are non-algebraic"
+        if opts.nmax >= 3 else f"Pfister neighbors: {_nothing(3, opts.nmax)}",
     )
 
 

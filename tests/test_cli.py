@@ -451,6 +451,26 @@ def test_table_memory_is_flat_in_d(tmp_path):
     assert peaks[1022] <= 2 * peaks[127], peaks
 
 
+@pytest.mark.parametrize(
+    "nmax, empty",
+    [("1", {"s3.ladder", "s3.remark", "C6", "C8", "C9"}), ("2", {"C8", "C9"})],
+)
+def test_verify_names_an_empty_index_range(capsys, nmax, empty):
+    """A check whose index range n=lo..hi is empty passes over nothing, and
+    its detail says so instead of printing the range as if it were checked."""
+    import re
+
+    from etale_quadrics import cli
+
+    assert cli.main(["verify", "--scope", "all", "--nmax", nmax, "--dmax", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    vacuous = {line.split(":")[0].split()[1] for line in lines if "nothing checked" in line}
+    assert vacuous == empty
+    for line in lines:
+        for lo, hi in re.findall(r"n=(\d+)\.\.(\d+)", line):
+            assert int(lo) <= int(hi) or f"the range n={lo}..{hi} is empty" in line, line
+
+
 def test_verify_json_format():
     res = run_cli("verify", "--scope", "s9", "--format", "json")
     payload = json.loads(res.stdout)

@@ -10,15 +10,22 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as reference_snf
 
+from etale_quadrics import presentations
+from etale_quadrics.abelian import CyclicSummand, FinAb2Group, GroupHom, cokernel
 from etale_quadrics.errors import NonHomogeneousRelation, UnknownFamily
+from etale_quadrics.graded import Graded2Group, GradedSummand
 from etale_quadrics.presentations import (
     RingPresentation,
     builtin_presentation,
     compare_with_assembly,
     format_poly,
     graded_ranks,
+    make_poly,
+    monomial_label,
     monomial_table,
     parse_poly,
     parse_presentation,
@@ -227,3 +234,137 @@ def test_q7_relation_set():
 def test_compare_with_assembly():
     for d in (3, 5, 6, 7, 15):
         assert compare_with_assembly(d) == []
+
+
+# ---------------------------------------------------------------------------
+# the unit-column prune against the full relation matrix
+
+
+def unpruned_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
+    """Reference: graded_ranks with no prune, the cokernel of every
+    relation column against the whole monomial basis of each degree."""
+    names = p.generator_names
+    base_order = 0 if p.coefficients == "Z2" else 2
+    table = monomial_table(p.generator_degrees, max_degree)
+    entries = []
+    for k, monos in enumerate(table):
+        if not monos:
+            continue
+        index = {m: i for i, m in enumerate(monos)}
+        module = FinAb2Group(
+            tuple(CyclicSummand(base_order, monomial_label(m, names)) for m in monos)
+        )
+        cols = []
+        for rel, rdeg in zip(p.relations, p.relation_degrees()):
+            if rdeg > k:
+                continue
+            for m in table[k - rdeg]:
+                col = [0] * len(monos)
+                for exps, coeff in rel:
+                    col[index[tuple(a + b for a, b in zip(exps, m))]] += coeff
+                cols.append(col)
+        domain = FinAb2Group(tuple(CyclicSummand(0, f"r{i}") for i in range(len(cols))))
+        hom = GroupHom(
+            domain, module, tuple(tuple(col[i] for col in cols) for i in range(len(monos)))
+        )
+        entries += (GradedSummand(k, sm.order, sm.label) for sm in cokernel(hom).summands)
+    return Graded2Group.from_entries(entries)
+
+
+BUILTIN_RANGES = (
+    [("G2_flag_etale", None, 64), ("G2_flag_chow_mod2", None, 12), ("G2_GT_mod2", None, 12)]
+    + [(family, None, 2 * d + 4) for family, d in (("Q3", 3), ("Q5", 5), ("Q6", 6), ("Q7", 7))]
+    + [("norm", n, 2 * (2**n - 1) + 4) for n in range(2, 8)]
+)
+
+
+@pytest.mark.parametrize("family, param, max_degree", BUILTIN_RANGES, ids=str)
+def test_prune_keeps_every_builtin_entry(family, param, max_degree):
+    """Labels included: the G2 families at the degrees the flag-variety
+    check reads, the quadrics four degrees past their top class."""
+    p = builtin_presentation(family, param)
+    assert graded_ranks(p, max_degree).entries == unpruned_ranks(p, max_degree).entries
+
+
+@pytest.fixture
+def cokernel_rows(monkeypatch):
+    """The codomain labels of every cokernel graded_ranks takes, by call."""
+    seen = []
+
+    def recording(hom):
+        seen.append(hom.codomain.labels)
+        return cokernel(hom)
+
+    monkeypatch.setattr(presentations, "cokernel", recording)
+    return seen
+
+
+def test_prune_keeps_a_lone_even_entry(cokernel_rows):
+    """2*rho4 is its column's only entry, but even: it kills nothing."""
+    p = parse_presentation("coeff Z2\ngen rho4 4\nrel 2*rho4")
+    table = graded_ranks(p, 8)
+    assert table.entries == unpruned_ranks(p, 8).entries
+    assert [(e.degree, e.order, e.label) for e in table.entries] == [
+        (0, 0, "1"), (4, 2, "rho4"), (8, 2, "rho4^2"),
+    ]
+    assert cokernel_rows == [("1",), ("rho4",), ("rho4^2",)]
+
+
+def test_prune_iterates(cokernel_rows):
+    """a kills a; then a + 3*b has the lone odd entry 3*b and kills b; then
+    b + 2*c has the lone even entry 2*c, which kills nothing: c is Z/2."""
+    p = parse_presentation(
+        "coeff Z2\ngen a 2\ngen b 2\ngen c 2\nrel a\nrel a + 3*b\nrel b + 2*c"
+    )
+    table = graded_ranks(p, 2)
+    assert table.entries == unpruned_ranks(p, 2).entries
+    assert table.at(2) == (GradedSummand(2, 2, "c"),)
+    assert cokernel_rows == [("1",), ("c",)]
+
+
+def test_prune_reads_f2_entries_modulo_two(cokernel_rows):
+    """Over F2 the 2*b of a + 2*b is zero, so the column kills a."""
+    p = parse_presentation("coeff F2\ngen a 2\ngen b 2\nrel a + 2*b")
+    assert graded_ranks(p, 2).entries == unpruned_ranks(p, 2).entries
+    assert cokernel_rows == [("1",), ("b",)]
+
+
+def test_prune_leaves_a_degree_with_no_entry(cokernel_rows):
+    """Every monomial of degrees 4 and 6 dies under h^2: the cokernel of
+    the empty module, and no entry in those degrees."""
+    p = parse_presentation("coeff Z2\ngen h 2\nrel h^2")
+    table = graded_ranks(p, 6)
+    assert table.entries == unpruned_ranks(p, 6).entries
+    assert [e.degree for e in table.entries] == [0, 2]
+    assert cokernel_rows == [("1",), ("h",), (), ()]
+
+
+@st.composite
+def small_presentations(draw):
+    """Up to three generators of degree 2 or 4 and up to four homogeneous
+    relations with small coefficients, over either coefficient ring."""
+    degrees = tuple(draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3)))
+    names = ("a", "b", "c")[: len(degrees)]
+    table = monomial_table(degrees, 8)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = table[draw(st.sampled_from([2, 4, 6, 8]))]
+        coeff = st.sampled_from([0, 1, -1, 2, 3, -2, 4])
+        rel = make_poly((m, draw(coeff)) for m in monos)
+        if rel:
+            relations.append(rel)
+    coefficients = draw(st.sampled_from(["Z2", "F2"]))
+    return RingPresentation(coefficients, tuple(zip(names, degrees)), tuple(relations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+def test_prune_keeps_the_groups(p):
+    """Every degree is the same group as without the prune.  Labels are
+    read off the smaller elimination, so only the built-in families pin
+    them; here each must still name a monomial of its degree."""
+    table = graded_ranks(p, 8)
+    assert table.profiles() == unpruned_ranks(p, 8).profiles()
+    labels = [{monomial_label(m, p.generator_names) for m in monos} for monos in monomial_table(p.generator_degrees, 8)]
+    for e in table.entries:
+        assert e.label.split("~")[0] in labels[e.degree]
