@@ -8,10 +8,12 @@ image), verify (the built-in exactness sweeps).
 Output is deterministic: identical invocations produce identical bytes,
 and nothing carries a timestamp.  Table records are emitted in the order
 (degree, Rost index descending, Tate twist, label) in which
-quadrics.iter_cohomology yields them, one group per degree, not sorted
-here, and written while they are computed.  Exit codes: 0 success (also
-when the reader of stdout stops early), 1 verification mismatch, 2 invalid
-input or usage (an --out path that cannot be written included).
+quadrics.iter_cohomology yields them, one group of block segments per
+degree, not sorted here, and written while they are computed: each Rost
+entry's text is formatted once, each term's source cell once, and a row
+is one f-string of the two.  Exit codes: 0 success (also when the reader
+of stdout stops early), 1 verification mismatch, 2 invalid input or usage
+(an --out path that cannot be written included).
 
 Each subcommand imports only the modules it runs, since every process pays
 its imports: the tables need quadrics, rost, mod2 and graded, mod2s:<s> adds
@@ -27,7 +29,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -50,9 +52,9 @@ CHUNK_ROWS = 4096
 
 # The table bound: the largest Rost index the CLI tabulates.  The table of
 # M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
-# --coeff mod2` writes 134 MB in 1.4 s with 19 MB resident on a 2-core Xeon
-# host, where the table built whole took 19 s and 1.0 GB.  The library
-# itself has no bound.
+# --coeff mod2` writes 134 MB in 0.65 s with 17 MB resident on a 2-core Xeon
+# host (spawned, best of 5), where the table built whole took 19 s and
+# 1.0 GB.  The library itself has no bound.
 MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
 # d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
@@ -124,13 +126,16 @@ def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
 def _write_table(
     write: Callable[[str], object], fmt: str, target: str, coeff: str, groups: Iterable
 ) -> None:
-    """Write per-degree groups (c, rows), rows (n, j, _row_parts(fmt, e)),
-    as they come, once CHUNK_ROWS rows are held, so that no table is ever
-    held whole.  The degree-and-twist prefix is formatted once per
-    degree, with the twist string looked up by degree mod 4 (0 and 2:
-    parity 0 and 1, odd: none), and the source cell once per term (n, j);
-    each degree's rows are one join.  The JSON is byte for byte
-    json.dumps(payload, indent=2) of the whole table."""
+    """Write per-degree groups (c, segments), segments (cells, here) as
+    iter_cohomology yields them with view _row_parts(fmt, _) and the j
+    column of each term as its cell, as they come, once CHUNK_ROWS rows
+    are held, so that no table is ever held whole.  The degree-and-twist
+    prefix is formatted once per degree, with the twist string looked up by
+    degree mod 4 (0 and 2: parity 0 and 1, odd: none).  A row is one
+    f-string: that prefix, then the entry's (mid, tail) around its term's
+    cell, read by index off the segment's cells; each degree's rows are
+    one join.  The JSON is byte for byte json.dumps(payload, indent=2) of
+    the whole table."""
     if fmt == "json":
         write(
             f'{{\n  "target": {json.dumps(target)},\n'
@@ -138,24 +143,21 @@ def _write_table(
         )
         twists = ("0", "null", "1", "null")
         prefix = lambda c: f'\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n'
-        cell = lambda n, j: str(j)
     elif fmt == "csv":
         write(",".join(RECORD_FIELDS) + "\n")
         twists = ("0", "", "1", "")
         prefix = lambda c: f"{c},{twists[c & 3]},"
-        cell = lambda n, j: str(j)
     else:
         write(f"# {target}  coefficients={coeff}\n")
         write(f"{'degree':>6}  {'twist':>5}  {'order':>6}  {'generator':<24}  {'source':<10}  algebraic\n")
         twists = ("0", "-", "1", "-")
         prefix = lambda c: f"{c:>6}  {twists[c & 3]:>5}  "
-        cell = lambda n, j: f"M{n}*T{j}".ljust(10)
-    cells = cache(cell)
     sep = "," if fmt == "json" else ""
     lead, chunk, held = "", [], 0  # lead: the separator before every degree but the first
-    for c, rows in groups:
+    for c, segments in groups:
         head = prefix(c)
-        chunk.append(lead + sep.join([f"{head}{mid}{cells(n, j)}{tail}" for n, j, (mid, tail) in rows]))
+        rows = [f"{head}{mid}{cells[(c - g) >> 1]}{tail}" for cells, here in segments for g, (mid, tail) in here]
+        chunk.append(lead + sep.join(rows))
         lead, held = sep, held + len(rows)
         if held >= CHUNK_ROWS:
             write("".join(chunk))
@@ -204,12 +206,13 @@ def _cmd_cohomology(args) -> int:
         _check_bound("quadric dimension", args.d, MAX_DIMENSION)
         target = f"Q^{args.d}"
     view = partial(_row_parts, args.format)
+    cell = (lambda n, j: f"M{n}*T{j}".ljust(10)) if args.format == "text" else (lambda n, j: str(j))
     with _output(args.out) as write:
         if args.rost is None:
-            groups = iter_cohomology(args.d, args.coeff, view)
-        else:
-            entries = groupby(rost_table(args.rost, args.coeff).entries, key=attrgetter("degree"))
-            groups = ((c, [(args.rost, 0, view(e)) for e in at]) for c, at in entries)
+            groups = iter_cohomology(args.d, args.coeff, view, cell)
+        else:  # one segment per degree, every row of the term M_n tensor T^0
+            cells, entries = [cell(args.rost, 0)], rost_table(args.rost, args.coeff).entries
+            groups = ((c, [(cells, [(c, view(e)) for e in at])]) for c, at in groupby(entries, attrgetter("degree")))
         _write_table(write, args.format, target, args.coeff, groups)
     return 0
 

@@ -134,47 +134,53 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
 
 
 def iter_cohomology(
-    d: int, coeff: str = "2adic", view: Callable[[GradedSummand], Any] = lambda e: e
-) -> Iterator[tuple[int, list[tuple[int, int, Any]]]]:
+    d: int, coeff: str = "2adic", view: Callable[[GradedSummand], Any] = lambda e: e,
+    cell: Callable[[int, int], Any] = lambda n, j: (n, j),
+) -> Iterator[tuple[int, list[tuple[list, list[tuple[int, Any]]]]]]:
     """The cohomology of the dimension-d anisotropic quadric, the direct sum
-    of its shifted Rost tables, as one group (c, rows) per nonempty degree
-    c, degrees ascending: M_0 tensor T^j is the algebraic unit class in
-    degree 2j, and M_n tensor T^j moves every class e of rost_table(n) up
-    by 2j in degree, giving the row (n, j, view(e)).  The rows come in the
-    order of graded._sort_key with no sort: per degree, the blocks (n
-    strictly decreasing), j ascending, then the entries at c - 2j in the
-    table's label order.  Each block holds its entries split by degree
-    parity and stably sorted by degree descending, so the rows of degree c
-    are one slice, bisected to degrees c - 2 j1 .. c - 2 j0.  A table costs
-    Θ(rows + degrees·blocks): no empty cell is visited, and view runs once
-    per entry of the O(d) entries held, not once per row of the Θ(d²)."""
+    of its shifted Rost tables, as one group (c, segments) per nonempty
+    degree c, degrees ascending: M_0 tensor T^j is the algebraic unit class
+    in degree 2j, and M_n tensor T^j moves every class e of rost_table(n)
+    up by 2j in degree.  A segment (cells, here) is one block (n, j0, m)
+    with rows in degree c: cells holds cell(n, j) for j0 <= j < j0 + m,
+    and here the pairs (g, view(e)) of its rows, g the degree of e in
+    M_n tensor T^j0, so the row's term is M_n tensor T^j with
+    cells[(c - g) >> 1] its cell.  The rows come in the order of
+    graded._sort_key with no sort: per degree, the blocks (n strictly
+    decreasing), j ascending, then the entries at c - 2j in the table's
+    label order.  Each block holds its entries split by degree parity and
+    stably sorted by degree descending, so the rows of degree c are one
+    slice, bisected to g = c - 2(m - 1) .. c.  A table costs
+    Θ(rows + degrees·blocks), and nothing is built per row: no empty cell
+    is visited, view runs once per entry of the O(d) Rost entries held and
+    cell once per term, not once per row of the Θ(d²)."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
     unit = GradedSummand(0, unit_order, "1", True, (0, 0))  # M_0 tensor T^0
-    blocks, top = [], 0
+    parts = ([], [])  # per parity of c: (cells, span, keys, pairs) per block
     for n, j0, m in decompose_motive(d).blocks:  # each n occurs in one block
-        table = rost_table(n, coeff).entries if n else (unit,)
-        halves = ([], [])  # the entries of even and of odd degree
-        for e in sorted(table, key=lambda e: -e.degree):  # stable: label order
-            halves[e.degree & 1].append((e.degree, view(e)))
-        blocks.append((n, 2 * j0, 2 * (j0 + m - 1), [([-g for g, _ in h], h) for h in halves]))
-        top = max(top, table[-1].degree + 2 * (j0 + m - 1))  # the top degree sorts last
-    for c in range(top + 1):
-        rows = []
-        for n, lo, hi, halves in blocks:
-            keys, half = halves[c & 1]  # keys: the degrees negated, ascending
-            here = half[bisect_left(keys, lo - c) : bisect_right(keys, hi - c)]
-            rows += [(n, (c - g) >> 1, item) for g, item in here]
-        if rows:
-            yield c, rows
+        table = sorted(rost_table(n, coeff).entries if n else (unit,), key=lambda e: -e.degree)  # stable
+        cells = [cell(n, j) for j in range(j0, j0 + m)]
+        for p in (0, 1):  # the entries of even and of odd degree
+            half = [(e.degree + 2 * j0, view(e)) for e in table if e.degree & 1 == p]
+            parts[p].append((cells, 2 * (m - 1), [-g for g, _ in half], half))
+    for c in range(2 * d + 1):  # the top class of Q^d sits in degree 2d
+        segments = [
+            (cells, here)
+            for cells, span, keys, half in parts[c & 1]  # keys: the degrees negated, ascending
+            if (here := half[bisect_left(keys, -c) : bisect_right(keys, span - c)])
+        ]
+        if segments:
+            yield c, segments
 
 
 def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
-    """The rows of iter_cohomology as a Graded2Group, already in order."""
+    """The rows of iter_cohomology as a Graded2Group, already in order, each
+    entry's source (n, j) read off the default cell of its term."""
     entries = (
-        GradedSummand(c, e.order, e.label, e.algebraic, (n, j))
-        for c, rows in iter_cohomology(d, coeff)
-        for n, j, e in rows
+        GradedSummand(c, e.order, e.label, e.algebraic, cells[(c - g) >> 1])
+        for c, segments in iter_cohomology(d, coeff)
+        for cells, here in segments for g, e in here
     )
     return Graded2Group(tuple(entries))
 

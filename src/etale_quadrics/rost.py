@@ -15,6 +15,8 @@ that are not Chow degrees).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graded import Graded2Group, GradedSummand
 from .mod2 import _check_index, top_rho_exponent
 
@@ -50,9 +52,10 @@ def rost_etale_table(n: int) -> Graded2Group:
     return Graded2Group.from_entries(free + torsion)
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: True is refused, not read as 1
 def nonalgebraic_quotient(n: int) -> tuple[int, ...]:
     """Degrees carrying a Z/2 class not hit by the cycle map: the torsion
-    degrees 4m that are not Chow torsion degrees."""
-    _check_index(n)
-    algebraic = set(chow_torsion_degrees(n))
+    degrees 4m that are not Chow torsion degrees, computed once per index
+    (the report of every Q^d reads them per block)."""
+    algebraic = set(chow_torsion_degrees(n))  # checks n
     return tuple(d for d in torsion_degrees(n) if d not in algebraic)

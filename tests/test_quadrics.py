@@ -196,6 +196,15 @@ def cached_rost_tables(monkeypatch):
     return cached
 
 
+def flat_rows(groups):
+    """The rows (c, n, j, e) of iter_cohomology's groups made with the
+    default view and cell, each segment's cell read by its entry's degree."""
+    for c, segments in groups:
+        for cells, here in segments:
+            for g, e in here:
+                yield (c, *cells[(c - g) >> 1], e)
+
+
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
 def test_rows_come_in_sort_order(cached_rost_tables, coeff):
     """iter_cohomology emits rows in the order of the global sort it
@@ -206,11 +215,7 @@ def test_rows_come_in_sort_order(cached_rost_tables, coeff):
         if d <= 64:
             entries = list(assemble_cohomology(d, coeff).entries)
             assert entries == sorted(entries, key=graded._sort_key), d
-        keys = [
-            (c, -n, j, e.label)
-            for c, rows in quadrics.iter_cohomology(d, coeff)
-            for n, j, e in rows
-        ]
+        keys = [(c, -n, j, e.label) for c, n, j, e in flat_rows(quadrics.iter_cohomology(d, coeff))]
         assert keys == sorted(keys), d
 
 
@@ -232,20 +237,20 @@ def shifted_reference(d, coeff):
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
 def test_rows_are_complete(cached_rost_tables, coeff):
     """No row is lost at a window edge, which sorted rows alone would not
-    show: for every d <= 300 each group is one nonempty degree, degrees
-    strictly increasing, and the row count is that of the shifted Rost
-    tables, M_0 counting one; for d <= 64 the table is the shifted
-    reference entry for entry."""
+    show: for every d <= 300 each group is one nonempty degree with no
+    empty segment, degrees strictly increasing up to the top class in
+    degree 2d, and the row count is that of the shifted Rost tables, M_0
+    counting one; for d <= 64 the table is the shifted reference entry for
+    entry."""
     for d in range(1, 301):
-        degrees, count = [], 0
-        for c, rows in quadrics.iter_cohomology(d, coeff):
-            assert rows, (d, c)
-            degrees.append(c)
-            count += len(rows)
-        assert degrees == sorted(set(degrees)), d
+        groups = list(quadrics.iter_cohomology(d, coeff))
+        for c, segments in groups:
+            assert segments and all(here for _, here in segments), (d, c)
+        degrees = [c for c, _ in groups]
+        assert degrees == sorted(set(degrees)) and degrees[-1] == 2 * d, d
         blocks = decompose_motive(d).blocks
         sizes = {n: len(cached_rost_tables(n, coeff).entries) if n else 1 for n, _, _ in blocks}
-        assert count == sum(m * sizes[n] for n, _, m in blocks), d
+        assert len(list(flat_rows(groups))) == sum(m * sizes[n] for n, _, m in blocks), d
         if d <= 64:
             assert list(assemble_cohomology(d, coeff).entries) == shifted_reference(d, coeff), d
 
