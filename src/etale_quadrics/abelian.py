@@ -8,9 +8,9 @@ kernel that diagonalizes over the integers localized at 2 (pivot of least
 2-adic valuation); each returns the group alone, its generators labeled by
 the smallest contributing domain (kernel, image) or codomain (cokernel)
 generator.  Inverse limits take towers of finite groups: each
-chain of images into a level shrinks, so it is read by the structures of
-its images alone, computed only until the first stable run (Mittag-Leffler
-stabilization).
+chain of images into a level shrinks, so it is read by the orders of its
+images alone, computed only until the first stable run (Mittag-Leffler
+stabilization), and only the image that starts that run is labeled.
 
 Everything is exact over arbitrary-precision integers: odd factors are
 units 2-locally and get discarded.  All values are immutable
@@ -21,7 +21,7 @@ read-only use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import NotStabilized
@@ -255,24 +255,16 @@ class GroupHom:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m, k = self.codomain.ngens, self.domain.ngens
-        if len(self.matrix) != m or any(len(row) != k for row in self.matrix):
-            raise ValueError(f"matrix shape must be {m}x{k}")
-        reduced = tuple(
-            tuple(_reduce_entry(v, self.codomain.summands[i].order) for v in row)
-            for i, row in enumerate(self.matrix)
-        )
-        object.__setattr__(self, "matrix", reduced)
+        dom, cod = self.domain.orders, self.codomain.orders
+        if len(self.matrix) != len(cod) or any(len(row) != len(dom) for row in self.matrix):
+            raise ValueError(f"matrix shape must be {len(cod)}x{len(dom)}")
+        reduced = tuple(tuple([v % oc for v in row]) if oc else tuple(row) for oc, row in zip(cod, self.matrix))
         # o_dom(j) * column_j must vanish in the codomain
-        for j, o in enumerate(self.domain.orders):
-            if o == 0:
-                continue
-            for i, oc in enumerate(self.codomain.orders):
-                v = o * self.matrix[i][j]
-                if (v % oc if oc else v) != 0:
-                    raise ValueError(
-                        f"matrix entry ({i},{j}) incompatible with generator orders"
-                    )
+        for oc, row in zip(cod, reduced):
+            for o, v in zip(dom, row):
+                if o and (o * v % oc if oc else v):
+                    raise ValueError(f"matrix {reduced} incompatible with generator orders {dom} -> {cod}")
+        object.__setattr__(self, "matrix", reduced)
 
     @classmethod
     def identity(cls, group: FinAb2Group) -> "GroupHom":
@@ -394,6 +386,13 @@ def image(h: GroupHom) -> FinAb2Group:
     return _group(orders, gen_cols, A.labels, A.orders)
 
 
+def _image_order(h: GroupHom) -> int:
+    """|Im h| = |codomain| / |cokernel| for a finite codomain, from one
+    elimination and without labels."""
+    _, D, _, _ = _snf_ext(_relation_matrix(h))
+    return prod(h.codomain.orders) // prod(map(_two_part, _pivots(D)))
+
+
 # ---------------------------------------------------------------------------
 # inverse limits
 
@@ -404,10 +403,11 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
 
     For each level k the images Im(tower[m] -> tower[k]) shrink as m grows,
     and the levels are finite, so two of them are the same subgroup exactly
-    when they have the same structure.  They are computed one depth at a
-    time until WINDOW consecutive ones agree (the Mittag-Leffler condition,
-    read on a finite tower), and the first image of that run is the stable
-    one.  The limit is read off the stable images: a generator chain whose
+    when they have the same order.  Their orders are computed one depth at
+    a time until WINDOW consecutive ones agree (the Mittag-Leffler
+    condition, read on a finite tower), and the image of the composite that
+    began that run is the stable one, the only image built with labels.
+    The limit is read off the stable images: a generator chain whose
     order keeps doubling contributes a free 2-adic summand, a chain of
     constant order contributes that torsion summand, and chains with
     eventually-zero transition maps contribute nothing.
@@ -425,14 +425,14 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
 
     stable = []
     for k in range(T - WINDOW + 1):
-        comp = GroupHom.identity(tower[k])
-        first, run = image(comp), 1  # the image where the current run began
+        comp = first = GroupHom.identity(tower[k])
+        size, run = prod(tower[k].orders), 1  # |Im first|, where the current run began
         for f in maps[k:]:
             if run == WINDOW:
                 break
             comp = comp.compose(f)
-            img = image(comp)
-            first, run = (first, run + 1) if img.structure() == first.structure() else (img, 1)
+            order = _image_order(comp)
+            first, size, run = (first, size, run + 1) if order == size else (comp, order, 1)
         if run < WINDOW:
             if k == 0:
                 raise NotStabilized(
@@ -441,7 +441,7 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             # the chain into this level would only settle beyond the supplied
             # depth; the certified prefix of levels carries the pattern
             break
-        stable.append(first)
+        stable.append(image(first))
     if len(stable) < 2:
         raise NotStabilized(
             f"tower depth {T} too shallow for window {WINDOW}: image chains settled"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import rost
@@ -203,8 +203,9 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
     """Non-algebraic torsion classes of Q^d per degree, one block (n, j0, m)
     at a time: a non-algebraic degree c of M_n adds +1 at c + 2 j0 and -1
     at c + 2 (j0 + m) of a difference array, one flat list indexed by
-    degree / 2 (every degree here is even), and its running sums are the
-    dims.  The top class of M_n tensor T^(j0+m-1) sits in degree
+    degree / 2 (every degree here is even), and its nonzero running sums
+    are the dims, picked out in C rather than by a loop over the halves.
+    The top class of M_n tensor T^(j0+m-1) sits in degree
     2^(n+1) - 2 + 2 (j0 + m - 1) <= 2d and c <= 2^(n+1) - 4, so every index
     is at most d.  The block indices strictly decrease, so the 2^(n-1) of
     the blocks sum to at most d + 2 and the report costs O(d)."""
@@ -216,8 +217,8 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
         for deg in rost.nonalgebraic_quotient(n):
             diff[deg // 2 + j0] += 1
             diff[deg // 2 + j0 + m] -= 1
-    dims = tuple((2 * h, dim) for h, dim in enumerate(accumulate(diff)) if dim)
-    return NonAlgebraicReport(d, dims)
+    acc = list(accumulate(diff))
+    return NonAlgebraicReport(d, tuple(compress(zip(count(0, 2), acc), acc)))
 
 
 # ---------------------------------------------------------------------------

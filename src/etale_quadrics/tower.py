@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from . import mod2
 from .abelian import WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
@@ -111,6 +112,11 @@ _KINDS = {
 }
 
 
+# Verify reads each bidegree's parts at many levels, and those reads fall
+# close together: 128 lists keep every repeat of `verify --scope all`, even
+# at --smax 64, while a mod2s table, which reads each bidegree once, holds
+# no more than 128 of its lists.  Typed: True is refused, not read as 1.
+@lru_cache(maxsize=128, typed=True)
 def _uct_parts(n: int, p: int, q: int) -> tuple[tuple[str, str, str], ...]:
     """(kind, label, base) of each summand of H^(p,q) with Z/2^s
     coefficients, p <= q + 1: the same list at every level s.

@@ -4,7 +4,9 @@ The 2-local elimination kernel is checked against sympy's Smith normal
 form, whose invariant factors must agree with its diagonal up to odd
 factors; kernels and cokernels of finite groups are checked against
 brute-force element enumeration, which stays independent of the matrix
-route, and cokernels with free summands against sympy again.
+route, and cokernels with free summands against sympy again.  Inverse
+limits of random finite towers are checked against a reading of their
+image chains that labels every image and compares structures.
 """
 
 from collections import Counter
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as reference_snf
 
 from etale_quadrics.abelian import (
+    WINDOW,
     CyclicSummand,
     FinAb2Group,
     GroupHom,
@@ -418,3 +421,85 @@ def test_limit_rejects_mismatched_maps():
     groups, maps = reduction_tower(8)
     with pytest.raises(ValueError):
         inverse_limit(groups, maps[:-1])
+
+
+def image_structure_limit(tower, maps):
+    """inverse_limit as it read its chains before they were read by order:
+    a labeled image at every depth, compared with the image where the
+    current run began by structure()."""
+    stable = []
+    for k in range(len(tower) - WINDOW + 1):
+        comp = GroupHom.identity(tower[k])
+        first, run = image(comp), 1
+        for f in maps[k:]:
+            if run == WINDOW:
+                break
+            comp = comp.compose(f)
+            img = image(comp)
+            first, run = (first, run + 1) if img.structure() == first.structure() else (img, 1)
+        if run < WINDOW:
+            if k == 0:
+                raise NotStabilized("image chain into level 0 not constant")
+            break
+        stable.append(first)
+    if len(stable) < 2:
+        raise NotStabilized("image chains settled into fewer than two levels")
+    profiles = [sorted(g.summands, key=lambda s: (-s.order, s.label)) for g in stable]
+    if len({len(p) for p in profiles}) != 1:
+        raise NotStabilized("stable images change their number of summands")
+    result = []
+    for pos, last in enumerate(profiles[-1]):
+        seq = [p[pos].order for p in profiles]
+        if all(o == seq[0] for o in seq):
+            result.append(CyclicSummand(seq[0], last.label))
+        elif all(seq[i + 1] == 2 * seq[i] for i in range(len(seq) - 1)):
+            result.append(CyclicSummand(0, last.label))
+        else:
+            raise NotStabilized(f"no constant or doubling pattern in orders {seq}")
+    return FinAb2Group(tuple(result))
+
+
+@st.composite
+def finite_towers(draw):
+    """WINDOW + 1 to 8 levels of 1-3 cyclic summands of order <= 16, each
+    map scaled so that it respects the orders.  Half of the time the levels
+    all have the same orders, and half of the time a diagonal entry is odd
+    wherever the orders allow it, so that chains settle often and onto
+    nonzero images."""
+    level_orders = st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3)
+    depth = draw(st.integers(WINDOW + 1, 8))
+    if draw(st.booleans()):
+        orders = [draw(level_orders)] * depth
+    else:
+        orders = [draw(level_orders) for _ in range(depth)]
+    units = draw(st.booleans())
+    maps = []
+    for lo, hi in zip(orders, orders[1:]):
+        cols = []
+        for j, o in enumerate(hi):
+            col = []
+            for i, oc in enumerate(lo):
+                step = oc // gcd(o, oc)
+                if units and i == j and step == 1:
+                    col.append(2 * draw(st.integers(0, oc // 2 - 1)) + 1)
+                else:
+                    col.append(step * draw(st.integers(0, oc // step - 1)))
+            cols.append(col)
+        maps.append(hom(Z(*hi), Z(*lo), cols))
+    return [Z(*o) for o in orders], maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_towers())
+def test_limit_reads_chains_by_image_order(tower_and_maps):
+    """Reading each chain by image order gives the limit that labeled images
+    compared by structure give, labels included, and fails in the same
+    cases."""
+    tower, maps = tower_and_maps
+    try:
+        want = image_structure_limit(tower, maps)
+    except NotStabilized:
+        with pytest.raises(NotStabilized):
+            inverse_limit(tower, maps)
+    else:
+        assert inverse_limit(tower, maps) == want

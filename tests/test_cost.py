@@ -8,7 +8,8 @@ O(log d): about ×2 when the bits of d double.  The work is counted as profiler 
 Python and C call and return), which depend on the code alone, not on the
 host, so the ratio between two sizes is exact on every Python.  Only
 ratios are asserted, never counts, because the interpreter's own calls
-differ between Python versions.
+differ between Python versions.  Each measured call starts with the
+package's memos cleared, so that a warm memo never stands in for work.
 
 A quadric table has Θ(d²) rows, and work per row inside a comprehension
 fires no profile event.  So the table walk is pinned by the calls to the
@@ -20,7 +21,8 @@ import sys
 
 import pytest
 
-from etale_quadrics import rost, tower
+from etale_quadrics import abelian, rost, tower
+from etale_quadrics.abelian import WINDOW
 from etale_quadrics.quadrics import decompose_motive, iter_cohomology, nonalgebraic_report, rost_table
 from etale_quadrics.tower import CoefficientTower, etale_2adic
 
@@ -45,16 +47,43 @@ def profile_events(fn, *args):
     return count
 
 
+def cold(fn):
+    """fn with the package's memos cleared before each call: the per-index
+    non-algebraic quotients and the per-bidegree universal-coefficient
+    parts.  Every measured call then pays for what it reads, whatever ran
+    before it."""
+
+    def call(*args):
+        rost.nonalgebraic_quotient.cache_clear()
+        tower._uct_parts.cache_clear()
+        return fn(*args)
+
+    return call
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls in calls[0]."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("coeff", ("2adic", "mod2", "mod2s:3"))
 def test_rost_table_cost_doubles_per_index(coeff):
     rost_table(1, coeff)  # first-use caches (the coefficient-spec regex) fill here
-    ratio = profile_events(rost_table, 10, coeff) / profile_events(rost_table, 9, coeff)
+    ratio = profile_events(cold(rost_table), 10, coeff) / profile_events(cold(rost_table), 9, coeff)
     assert ratio <= MAX_RATIO, f"rost_table(n, {coeff!r}) grows x{ratio:.2f} per n"
 
 
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
 def test_tower_limit_cost_is_linear_in_depth(bidegree):
-    shallow, deep = (CoefficientTower(2, s_max=s).limit for s in (16, 32))
+    shallow, deep = (cold(CoefficientTower(2, s_max=s).limit) for s in (16, 32))
     ratio = profile_events(deep, *bidegree) / profile_events(shallow, *bidegree)
     assert ratio <= MAX_RATIO, f"limit{bidegree} grows x{ratio:.2f} from depth 16 to 32"
 
@@ -62,39 +91,36 @@ def test_tower_limit_cost_is_linear_in_depth(bidegree):
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
 def test_tower_limit_reads_the_integral_groups_once(monkeypatch, bidegree):
     """A bidegree's universal-coefficient parts are the same at every level,
-    so a limit reads the integral groups a fixed number of times, whatever
-    the depth."""
-    calls = 0
-    integral = tower.integral_cohomology
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return integral(*args)
-
-    monkeypatch.setattr(tower, "integral_cohomology", counted)
+    so a cold limit reads the integral groups a fixed, nonzero number of
+    times, whatever the depth."""
+    calls = count_calls(monkeypatch, tower, "integral_cohomology")
     counts = []
     for depth in (8, 32):
-        calls = 0
+        calls[0] = 0
+        cold(CoefficientTower(2, s_max=depth).limit)(*bidegree)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0, f"limit{bidegree} reads the integral groups {counts} times at depths 8, 32"
+
+
+@pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
+def test_tower_limit_labels_one_image_per_stable_level(monkeypatch, bidegree):
+    """A limit reads its image chains by order and builds a labeled image
+    only for each level whose chain it reads as stable: at most
+    T - WINDOW + 1 of them over T levels."""
+    calls = count_calls(monkeypatch, abelian, "image")
+    for depth in (16, 32):
+        calls[0] = 0
         CoefficientTower(2, s_max=depth).limit(*bidegree)
-        counts.append(calls)
-    assert counts[0] == counts[1], f"limit{bidegree} reads the integral groups {counts} times at depths 8, 32"
+        assert 0 < calls[0] <= depth - WINDOW + 1, f"limit{bidegree} labels {calls[0]} images at depth {depth}"
 
 
 def test_etale_2adic_cost_doubles_per_index():
-    ratio = profile_events(etale_2adic, 7) / profile_events(etale_2adic, 6)
+    ratio = profile_events(cold(etale_2adic), 7) / profile_events(cold(etale_2adic), 6)
     assert ratio <= MAX_RATIO, f"etale_2adic(n) grows x{ratio:.2f} per n"
 
 
 def test_nonalgebraic_report_cost_is_linear_in_d():
-    """Each report is counted with the per-index quotients cleared, so that
-    both sizes pay for the quotients they read whatever ran before."""
-
-    def cold_report(d):
-        rost.nonalgebraic_quotient.cache_clear()
-        return nonalgebraic_report(d)
-
-    ratio = profile_events(cold_report, 2046) / profile_events(cold_report, 1023)
+    ratio = profile_events(cold(nonalgebraic_report), 2046) / profile_events(cold(nonalgebraic_report), 1023)
     assert ratio <= MAX_RATIO, f"nonalgebraic_report(d) grows x{ratio:.2f} from d = 1023 to 2046"
 
 
