@@ -16,8 +16,8 @@ of stdout stops early), 1 verification mismatch, 2 invalid input or usage
 (an --out path that cannot be written included).
 
 Each subcommand imports only the modules it runs, since every process pays
-its imports: the tables need quadrics, rost, mod2 and graded, mod2s:<s> adds
-tower and abelian, and only verify loads verify and presentations.
+its imports: every table needs quadrics, rost, mod2 and graded, and only
+verify loads verify, presentations, tower and abelian.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional
 from . import rost
 from .errors import InvalidDimension
 from .graded import Graded2Group, GradedSummand
-from .mod2 import _check_index, rost_etale_mod2, top_rho_exponent
+from .mod2 import rost_etale_mod2, top_rho_exponent
 
 
 class MotiveTerm(NamedTuple("MotiveTerm", [("n", int), ("j", int)])):
@@ -115,21 +115,18 @@ def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
 
 def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
     """Cohomology of the index-n Rost motive with the given coefficients,
-    every entry with source (n, 0): the closed-form 2-adic table of `rost`,
-    the mod-2 table of `mod2`, or the Z/2^s groups of the tower route in
-    even degrees."""
+    every entry with source (n, 0): the 2-adic table of `rost`, the mod-2
+    table of `mod2`, or for Z/2^s the 2-adic table under universal
+    coefficients: Z2 becomes Z/2^s, each Z/2 stays, and each degree
+    c = 2 mod 4 with 0 < c < top gains a ghost Z/2, Tor of rho_bar_(c+1)."""
     kind, s = parse_coefficients(coeff)
-    _check_index(n)
-    if kind == "2adic":
-        return rost.rost_etale_table(n)
     if kind == "mod2":
         return rost_etale_mod2(n)
-    from . import tower  # imported here: no other table needs the tower route
-    entries = [
-        GradedSummand(c, sm.order, sm.label, None, (n, 0))
-        for c in range(0, top_rho_exponent(n) + 1, 2)
-        for sm in tower.mod_2s_group(n, *tower.twist_bidegree(c), s).summands
-    ]
+    table = rost.rost_etale_table(n)  # checks n
+    if kind == "2adic":
+        return table
+    entries = [e._replace(order=e.order or 2**s, algebraic=None) for e in table.entries]
+    entries += (GradedSummand(c, 2, f"ghost(rho_bar_{c + 1})", None, (n, 0)) for c in range(2, top_rho_exponent(n), 4))
     return Graded2Group.from_entries(entries)
 
 

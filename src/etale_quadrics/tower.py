@@ -112,11 +112,7 @@ _KINDS = {
 }
 
 
-# Verify reads each bidegree's parts at many levels, and those reads fall
-# close together: 128 lists keep every repeat of `verify --scope all`, even
-# at --smax 64, while a mod2s table, which reads each bidegree once, holds
-# no more than 128 of its lists.  Typed: True is refused, not read as 1.
-@lru_cache(maxsize=128, typed=True)
+@lru_cache(maxsize=None, typed=True)  # typed: True is refused, not read as 1
 def _uct_parts(n: int, p: int, q: int) -> tuple[tuple[str, str, str], ...]:
     """(kind, label, base) of each summand of H^(p,q) with Z/2^s
     coefficients, p <= q + 1: the same list at every level s.
@@ -264,3 +260,13 @@ def etale_2adic(n: int, s_max: int = DEFAULT_DEPTH) -> Graded2Group:
         limit = tower.limit(*twist_bidegree(degree))
         entries += (GradedSummand(degree, sm.order, sm.label, degree in algebraic_degrees) for sm in limit.summands)
     return Graded2Group.from_entries(entries)
+
+
+def mod_2s_table(n: int, s: int) -> Graded2Group:
+    """The index-n Rost table with Z/2^s coefficients, one mod_2s_group per even degree."""
+    mod2._check_index(n)  # a negative n would give an empty table
+    return Graded2Group.from_entries(
+        GradedSummand(c, sm.order, sm.label, None, (n, 0))
+        for c in range(0, mod2.top_rho_exponent(n) + 1, 2)
+        for sm in mod_2s_group(n, *twist_bidegree(c), s).summands
+    )

@@ -74,11 +74,17 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("coeff", ("2adic", "mod2", "mod2s:3"))
-def test_rost_table_cost_doubles_per_index(coeff):
-    rost_table(1, coeff)  # first-use caches (the coefficient-spec regex) fill here
-    ratio = profile_events(cold(rost_table), 10, coeff) / profile_events(cold(rost_table), 9, coeff)
-    assert ratio <= MAX_RATIO, f"rost_table(n, {coeff!r}) grows x{ratio:.2f} per n"
+@pytest.mark.parametrize(
+    "table, coeff",
+    [*((rost_table, c) for c in ("2adic", "mod2", "mod2s:3")), (tower.mod_2s_table, 3)],
+    ids=("2adic", "mod2", "mod2s:3", "tower-mod2s:3"),
+)
+def test_rost_table_cost_doubles_per_index(table, coeff):
+    """The printed tables, and the tower route's mod-2^s table that checks
+    the printed one."""
+    table(1, coeff)  # first-use caches (the coefficient-spec regex) fill here
+    ratio = profile_events(cold(table), 10, coeff) / profile_events(cold(table), 9, coeff)
+    assert ratio <= MAX_RATIO, f"{table.__name__}(n, {coeff!r}) grows x{ratio:.2f} per n"
 
 
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost

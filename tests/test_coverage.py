@@ -43,9 +43,11 @@ COVERAGE = {
     ("cohomology", "2adic", "rost"): "C5",
     # the mod-2 ring, one class per degree, and its cycle image
     ("cohomology", "mod2", "rost"): "C1",
-    # tower route against universal coefficients on the 2-adic quadric tables
+    # universal coefficients on the 2-adic quadric tables against the sum of
+    # the tower route's mod-2^s Rost tables
     ("cohomology", "mod2s", "quadric"): "s7.coeff",
-    # the same comparison reads the mod-2^s Rost tables of every M_n it adds
+    # the same comparison reads, along both routes, the mod-2^s Rost table
+    # of every M_n those quadrics contain, n <= 5
     ("cohomology", "mod2s", "rost"): "s7.coeff",
 }
 

@@ -24,7 +24,7 @@ from etale_quadrics.quadrics import (
     rost_table,
 )
 from etale_quadrics.rost import chow_torsion_degrees, rost_etale_table, torsion_degrees
-from etale_quadrics.tower import pairing
+from etale_quadrics.tower import mod_2s_table, pairing
 from etale_quadrics.verify import coefficient_change
 
 
@@ -130,6 +130,7 @@ INDEX_ENTRY_POINTS = {
     "rost_etale_table": rost_etale_table,
     "rost_etale_mod2": rost_etale_mod2,
     "pairing": lambda n: pairing(n, 1, 3),
+    "mod_2s_table": lambda n: mod_2s_table(n, 1),
 }
 
 
