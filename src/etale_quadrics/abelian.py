@@ -7,10 +7,11 @@ generator).  Kernels, cokernels and images run through one elimination
 kernel that diagonalizes over the integers localized at 2 (pivot of least
 2-adic valuation); each returns the group alone, its generators labeled by
 the smallest contributing domain (kernel, image) or codomain (cokernel)
-generator.  Inverse limits take towers of finite groups: each
-chain of images into a level shrinks, so it is read by the orders of its
-images alone, computed only until the first stable run (Mittag-Leffler
-stabilization), and only the image that starts that run is labeled.
+generator; a kernel applies the one lattice routine twice.  Inverse limits
+take towers of finite groups: each chain of images into a level shrinks,
+so it is read by the orders of its images alone, computed only until the
+first stable run (Mittag-Leffler stabilization), and only the stable
+images of the last two levels, the tail the limit depends on, are labeled.
 
 Everything is exact over arbitrary-precision integers: odd factors are
 units 2-locally and get discarded.  All values are immutable
@@ -20,8 +21,8 @@ read-only use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import lcm, prod
+from dataclasses import dataclass, field
+from math import prod
 from typing import Sequence
 
 from .errors import NotStabilized
@@ -144,26 +145,6 @@ def _pivots(D: Matrix) -> list[int]:
     return [D[i][i] for i in range(bound) if D[i][i]]
 
 
-def _solve_2local(mat, rhs_cols, nrows, ncols):
-    """For each right-hand side b an integer x with mat @ x = u*b for some
-    odd u, or None when there is none (no solution over Z localized at 2)."""
-    if nrows == 0 or not rhs_cols:
-        return [[0] * ncols for _ in rhs_cols]
-    U, D, V, _ = _snf_ext(mat)
-    piv = _pivots(D)
-    rank = len(piv)
-    out = []
-    for b in rhs_cols:
-        c = _apply(U, b)
-        if any(c[rank:]) or any(ci % _two_part(d) for ci, d in zip(c, piv)):
-            out.append(None)
-            continue
-        unit = lcm(*(d // _two_part(d) for ci, d in zip(c, piv) if ci))
-        y = [unit * ci // d for ci, d in zip(c, piv)]
-        out.append(_apply(V, y))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # groups and homomorphisms
 
@@ -186,11 +167,16 @@ class CyclicSummand:
 @dataclass(frozen=True)
 class FinAb2Group:
     summands: tuple[CyclicSummand, ...]
+    # read off the summands once, at construction
+    orders: tuple[int, ...] = field(init=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        labels = [s.label for s in self.summands]
+        labels = tuple(s.label for s in self.summands)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate generator labels: {labels}")
+            raise ValueError(f"duplicate generator labels: {list(labels)}")
+        object.__setattr__(self, "orders", tuple(s.order for s in self.summands))
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def trivial(cls) -> "FinAb2Group":
@@ -199,14 +185,6 @@ class FinAb2Group:
     @property
     def ngens(self) -> int:
         return len(self.summands)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(s.order for s in self.summands)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.summands)
 
     @property
     def free_rank(self) -> int:
@@ -310,63 +288,55 @@ def _group(orders, vectors, labels, moduli) -> FinAb2Group:
     return FinAb2Group(tuple(summands))
 
 
-def _quotient_presentation(ngens: int, rel_cols: Sequence[Sequence[int]]):
-    """Structure of Z^ngens / <relation columns> as a 2-local group.
+def _quotient_presentation(R: Matrix):
+    """Structure of Z^n / <columns of R> as a 2-local group, n = len(R).
 
     Returns (orders, gen_cols, proj_rows): the 2-power (or 0) orders of the
-    surviving summands, each new generator as a Z^ngens column, and each
+    surviving summands, each new generator as a Z^n column, and each
     projection row expressing old coordinates in the new generators.
     """
-    if ngens == 0:
-        return [], [], []
-    if not rel_cols:
-        eye = _identity(ngens)
-        return [0] * ngens, [list(col) for col in zip(*eye)], [row[:] for row in eye]
-    r = len(rel_cols)
-    R = [[rel_cols[j][i] for j in range(r)] for i in range(ngens)]
+    n = len(R)
     U, D, _, Uinv = _snf_ext(R)
     piv = _pivots(D)
-    orders = [_two_part(d) for d in piv] + [0] * (ngens - len(piv))
-    surviving = [i for i in range(ngens) if orders[i] != 1]
-    gen_cols = [[Uinv[row][i] for row in range(ngens)] for i in surviving]
+    orders = [_two_part(d) for d in piv] + [0] * (n - len(piv))
+    surviving = [i for i in range(n) if orders[i] != 1]
+    gen_cols = [[Uinv[row][i] for row in range(n)] for i in surviving]
     proj_rows = [
-        [_reduce_entry(U[i][j], orders[i]) for j in range(ngens)] for i in surviving
+        [_reduce_entry(U[i][j], orders[i]) for j in range(n)] for i in surviving
     ]
     return [orders[i] for i in surviving], gen_cols, proj_rows
 
 
-def _relation_matrix(h: GroupHom) -> Matrix:
-    """h's matrix followed by the column o*e_i of each torsion summand of
-    the codomain: y lies in h's image exactly when y is this matrix times
-    an integer vector, and x in h's kernel exactly when x extends to a
+def _relation_matrix(matrix: Sequence[Sequence[int]], cod_orders: Sequence[int]) -> Matrix:
+    """matrix followed by the column o*e_i of each torsion order o = cod_orders[i]:
+    y lies in the image of the map exactly when y is this matrix times an
+    integer vector, and x in its kernel exactly when x extends to a
     solution of the homogeneous system."""
-    torsion = [(i, o) for i, o in enumerate(h.codomain.orders) if o]
+    torsion = [(i, o) for i, o in enumerate(cod_orders) if o]
     return [
         list(row) + [o if i == ti else 0 for ti, o in torsion]
-        for i, row in enumerate(h.matrix)
+        for i, row in enumerate(matrix)
     ]
 
 
-def _kernel_lattice(h: GroupHom) -> list[list[int]]:
-    """Columns spanning {x in Z^k : h(x) = 0 in the codomain}, 2-locally."""
-    k = h.domain.ngens
-    if h.codomain.ngens == 0:
+def _kernel_lattice(matrix: Sequence[Sequence[int]], cod_orders: Sequence[int], k: int) -> Matrix:
+    """A k-row matrix whose columns span, 2-locally, the x in Z^k with
+    matrix @ x = 0 modulo cod_orders (order 0: exactly 0)."""
+    if not cod_orders:
         return _identity(k)
-    _, D, V, _ = _snf_ext(_relation_matrix(h))
-    return [[row[j] for row in V[:k]] for j in range(len(_pivots(D)), len(V))]
+    _, D, V, _ = _snf_ext(_relation_matrix(matrix, cod_orders))
+    rank = len(_pivots(D))
+    return [row[rank:] for row in V[:k]]
 
 
 def kernel(h: GroupHom) -> FinAb2Group:
-    """The kernel, a subgroup of the domain labeled by domain generators."""
+    """The kernel, a subgroup of the domain labeled by domain generators:
+    with X (k x c) spanning the x in Z^k with h(x) = 0, it is Z^c modulo
+    the kernel lattice of X into the domain, labeled through X."""
     A = h.domain
-    k = A.ngens
-    lattice = _kernel_lattice(h)
-    c = len(lattice)
-    X = [[lattice[j][i] for j in range(c)] for i in range(k)]  # k x c
-    targets = [[o if i == j else 0 for i in range(k)] for j, o in enumerate(A.orders) if o]
-    rel_cols = _solve_2local(X, targets, k, c)
-    assert None not in rel_cols, "domain relation escaped the kernel lattice"
-    orders, gen_cols, _ = _quotient_presentation(c, rel_cols)
+    X = _kernel_lattice(h.matrix, h.codomain.orders, A.ngens)
+    c = len(X[0]) if X else 0
+    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(X, A.orders, c))
     return _group(orders, [_apply(X, g) for g in gen_cols], A.labels, A.orders)
 
 
@@ -374,7 +344,7 @@ def cokernel(h: GroupHom) -> FinAb2Group:
     """The cokernel.  A surviving class keeps the lexicographically smallest
     contributing codomain generator label."""
     B = h.codomain
-    orders, _, proj_rows = _quotient_presentation(B.ngens, list(zip(*_relation_matrix(h))))
+    orders, _, proj_rows = _quotient_presentation(_relation_matrix(h.matrix, B.orders))
     # each projection row is already reduced modulo its class's order
     return _group(orders, proj_rows, B.labels, (0,) * B.ngens)
 
@@ -382,14 +352,14 @@ def cokernel(h: GroupHom) -> FinAb2Group:
 def image(h: GroupHom) -> FinAb2Group:
     """The image, a subgroup of the codomain labeled by domain generators."""
     A = h.domain
-    orders, gen_cols, _ = _quotient_presentation(A.ngens, _kernel_lattice(h))
+    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(h.matrix, h.codomain.orders, A.ngens))
     return _group(orders, gen_cols, A.labels, A.orders)
 
 
 def _image_order(h: GroupHom) -> int:
     """|Im h| = |codomain| / |cokernel| for a finite codomain, from one
     elimination and without labels."""
-    _, D, _, _ = _snf_ext(_relation_matrix(h))
+    _, D, _, _ = _snf_ext(_relation_matrix(h.matrix, h.codomain.orders))
     return prod(h.codomain.orders) // prod(map(_two_part, _pivots(D)))
 
 
@@ -405,12 +375,13 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     and the levels are finite, so two of them are the same subgroup exactly
     when they have the same order.  Their orders are computed one depth at
     a time until WINDOW consecutive ones agree (the Mittag-Leffler
-    condition, read on a finite tower), and the image of the composite that
-    began that run is the stable one, the only image built with labels.
-    The limit is read off the stable images: a generator chain whose
-    order keeps doubling contributes a free 2-adic summand, a chain of
-    constant order contributes that torsion summand, and chains with
-    eventually-zero transition maps contribute nothing.
+    condition, read on a finite tower), and the composite that began that
+    run gives the level's stable image.  A limit depends only on the tail
+    of its tower, so only the stable images of the last two such levels
+    are built, with labels, and matched summand by summand in order of
+    size: a chain whose order doubles contributes a free 2-adic summand, a
+    chain of constant order contributes that torsion summand, and chains
+    with eventually-zero transition maps contribute nothing.
     """
     T = len(tower)
     if any(g.free_rank for g in tower):
@@ -441,24 +412,22 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             # the chain into this level would only settle beyond the supplied
             # depth; the certified prefix of levels carries the pattern
             break
-        stable.append(image(first))
+        stable.append(first)
     if len(stable) < 2:
         raise NotStabilized(
             f"tower depth {T} too shallow for window {WINDOW}: image chains settled"
             f" into {len(stable)} level(s), the limit needs two"
         )
 
-    profiles = [sorted(g.summands, key=lambda s: (-s.order, s.label)) for g in stable]
-    counts = {len(p) for p in profiles}
-    if len(counts) != 1:
+    below, last = (sorted(image(f).summands, key=lambda s: (-s.order, s.label)) for f in stable[-2:])
+    if len(below) != len(last):
         raise NotStabilized("stable images change their number of summands")
     result = []
-    for pos, last in enumerate(profiles[-1]):
-        seq = [p[pos].order for p in profiles]
-        if all(o == seq[0] for o in seq):
-            result.append(CyclicSummand(seq[0], last.label))
-        elif all(seq[i + 1] == 2 * seq[i] for i in range(len(seq) - 1)):
-            result.append(CyclicSummand(0, last.label))
+    for lo, hi in zip(below, last):
+        if hi.order == lo.order:
+            result.append(hi)
+        elif hi.order == 2 * lo.order:
+            result.append(CyclicSummand(0, hi.label))
         else:
-            raise NotStabilized(f"no constant or doubling pattern in orders {seq}")
+            raise NotStabilized(f"no constant or doubling pattern in orders {[lo.order, hi.order]}")
     return FinAb2Group(tuple(result))

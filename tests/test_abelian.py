@@ -6,7 +6,8 @@ factors; kernels and cokernels of finite groups are checked against
 brute-force element enumeration, which stays independent of the matrix
 route, and cokernels with free summands against sympy again.  Inverse
 limits of random finite towers are checked against a reading of their
-image chains that labels every image and compares structures.
+image chains that labels every image and compares structures, and the
+limit is read from the last two stable images in both.
 """
 
 from collections import Counter
@@ -25,7 +26,6 @@ from etale_quadrics.abelian import (
     FinAb2Group,
     GroupHom,
     _snf_ext,
-    _solve_2local,
     cokernel,
     image,
     inverse_limit,
@@ -102,33 +102,6 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_snf_matches_reference(m):
     check_snf(m)
-
-
-def _mul(m, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in m]
-
-
-def test_solve_2local_allows_odd_denominators():
-    assert _solve_2local([[3]], [[1]], 1, 1) == [[1]]  # 3*1 = 3*1, 3 odd
-    assert _solve_2local([[2]], [[1]], 1, 1) == [None]
-
-
-@settings(max_examples=60, deadline=None)
-@given(int_matrices(), st.data())
-def test_solve_2local_solves_the_image(m, data):
-    nr, nc = len(m), len(m[0])
-    xs = [data.draw(st.lists(st.integers(-5, 5), min_size=nc, max_size=nc)) for _ in range(2)]
-    rhs = [_mul(m, x) for x in xs]
-    for b, sol in zip(rhs, _solve_2local(m, rhs, nr, nc)):
-        assert sol is not None and len(sol) == nc
-        mb = _mul(m, sol)
-        i = next((i for i, v in enumerate(b) if v), None)
-        if i is None:
-            assert not any(mb)
-            continue
-        unit, rem = divmod(mb[i], b[i])
-        assert rem == 0 and unit % 2 == 1
-        assert mb == [unit * v for v in b]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +396,22 @@ def test_limit_rejects_mismatched_maps():
         inverse_limit(groups, maps[:-1])
 
 
+def test_limit_reads_the_tail_of_the_tower():
+    """Z/4{g0} + Z/2^(s+1){g1} along the identity on g0 and reduction on
+    g1.  Sorted by order the two chains trade places after level 0, so the
+    positions of every stable level read orders 4, 4, 8, 16, 32, which is
+    neither constant nor doubling; the last two levels give the free chain
+    and Z/4."""
+    groups = [Z(4, 2 ** (s + 1)) for s in range(8)]
+    maps = [hom(groups[s + 1], groups[s], [[1, 0], [0, 1]]) for s in range(7)]
+    assert inverse_limit(groups, maps) == FinAb2Group((CyclicSummand(0, "g1"), CyclicSummand(4, "g0")))
+
+
 def image_structure_limit(tower, maps):
     """inverse_limit as it read its chains before they were read by order:
     a labeled image at every depth, compared with the image where the
-    current run began by structure()."""
+    current run began by structure().  The limit is read from the last two
+    stable images."""
     stable = []
     for k in range(len(tower) - WINDOW + 1):
         comp = GroupHom.identity(tower[k])
@@ -444,18 +429,17 @@ def image_structure_limit(tower, maps):
         stable.append(first)
     if len(stable) < 2:
         raise NotStabilized("image chains settled into fewer than two levels")
-    profiles = [sorted(g.summands, key=lambda s: (-s.order, s.label)) for g in stable]
-    if len({len(p) for p in profiles}) != 1:
+    below, last = (sorted(g.summands, key=lambda s: (-s.order, s.label)) for g in stable[-2:])
+    if len(below) != len(last):
         raise NotStabilized("stable images change their number of summands")
     result = []
-    for pos, last in enumerate(profiles[-1]):
-        seq = [p[pos].order for p in profiles]
-        if all(o == seq[0] for o in seq):
-            result.append(CyclicSummand(seq[0], last.label))
-        elif all(seq[i + 1] == 2 * seq[i] for i in range(len(seq) - 1)):
-            result.append(CyclicSummand(0, last.label))
+    for lo, hi in zip(below, last):
+        if hi.order == lo.order:
+            result.append(hi)
+        elif hi.order == 2 * lo.order:
+            result.append(CyclicSummand(0, hi.label))
         else:
-            raise NotStabilized(f"no constant or doubling pattern in orders {seq}")
+            raise NotStabilized(f"no constant or doubling pattern in orders {[lo.order, hi.order]}")
     return FinAb2Group(tuple(result))
 
 

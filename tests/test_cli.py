@@ -533,7 +533,7 @@ OFF_THE_TABLE_PATH = {
     "argv, loaded, not_loaded",
     [
         *(
-            (argv, set(), OFF_THE_TABLE_PATH)
+            pytest.param(argv, set(), OFF_THE_TABLE_PATH, id=" ".join(argv))
             for argv in (
                 ("--version",),
                 ("decompose", "7"),
@@ -541,13 +541,11 @@ OFF_THE_TABLE_PATH = {
                 ("cohomology", "7"),
                 ("cohomology", "7", "--coeff", "mod2"),
                 ("cohomology", "7", "--coeff", "mod2s:3"),
+                ("cohomology", "--rost", "3", "--coeff", "mod2s:3"),
             )
         ),
-        (("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set()),
-        # last, so that the generated ids of the rows above stay as they were
-        (("cohomology", "--rost", "3", "--coeff", "mod2s:3"), set(), OFF_THE_TABLE_PATH),
+        pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), id="verify --scope s2"),
     ],
-    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )
 def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded):
     report = tmp_path / "modules.txt"

@@ -22,7 +22,6 @@ import sys
 import pytest
 
 from etale_quadrics import abelian, rost, tower
-from etale_quadrics.abelian import WINDOW
 from etale_quadrics.quadrics import decompose_motive, iter_cohomology, nonalgebraic_report, rost_table
 from etale_quadrics.tower import CoefficientTower, etale_2adic
 
@@ -109,15 +108,15 @@ def test_tower_limit_reads_the_integral_groups_once(monkeypatch, bidegree):
 
 
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
-def test_tower_limit_labels_one_image_per_stable_level(monkeypatch, bidegree):
-    """A limit reads its image chains by order and builds a labeled image
-    only for each level whose chain it reads as stable: at most
-    T - WINDOW + 1 of them over T levels."""
+def test_tower_limit_labels_two_images(monkeypatch, bidegree):
+    """A limit reads its image chains by order and builds labeled images
+    only for the last two levels whose chains it reads as stable, whatever
+    the depth."""
     calls = count_calls(monkeypatch, abelian, "image")
     for depth in (16, 32):
         calls[0] = 0
         CoefficientTower(2, s_max=depth).limit(*bidegree)
-        assert 0 < calls[0] <= depth - WINDOW + 1, f"limit{bidegree} labels {calls[0]} images at depth {depth}"
+        assert calls[0] == 2, f"limit{bidegree} labels {calls[0]} images at depth {depth}"
 
 
 def test_etale_2adic_cost_doubles_per_index():
