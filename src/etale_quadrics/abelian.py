@@ -16,22 +16,34 @@ images of the last two levels, the tail the limit depends on, are labeled.
 Everything is exact over arbitrary-precision integers: odd factors are
 units 2-locally and get discarded.  All values are immutable
 after construction and every operation is a pure function, so concurrent
-read-only use is safe.
+read-only use is safe.  So the answers of `kernel`, `cokernel` and
+`image`, and the image orders that `inverse_limit` measures, are memoised
+on the matrix, orders and labels they read: equal inputs get the answer a
+recomputation would give, labels included.  Each memo is bounded, keeping
+only the MEMO_SIZE most recently used answers, so a deep tower's groups
+do not stay resident for the life of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
 from .errors import NotStabilized
 
 Matrix = list[list[int]]
+# a homomorphism's matrix as GroupHom stores it, hashable
+Rows = tuple[tuple[int, ...], ...]
 
 # Consecutive depths over which an image chain must stay constant before
 # inverse_limit reads it as stable.
 WINDOW = 4
+
+# Answers kept by each memo here and in `tower`.  A verify run asks again
+# mostly for answers it built a few calls before.
+MEMO_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -329,38 +341,55 @@ def _kernel_lattice(matrix: Sequence[Sequence[int]], cod_orders: Sequence[int], 
     return [row[rank:] for row in V[:k]]
 
 
+# The lattice answers below are memoised on the plain tuples they read (a
+# hom's matrix and its groups' orders and labels), not on the hom: a memo
+# entry then keeps no group objects alive, and homs that differ only where
+# the answer does not look share one entry.
 def kernel(h: GroupHom) -> FinAb2Group:
     """The kernel, a subgroup of the domain labeled by domain generators:
     with X (k x c) spanning the x in Z^k with h(x) = 0, it is Z^c modulo
     the kernel lattice of X into the domain, labeled through X."""
-    A = h.domain
-    X = _kernel_lattice(h.matrix, h.codomain.orders, A.ngens)
+    return _kernel(h.matrix, h.codomain.orders, h.domain.orders, h.domain.labels)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _kernel(matrix: Rows, cod_orders: tuple[int, ...], dom_orders: tuple[int, ...], dom_labels: tuple[str, ...]) -> FinAb2Group:
+    X = _kernel_lattice(matrix, cod_orders, len(dom_orders))
     c = len(X[0]) if X else 0
-    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(X, A.orders, c))
-    return _group(orders, [_apply(X, g) for g in gen_cols], A.labels, A.orders)
+    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(X, dom_orders, c))
+    return _group(orders, [_apply(X, g) for g in gen_cols], dom_labels, dom_orders)
 
 
 def cokernel(h: GroupHom) -> FinAb2Group:
     """The cokernel.  A surviving class keeps the lexicographically smallest
     contributing codomain generator label."""
-    B = h.codomain
-    orders, _, proj_rows = _quotient_presentation(_relation_matrix(h.matrix, B.orders))
+    return _cokernel(h.matrix, h.codomain.orders, h.codomain.labels)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cokernel(matrix: Rows, cod_orders: tuple[int, ...], cod_labels: tuple[str, ...]) -> FinAb2Group:
+    orders, _, proj_rows = _quotient_presentation(_relation_matrix(matrix, cod_orders))
     # each projection row is already reduced modulo its class's order
-    return _group(orders, proj_rows, B.labels, (0,) * B.ngens)
+    return _group(orders, proj_rows, cod_labels, (0,) * len(cod_orders))
 
 
 def image(h: GroupHom) -> FinAb2Group:
     """The image, a subgroup of the codomain labeled by domain generators."""
-    A = h.domain
-    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(h.matrix, h.codomain.orders, A.ngens))
-    return _group(orders, gen_cols, A.labels, A.orders)
+    return _image(h.matrix, h.codomain.orders, h.domain.orders, h.domain.labels)
 
 
-def _image_order(h: GroupHom) -> int:
-    """|Im h| = |codomain| / |cokernel| for a finite codomain, from one
-    elimination and without labels."""
-    _, D, _, _ = _snf_ext(_relation_matrix(h.matrix, h.codomain.orders))
-    return prod(h.codomain.orders) // prod(map(_two_part, _pivots(D)))
+@lru_cache(maxsize=MEMO_SIZE)
+def _image(matrix: Rows, cod_orders: tuple[int, ...], dom_orders: tuple[int, ...], dom_labels: tuple[str, ...]) -> FinAb2Group:
+    orders, gen_cols, _ = _quotient_presentation(_kernel_lattice(matrix, cod_orders, len(dom_orders)))
+    return _group(orders, gen_cols, dom_labels, dom_orders)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _image_order(matrix: Rows, cod_orders: tuple[int, ...]) -> int:
+    """|Im h| = |codomain| / |cokernel| for a hom with this matrix into a
+    finite codomain of these orders, from one elimination."""
+    _, D, _, _ = _snf_ext(_relation_matrix(matrix, cod_orders))
+    return prod(cod_orders) // prod(map(_two_part, _pivots(D)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +431,7 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             if run == WINDOW:
                 break
             comp = comp.compose(f)
-            order = _image_order(comp)
+            order = _image_order(comp.matrix, comp.codomain.orders)
             first, size, run = (first, size, run + 1) if order == size else (comp, order, 1)
         if run < WINDOW:
             if k == 0:

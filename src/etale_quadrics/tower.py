@@ -19,6 +19,12 @@ so every level and every coefficient map is read off one list of parts.
 Deriving the tower this way removes every extension ambiguity; the
 long-exact-sequence order identity is kept as a verification invariant,
 not as the construction.
+
+Every function here is pure and every value immutable, so answers are
+memoised by value: the parts of each bidegree without bound (there are
+O(2^n) of them), and each level's group and each bidegree's coefficient
+maps in a memo that keeps only the `abelian.MEMO_SIZE` most recently used,
+so a deep tower does not stay resident.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from . import mod2
-from .abelian import WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
+from .abelian import MEMO_SIZE, WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
 from .errors import HigherTorsionAmbiguity
 from .graded import Graded2Group, GradedSummand
 
@@ -129,6 +135,7 @@ def _uct_parts(n: int, p: int, q: int) -> tuple[tuple[str, str, str], ...]:
     return tuple(parts)
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: s = 2.0 is computed as given, not read as 2
 def _group_of(parts: tuple[tuple[str, str, str], ...], s: int) -> FinAb2Group:
     return FinAb2Group(tuple(CyclicSummand(_KINDS[kind].order(s), label) for kind, label, _ in parts))
 
@@ -153,6 +160,7 @@ def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
     return _group_of(_uct_parts(n, p, q), s)
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: True is refused, not read as 1
 def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom, GroupHom]:
     """(t, r, delta) at bidegree (p, q) between coefficient levels.
 

@@ -236,6 +236,24 @@ def test_report_digests(argv):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
 
+def test_warm_memos_give_cold_bytes(capsys):
+    """verify at --smax 64, then 6, then the default depth, in one process:
+    each report has the bytes a fresh process prints, so no memoised group,
+    coefficient map or lattice answer leaks from one depth or run into the
+    next."""
+    from etale_quadrics import cli
+
+    report = ("verify", "--scope", "all")
+    runs = (
+        (("--smax", "64"), "0f3b31bbfac3d3ac68eaa635a35986e4529add2a37ea330f3f7be671b34044c0"),
+        (("--smax", "6"), REPORT_DIGESTS[(*report, "--smax", "6", "--format", "json")]),
+        ((), REPORT_DIGESTS[(*report, "--format", "json")]),
+    )
+    for depth, digest in runs:
+        assert cli.main([*report, *depth, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, depth
+
+
 COEFFS = ("2adic", "mod2", "mod2s:3")
 
 # argv and the two strings stderr must name: the user's quantity and its range

@@ -8,8 +8,9 @@ O(log d): about ×2 when the bits of d double.  The work is counted as profiler 
 Python and C call and return), which depend on the code alone, not on the
 host, so the ratio between two sizes is exact on every Python.  Only
 ratios are asserted, never counts, because the interpreter's own calls
-differ between Python versions.  Each measured call starts with the
-package's memos cleared, so that a warm memo never stands in for work.
+differ between Python versions.  Each measured call starts with every
+memo of the package cleared, found by scanning its modules for
+`cache_clear`, so that a warm memo never stands in for work.
 
 A quadric table has Θ(d²) rows, and work per row inside a comprehension
 fires no profile event.  So the table walk is pinned by the calls to the
@@ -17,10 +18,13 @@ callables it is given, which are the package's own and the same on every
 Python: O(d) of them while the rows grow about ×4 per doubling of d.
 """
 
+import importlib
+import pkgutil
 import sys
 
 import pytest
 
+import etale_quadrics
 from etale_quadrics import abelian, rost, tower
 from etale_quadrics.quadrics import decompose_motive, iter_cohomology, nonalgebraic_report, rost_table
 from etale_quadrics.tower import CoefficientTower, etale_2adic
@@ -46,15 +50,40 @@ def profile_events(fn, *args):
     return count
 
 
+def package_memos():
+    """Every memo in the package's modules: each module attribute with a
+    `cache_clear`, counted once however many modules bind it.  The entry
+    point `__main__` is skipped, since importing it runs the CLI."""
+    return {
+        value
+        for info in pkgutil.iter_modules(etale_quadrics.__path__)
+        if info.name != "__main__"
+        for value in vars(importlib.import_module(f"etale_quadrics.{info.name}")).values()
+        if hasattr(value, "cache_clear")
+    }
+
+
+# collected at import, before a test can patch a memoised name away
+MEMOS = package_memos()
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_memo_scan_finds_the_memos_of_every_layer():
+    """The scan is not a no-op: it finds the closed-form route's memo and
+    those of both tower layers."""
+    assert {rost.nonalgebraic_quotient, tower._uct_parts, tower.transition_maps, abelian._kernel} <= MEMOS
+
+
 def cold(fn):
-    """fn with the package's memos cleared before each call: the per-index
-    non-algebraic quotients and the per-bidegree universal-coefficient
-    parts.  Every measured call then pays for what it reads, whatever ran
-    before it."""
+    """fn with every package memo cleared before each call.  Every measured
+    call then pays for what it reads, whatever ran before it."""
 
     def call(*args):
-        rost.nonalgebraic_quotient.cache_clear()
-        tower._uct_parts.cache_clear()
+        clear_memos()
         return fn(*args)
 
     return call
@@ -115,8 +144,37 @@ def test_tower_limit_labels_two_images(monkeypatch, bidegree):
     calls = count_calls(monkeypatch, abelian, "image")
     for depth in (16, 32):
         calls[0] = 0
-        CoefficientTower(2, s_max=depth).limit(*bidegree)
+        cold(CoefficientTower(2, s_max=depth).limit)(*bidegree)
         assert calls[0] == 2, f"limit{bidegree} labels {calls[0]} images at depth {depth}"
+
+
+def test_verify_memory_is_flat_in_depth():
+    """Every memo is bounded, so a deep tower's groups and maps do not stay
+    resident: with every memo cleared first, the traced peak of a verify
+    run over all scopes stays at --smax 64 within 1.5 times that at
+    --smax 8 (about 1.15 times), where unbounded memos read about 4 times.
+    The cyclic collector is paused while tracing: a full collection also
+    empties the interpreter's free lists, at moments that depend on all
+    earlier allocation, and would make the peaks differ by chance."""
+    import gc
+    import tracemalloc
+
+    from etale_quadrics import verify
+
+    verify.run_checks("all", verify.VerifyOptions(smax=tower.MIN_DEPTH))  # first-use set-up is not measured
+    peaks = {}
+    for depth in (8, 64):
+        clear_memos()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            verify.run_checks("all", verify.VerifyOptions(smax=depth))
+            peaks[depth] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert peaks[64] <= 1.5 * peaks[8], peaks
 
 
 def test_etale_2adic_cost_doubles_per_index():
