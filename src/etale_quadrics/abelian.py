@@ -10,8 +10,9 @@ the smallest contributing domain (kernel, image) or codomain (cokernel)
 generator; a kernel applies the one lattice routine twice.  Inverse limits
 take towers of finite groups: each chain of images into a level shrinks,
 so it is read by the orders of its images alone, computed only until the
-first stable run (Mittag-Leffler stabilization), and only the stable
-images of the last two levels, the tail the limit depends on, are labeled.
+first stable run (Mittag-Leffler stabilization), on composites carried as
+matrices; only the stable images of the last two levels, the tail the
+limit depends on, are built as homomorphisms and labeled.
 
 Everything is exact over arbitrary-precision integers: odd factors are
 units 2-locally and get discarded.  All values are immutable
@@ -21,7 +22,7 @@ read-only use is safe.  So the answers of `kernel`, `cokernel` and
 on the matrix, orders and labels they read: equal inputs get the answer a
 recomputation would give, labels included.  Each memo is bounded, keeping
 only the MEMO_SIZE most recently used answers, so a deep tower's groups
-do not stay resident for the life of the process.
+do not stay resident; no other module keeps a bounded memo.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .errors import NotStabilized
@@ -41,8 +43,8 @@ Rows = tuple[tuple[int, ...], ...]
 # inverse_limit reads it as stable.
 WINDOW = 4
 
-# Answers kept by each memo here and in `tower`.  A verify run asks again
-# mostly for answers it built a few calls before.
+# Answers kept by each memo here.  A verify run asks again mostly for
+# answers it built a few calls before.
 MEMO_SIZE = 16
 
 
@@ -149,6 +151,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _apply(mat: Matrix, x: Sequence[int]) -> list[int]:
     return [sum(p * q for p, q in zip(row, x)) for row in mat]
+
+
+def _product(a: Rows, b: Rows, k: int, cod_orders: Sequence[int]) -> Rows:
+    """a after b, b with k columns, reduced modulo cod_orders as GroupHom stores it."""
+    cols = list(zip(*b)) or [()] * k
+    rows = ([sum(map(mul, row, col)) for col in cols] for row in a)
+    return tuple(tuple([v % o for v in row]) if o else tuple(row) for o, row in zip(cod_orders, rows))
 
 
 def _pivots(D: Matrix) -> list[int]:
@@ -265,14 +274,7 @@ class GroupHom:
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("homomorphisms not composable")
-        mid = other.codomain.ngens
-        rows = tuple(
-            tuple(
-                sum(self.matrix[i][t] * other.matrix[t][j] for t in range(mid))
-                for j in range(other.domain.ngens)
-            )
-            for i in range(self.codomain.ngens)
-        )
+        rows = _product(self.matrix, other.matrix, other.domain.ngens, self.codomain.orders)
         return GroupHom(other.domain, self.codomain, rows)
 
     @property
@@ -403,14 +405,15 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     For each level k the images Im(tower[m] -> tower[k]) shrink as m grows,
     and the levels are finite, so two of them are the same subgroup exactly
     when they have the same order.  Their orders are computed one depth at
-    a time until WINDOW consecutive ones agree (the Mittag-Leffler
-    condition, read on a finite tower), and the composite that began that
-    run gives the level's stable image.  A limit depends only on the tail
-    of its tower, so only the stable images of the last two such levels
-    are built, with labels, and matched summand by summand in order of
-    size: a chain whose order doubles contributes a free 2-adic summand, a
-    chain of constant order contributes that torsion summand, and chains
-    with eventually-zero transition maps contribute nothing.
+    a time, each composite a reduced matrix, until WINDOW consecutive ones
+    agree (the Mittag-Leffler condition, read on a finite tower), and the
+    composite that began that run gives the level's stable image.  A limit
+    depends only on the tail of its tower, so only the stable composites of
+    the last two such levels become homomorphisms, whose images are built,
+    with labels, and matched summand by summand in order of size: a chain
+    whose order doubles contributes a free 2-adic summand, a chain of
+    constant order contributes that torsion summand, and chains with
+    eventually-zero transition maps contribute nothing.
     """
     T = len(tower)
     if any(g.free_rank for g in tower):
@@ -423,16 +426,17 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     if T == 0:
         return FinAb2Group.trivial()
 
-    stable = []
+    stable = []  # (domain, codomain, matrix) of each level's stable composite
     for k in range(T - WINDOW + 1):
-        comp = first = GroupHom.identity(tower[k])
-        size, run = prod(tower[k].orders), 1  # |Im first|, where the current run began
+        orders = tower[k].orders
+        comp = first = GroupHom.identity(tower[k]).matrix
+        dom, size, run = tower[k], prod(orders), 1  # first's domain and |Im first|, where the current run began
         for f in maps[k:]:
             if run == WINDOW:
                 break
-            comp = comp.compose(f)
-            order = _image_order(comp.matrix, comp.codomain.orders)
-            first, size, run = (first, size, run + 1) if order == size else (comp, order, 1)
+            comp = _product(comp, f.matrix, f.domain.ngens, orders)
+            order = _image_order(comp, orders)
+            first, dom, size, run = (first, dom, size, run + 1) if order == size else (comp, f.domain, order, 1)
         if run < WINDOW:
             if k == 0:
                 raise NotStabilized(
@@ -441,14 +445,14 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             # the chain into this level would only settle beyond the supplied
             # depth; the certified prefix of levels carries the pattern
             break
-        stable.append(first)
+        stable.append((dom, tower[k], first))
     if len(stable) < 2:
         raise NotStabilized(
             f"tower depth {T} too shallow for window {WINDOW}: image chains settled"
             f" into {len(stable)} level(s), the limit needs two"
         )
 
-    below, last = (sorted(image(f).summands, key=lambda s: (-s.order, s.label)) for f in stable[-2:])
+    below, last = (sorted(image(GroupHom(*f)).summands, key=lambda s: (-s.order, s.label)) for f in stable[-2:])
     if len(below) != len(last):
         raise NotStabilized("stable images change their number of summands")
     result = []

@@ -63,8 +63,8 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
 # The deepest coefficient tower verify builds.  Its tower checks grow about
-# linearly with the depth: `verify --scope all` takes 0.28 s at --smax 8,
-# 0.51 s at 32 and 0.75 s at 64 on a 2-core Xeon host (spawned, best of 11).
+# linearly with the depth: `verify --scope all` takes 0.21 s at --smax 8,
+# 0.38 s at 32 and 0.60 s at 64 on a 2-core Xeon host (spawned, best of 11).
 MAX_DEPTH = 64
 # verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")

@@ -20,11 +20,11 @@ Deriving the tower this way removes every extension ambiguity; the
 long-exact-sequence order identity is kept as a verification invariant,
 not as the construction.
 
-Every function here is pure and every value immutable, so answers are
-memoised by value: the parts of each bidegree without bound (there are
-O(2^n) of them), and each level's group and each bidegree's coefficient
-maps in a memo that keeps only the `abelian.MEMO_SIZE` most recently used,
-so a deep tower does not stay resident.
+Every function here is pure and every value immutable.  Only the parts
+of each bidegree are memoised, without bound: there are O(2^n) of them,
+whatever the depth.  Groups and maps are built where a caller reads them:
+the long-exact-sequence check builds only connecting maps, and a limit
+only its levels and reductions, so no deep tower stays resident.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from . import mod2
-from .abelian import MEMO_SIZE, WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
+from .abelian import WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
 from .errors import HigherTorsionAmbiguity
 from .graded import Graded2Group, GradedSummand
 
@@ -135,7 +135,6 @@ def _uct_parts(n: int, p: int, q: int) -> tuple[tuple[str, str, str], ...]:
     return tuple(parts)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: s = 2.0 is computed as given, not read as 2
 def _group_of(parts: tuple[tuple[str, str, str], ...], s: int) -> FinAb2Group:
     return FinAb2Group(tuple(CyclicSummand(_KINDS[kind].order(s), label) for kind, label, _ in parts))
 
@@ -160,7 +159,6 @@ def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
     return _group_of(_uct_parts(n, p, q), s)
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: True is refused, not read as 1
 def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom, GroupHom]:
     """(t, r, delta) at bidegree (p, q) between coefficient levels.
 
@@ -176,16 +174,23 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom,
     """
     if s < 2:
         raise ValueError("transition maps need s >= 2")
-    _check_region(p, q)
-    parts, up = _uct_parts(n, p, q), _uct_parts(n, p + 1, q)
+    delta = _delta(n, p, q, s)
+    parts = _uct_parts(n, p, q)
     lo, hi = _group_of(parts, s - 1), _group_of(parts, s)
     t = _diagonal(lo, hi, [_KINDS[kind].t for kind, _, _ in parts])
     r = _diagonal(hi, lo, [_KINDS[kind].r for kind, _, _ in parts])
+    return t, r, delta
+
+
+def _delta(n: int, p: int, q: int, s: int) -> GroupHom:
+    """The connecting map delta of transition_maps, alone; rejects p > q."""
+    _check_region(p, q)
+    parts, up = _uct_parts(n, p, q), _uct_parts(n, p + 1, q)
     rows = tuple(
         tuple(int(kind == "ghost" and up_kind == "tors" and base == up_base) for kind, _, base in parts)
         for up_kind, _, up_base in up
     )
-    return t, r, GroupHom(_group_of(parts, 1), _group_of(up, s - 1), rows)
+    return GroupHom(_group_of(parts, 1), _group_of(up, s - 1), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +230,10 @@ class CoefficientTower:
         connecting maps computed from the ghost bookkeeping."""
         if s < 2:
             raise ValueError("the identity compares level s with level s-1")
-        _, _, delta_p = transition_maps(self.n, p, q, s)
-        if p == 0:
-            coker_grp = mod_2s_group(self.n, p, q, s - 1)
-        else:
-            _, _, delta_prev = transition_maps(self.n, p - 1, q, s)
-            coker_grp = cokernel(delta_prev)
-        ker_grp = kernel(delta_p)
-        lhs = prod(mod_2s_group(self.n, p, q, s).torsion_orders, start=1)
-        rhs = prod(ker_grp.torsion_orders, start=1) * prod(
-            coker_grp.torsion_orders, start=1
-        )
-        return lhs == rhs
+        delta_p = _delta(self.n, p, q, s)
+        coker_grp = cokernel(_delta(self.n, p - 1, q, s)) if p else mod_2s_group(self.n, p, q, s - 1)
+        rhs = (*kernel(delta_p).torsion_orders, *coker_grp.torsion_orders)
+        return prod(mod_2s_group(self.n, p, q, s).torsion_orders) == prod(rhs)
 
     def limit(self, p: int, q: int) -> FinAb2Group:
         """Inverse limit at (p, q) of levels 1..s_max along the reductions r,

@@ -426,7 +426,8 @@ def check_flag_variety(opts: VerifyOptions) -> CheckResult:
             presentations.parse_poly("t2^3", names),
         ),
     )
-    series = {d: len(presentations.graded_ranks(weyl, 6).at(d)) for d in (0, 2, 4, 6)}
+    weyl_table = presentations.graded_ranks(weyl, 8)
+    series = {d: len(weyl_table.at(d)) for d in (0, 2, 4, 6)}
     if series != {0: 1, 2: 2, 4: 2, 6: 1}:
         failures.append({"weyl_series": series})
     gt = presentations.graded_ranks(presentations.builtin_presentation("G2_GT_mod2"), 12)
@@ -447,7 +448,6 @@ def check_flag_variety(opts: VerifyOptions) -> CheckResult:
         failures.append({"etale_torsion": bad_orders})
     # torsion comes from the doubled degree-4 relation: per degree it has
     # the dimension of the Weyl quotient four degrees down
-    weyl_table = presentations.graded_ranks(weyl, 8)
     for k in range(0, 16, 2):
         torsion_dim = len([e for e in etale.at(k) if e.order])
         shifted = len(weyl_table.at(k - 4)) if k >= 4 else 0

@@ -237,15 +237,16 @@ def test_report_digests(argv):
 
 
 def test_warm_memos_give_cold_bytes(capsys):
-    """verify at --smax 64, then 6, then the default depth, in one process:
-    each report has the bytes a fresh process prints, so no memoised group,
-    coefficient map or lattice answer leaks from one depth or run into the
-    next."""
+    """verify at --smax 64, then 13, an odd depth, then 6, then the default
+    depth, in one process: each report has the bytes a fresh process
+    prints, so no memoised parts list or lattice answer leaks from one depth
+    or run into the next."""
     from etale_quadrics import cli
 
     report = ("verify", "--scope", "all")
     runs = (
         (("--smax", "64"), "0f3b31bbfac3d3ac68eaa635a35986e4529add2a37ea330f3f7be671b34044c0"),
+        (("--smax", "13"), "c382780d09ef2480899480f43291557b39ebe2f52a1ca18a40c4c78989f57882"),
         (("--smax", "6"), REPORT_DIGESTS[(*report, "--smax", "6", "--format", "json")]),
         ((), REPORT_DIGESTS[(*report, "--format", "json")]),
     )

@@ -73,9 +73,10 @@ def clear_memos():
 
 
 def test_memo_scan_finds_the_memos_of_every_layer():
-    """The scan is not a no-op: it finds the closed-form route's memo and
-    those of both tower layers."""
-    assert {rost.nonalgebraic_quotient, tower._uct_parts, tower.transition_maps, abelian._kernel} <= MEMOS
+    """The scan is not a no-op: it finds the closed-form route's memo, the
+    tower's parts table and the lattice layer's bounded memos."""
+    lattice = {abelian._kernel, abelian._cokernel, abelian._image, abelian._image_order}
+    assert {rost.nonalgebraic_quotient, tower._uct_parts} | lattice <= MEMOS
 
 
 def cold(fn):
@@ -90,7 +91,8 @@ def cold(fn):
 
 
 def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls in calls[0]."""
+    """Replace module.name (or a class's method) by a wrapper that counts
+    its calls in calls[0]."""
     calls = [0]
     fn = getattr(module, name)
 
@@ -148,11 +150,33 @@ def test_tower_limit_labels_two_images(monkeypatch, bidegree):
         assert calls[0] == 2, f"limit{bidegree} labels {calls[0]} images at depth {depth}"
 
 
+def test_les_sweep_builds_no_coefficient_maps(monkeypatch):
+    """The long-exact-sequence identity reads only the connecting maps, so a
+    cold sweep over the n = 2 tower builds no t or r."""
+    calls = count_calls(monkeypatch, tower, "_diagonal")
+    ct = CoefficientTower(2)
+    identity = cold(ct.les_order_identity)
+    assert all(identity(p, q, s) for p, q in ct.bidegrees() for s in range(2, ct.s_max + 1))
+    assert calls[0] == 0, f"the sweep builds {calls[0]} coefficient maps"
+
+
+@pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
+def test_tower_limit_composes_no_homomorphisms(monkeypatch, bidegree):
+    """A limit carries each composite of its image chains as a matrix and
+    builds a homomorphism only around the stable composites it labels."""
+    calls = count_calls(monkeypatch, abelian.GroupHom, "compose")
+    for depth in (16, 32):
+        calls[0] = 0
+        cold(CoefficientTower(2, s_max=depth).limit)(*bidegree)
+        assert calls[0] == 0, f"limit{bidegree} composes {calls[0]} homomorphisms at depth {depth}"
+
+
 def test_verify_memory_is_flat_in_depth():
-    """Every memo is bounded, so a deep tower's groups and maps do not stay
-    resident: with every memo cleared first, the traced peak of a verify
-    run over all scopes stays at --smax 64 within 1.5 times that at
-    --smax 8 (about 1.15 times), where unbounded memos read about 4 times.
+    """The lattice memos are bounded and the tower memoises no group or
+    map, so a deep tower does not stay resident: with every memo cleared
+    first, the traced peak of a verify run over all scopes stays at
+    --smax 64 within 1.5 times that at --smax 8 (about 1.15 times), where
+    unbounded memos read about 4 times.
     The cyclic collector is paused while tracing: a full collection also
     empties the interpreter's free lists, at moments that depend on all
     earlier allocation, and would make the peaks differ by chance."""
