@@ -265,11 +265,6 @@ class GroupHom:
                     raise ValueError(f"matrix {reduced} incompatible with generator orders {dom} -> {cod}")
         object.__setattr__(self, "matrix", reduced)
 
-    @classmethod
-    def identity(cls, group: FinAb2Group) -> "GroupHom":
-        n = group.ngens
-        return cls(group, group, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
         if other.codomain != self.domain:
@@ -429,7 +424,7 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     stable = []  # (domain, codomain, matrix) of each level's stable composite
     for k in range(T - WINDOW + 1):
         orders = tower[k].orders
-        comp = first = GroupHom.identity(tower[k]).matrix
+        comp = first = _identity(len(orders))  # reduced: every order is at least 2
         dom, size, run = tower[k], prod(orders), 1  # first's domain and |Im first|, where the current run began
         for f in maps[k:]:
             if run == WINDOW:

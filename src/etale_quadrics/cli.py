@@ -30,8 +30,6 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
-from itertools import groupby
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -41,7 +39,6 @@ from .quadrics import (
     iter_cohomology,
     nonalgebraic_report,
     parse_coefficients,
-    rost_table,
 )
 
 
@@ -63,8 +60,8 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
 # The deepest coefficient tower verify builds.  Its tower checks grow about
-# linearly with the depth: `verify --scope all` takes 0.21 s at --smax 8,
-# 0.38 s at 32 and 0.60 s at 64 on a 2-core Xeon host (spawned, best of 11).
+# linearly with the depth: `verify --scope all` takes 0.24 s at --smax 8,
+# 0.47 s at 32 and 0.75 s at 64 on a 2-core Xeon host (spawned, best of 11).
 MAX_DEPTH = 64
 # verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
@@ -201,19 +198,14 @@ def _cmd_cohomology(args) -> int:
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
         _check_bound("--rost", args.rost, MAX_INDEX)
-        target = f"M{args.rost}"
+        target, blocks = f"M{args.rost}", ((args.rost, 0, 1),)
     else:
         _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-        target = f"Q^{args.d}"
+        target, blocks = f"Q^{args.d}", decompose_motive(args.d).blocks
     view = partial(_row_parts, args.format)
     cell = (lambda n, j: f"M{n}*T{j}".ljust(10)) if args.format == "text" else (lambda n, j: str(j))
     with _output(args.out) as write:
-        if args.rost is None:
-            groups = iter_cohomology(args.d, args.coeff, view, cell)
-        else:  # one segment per degree, every row of the term M_n tensor T^0
-            cells, entries = [cell(args.rost, 0)], rost_table(args.rost, args.coeff).entries
-            groups = ((c, [(cells, [(c, view(e)) for e in at])]) for c, at in groupby(entries, attrgetter("degree")))
-        _write_table(write, args.format, target, args.coeff, groups)
+        _write_table(write, args.format, target, args.coeff, iter_cohomology(blocks, args.coeff, view, cell))
     return 0
 
 

@@ -159,31 +159,31 @@ def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
     return _group_of(_uct_parts(n, p, q), s)
 
 
-def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom, GroupHom]:
-    """(t, r, delta) at bidegree (p, q) between coefficient levels.
+def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom]:
+    """(t, r) at bidegree (p, q) between coefficient levels.
 
-    t:   level s-1 -> level s, induced by the coefficient inclusion
-         Z/2^(s-1) -> Z/2^s (multiplication by 2);
-    r:   level s -> level s-1, induced by the coefficient reduction;
-    delta: level 1 at (p, q) -> level s-1 at (p+1, q), the connecting map
-         of 0 -> Z/2^(s-1) -> Z/2^s -> Z/2 -> 0.  It factors as the
-         mod-2^(s-1) reduction of the integral Bockstein, so it sends a
-         ghost generator to the matching integral torsion class one degree
-         up and kills everything in the image of the reduction.
-    Requires p <= q, as mod_2s_group does: delta lands at (p+1, q).
+    t: level s-1 -> level s, induced by the coefficient inclusion
+       Z/2^(s-1) -> Z/2^s (multiplication by 2);
+    r: level s -> level s-1, induced by the coefficient reduction.
+    Requires p <= q, as mod_2s_group does.
     """
     if s < 2:
         raise ValueError("transition maps need s >= 2")
-    delta = _delta(n, p, q, s)
+    _check_region(p, q)
     parts = _uct_parts(n, p, q)
     lo, hi = _group_of(parts, s - 1), _group_of(parts, s)
     t = _diagonal(lo, hi, [_KINDS[kind].t for kind, _, _ in parts])
     r = _diagonal(hi, lo, [_KINDS[kind].r for kind, _, _ in parts])
-    return t, r, delta
+    return t, r
 
 
 def _delta(n: int, p: int, q: int, s: int) -> GroupHom:
-    """The connecting map delta of transition_maps, alone; rejects p > q."""
+    """The connecting map delta: level 1 at (p, q) -> level s-1 at (p+1, q)
+    of 0 -> Z/2^(s-1) -> Z/2^s -> Z/2 -> 0.  It factors as the
+    mod-2^(s-1) reduction of the integral Bockstein, so it sends a ghost
+    generator to the matching integral torsion class one degree up and
+    kills everything in the image of the reduction.  Requires p <= q, as
+    mod_2s_group does."""
     _check_region(p, q)
     parts, up = _uct_parts(n, p, q), _uct_parts(n, p + 1, q)
     rows = tuple(

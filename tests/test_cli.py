@@ -222,6 +222,12 @@ REPORT_DIGESTS = {
         "1942e585b05f25896ba9e7c392d0f1861132421681ae50ed6d61d748e0966007",
     ("cohomology", "--rost", "4", "--coeff", "mod2s:3", "--format", "json"):
         "78cba092fcf7cf9a9256ef021975619f460c1c788a01449166851fa6ef17d7d8",
+    ("cohomology", "--rost", "10", "--coeff", "2adic", "--format", "csv"):
+        "4134a8e6109bbe2b860a850d536a61510d84b6b8349adbe2b070370b9ba66d18",
+    ("cohomology", "--rost", "10", "--coeff", "mod2", "--format", "csv"):
+        "3acee339cecc36363942ae4aff432b42e67790f613ea4ef0c2f7eccca33f5e46",
+    ("cohomology", "--rost", "10", "--coeff", "mod2s:3", "--format", "csv"):
+        "d274c93737335093bcc60b8171c7cd0c210761a52a7c76a351edabdbb10e7ea5",
     ("verify", "--scope", "all", "--format", "json"):
         "5c361a3307efd20d92806a4f0f8f6bfb58a9651eae7e332e4f7ee49cb7032edd",
     ("verify", "--scope", "all", "--smax", "6", "--format", "json"):
@@ -411,7 +417,6 @@ def test_out_is_opened_before_the_table_is_computed(monkeypatch, capsys, tmp_pat
         raise AssertionError("a table was computed before --out was opened")
 
     monkeypatch.setattr(quadrics, "rost_table", unreachable)
-    monkeypatch.setattr(cli, "rost_table", unreachable)
     path = tmp_path / "missing" / "x.txt"
     assert cli.main(["cohomology", *target, "--out", str(path)]) == 2
     out, err = capsys.readouterr()

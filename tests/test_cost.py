@@ -26,7 +26,13 @@ import pytest
 
 import etale_quadrics
 from etale_quadrics import abelian, rost, tower
-from etale_quadrics.quadrics import decompose_motive, iter_cohomology, nonalgebraic_report, rost_table
+from etale_quadrics.quadrics import (
+    claim_norm_quadric,
+    decompose_motive,
+    iter_cohomology,
+    nonalgebraic_report,
+    rost_table,
+)
 from etale_quadrics.tower import CoefficientTower, etale_2adic
 
 # ×2 per doubling of the size is the target; the rest is headroom for
@@ -211,6 +217,14 @@ def test_nonalgebraic_report_cost_is_linear_in_d():
     assert ratio <= MAX_RATIO, f"nonalgebraic_report(d) grows x{ratio:.2f} from d = 1023 to 2046"
 
 
+def test_norm_quadric_claim_cost_is_linear_in_d():
+    """claim_norm_quadric(n) reads the non-algebraic report of
+    d = 2^n - 1 and the free flags of each block's Rost table, both O(d),
+    not the Θ(d²) assembled table."""
+    ratio = profile_events(cold(claim_norm_quadric), 10) / profile_events(cold(claim_norm_quadric), 9)
+    assert ratio <= MAX_RATIO, f"claim_norm_quadric(n) grows x{ratio:.2f} from n = 9 to 10"
+
+
 def test_decompose_motive_cost_is_linear_in_the_bits_of_d():
     """d = 0b1010...10 takes one block per bit but the last two, so its
     decomposition costs O(log d): about ×2 from 20 bits (18 blocks) to 40
@@ -238,7 +252,7 @@ def test_table_walk_calls_view_per_entry_and_cell_per_term(coeff):
             calls["cell"] += 1
             return n, j
 
-        rows = sum(len(here) for _, segments in iter_cohomology(d, coeff, view, cell) for _, here in segments)
+        rows = sum(len(here) for _, segments in iter_cohomology(decompose_motive(d).blocks, coeff, view, cell) for _, here in segments)
         blocks = decompose_motive(d).blocks
         held = sum(len(rost_table(n, coeff).entries) if n else 1 for n, _, _ in blocks)
         assert calls == {"view": held, "cell": sum(m for _, _, m in blocks)}, d

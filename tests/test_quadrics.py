@@ -216,7 +216,7 @@ def test_rows_come_in_sort_order(cached_rost_tables, coeff):
         if d <= 64:
             entries = list(assemble_cohomology(d, coeff).entries)
             assert entries == sorted(entries, key=graded._sort_key), d
-        keys = [(c, -n, j, e.label) for c, n, j, e in flat_rows(quadrics.iter_cohomology(d, coeff))]
+        keys = [(c, -n, j, e.label) for c, n, j, e in flat_rows(quadrics.iter_cohomology(decompose_motive(d).blocks, coeff))]
         assert keys == sorted(keys), d
 
 
@@ -235,6 +235,16 @@ def shifted_reference(d, coeff):
     return sorted(entries, key=graded._sort_key)
 
 
+@pytest.mark.parametrize("coeff", sorted(ROWS_PER_MOTIVE))
+def test_a_rost_target_is_a_single_block(coeff):
+    """The Rost motive M_n, the single block (n, 0, 1), walks as the
+    table of rost_table(n, coeff): every entry once, in order, in its own
+    degree, with the cell of the term M_n tensor T^0."""
+    for n in range(1, 11):
+        rows = list(flat_rows(quadrics.iter_cohomology(((n, 0, 1),), coeff)))
+        assert rows == [(e.degree, n, 0, e) for e in rost_table(n, coeff).entries], n
+
+
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
 def test_rows_are_complete(cached_rost_tables, coeff):
     """No row is lost at a window edge, which sorted rows alone would not
@@ -244,7 +254,7 @@ def test_rows_are_complete(cached_rost_tables, coeff):
     counting one; for d <= 64 the table is the shifted reference entry for
     entry."""
     for d in range(1, 301):
-        groups = list(quadrics.iter_cohomology(d, coeff))
+        groups = list(quadrics.iter_cohomology(decompose_motive(d).blocks, coeff))
         for c, segments in groups:
             assert segments and all(here for _, here in segments), (d, c)
         degrees = [c for c, _ in groups]
@@ -403,3 +413,21 @@ def test_claims(monkeypatch):
     assert claim_norm_quadric(4) == [
         {"claim": "norm quadric n=4 (d=15)", "missing_degrees": [4, 8, 12, 16, 20]}
     ]
+
+
+def test_norm_quadric_free_classes_are_read_per_block(monkeypatch):
+    """With every free class of M_n (n >= 1) flagged non-algebraic, the
+    claim lists the degree of each one in every term, sorted: the free
+    classes the assembled table shows, read without assembling it."""
+    real = quadrics.rost_table
+
+    def unflagged(n, coeff="2adic"):
+        table = real(n, coeff)
+        return graded.Graded2Group(tuple(e._replace(algebraic=e.algebraic and e.order != 0) for e in table.entries))
+
+    monkeypatch.setattr(quadrics, "rost_table", unflagged)
+    for n in (3, 4, 5):
+        d = 2**n - 1
+        free = [e.degree for e in assemble_cohomology(d).free_entries if not e.algebraic]
+        assert len(free) == 2 * (2 ** (n - 1))  # 1 and pi in each of the 2^(n-1) terms M_n, M_(n-1)*T^j
+        assert claim_norm_quadric(n)[-1] == {"claim": f"norm quadric n={n} (d={d})", "nonalgebraic_free_degrees": free}

@@ -15,6 +15,7 @@ from etale_quadrics.rost import rost_etale_table
 from etale_quadrics.tower import (
     MIN_DEPTH,
     CoefficientTower,
+    _delta,
     etale_2adic,
     integral_cohomology,
     mod_2s_group,
@@ -131,10 +132,10 @@ def test_level_one_matches_the_mod2_model(n, p, dq):
 
 def test_transitions_on_the_ghost_spot():
     for s in range(2, 9):
-        t, r, delta = transition_maps(2, 2, 3, s)
+        t, r = transition_maps(2, 2, 3, s)
         assert r.is_zero  # the ghost class dies under reduction
         assert t.matrix == ((1,),)  # ghosts propagate up the tower
-    _, _, delta = transition_maps(2, 2, 3, 2)
+    delta = _delta(2, 2, 3, 2)
     # the connecting map hits the integral torsion class one degree up
     assert delta.codomain.labels == ("rho_bar_3",)
     assert not delta.is_zero
@@ -142,15 +143,16 @@ def test_transitions_on_the_ghost_spot():
 
 def test_transitions_on_the_free_spot():
     for s in (2, 5):
-        t, r, _ = transition_maps(2, 6, 7, s)
+        t, r = transition_maps(2, 6, 7, s)
         assert t.matrix == ((2,),)
         assert r.matrix == ((1,),)
         assert t.compose(r).matrix == ((2 % 2**s,),)
 
 
 # sha256 over the tower route as first written, with one part list per
-# level: every transition map (t, r, delta) for n <= 3, s = 2..6 and every
-# limit in the twisted grading for n <= 4, summand order and labels included
+# level: every transition map t and r and connecting map delta for n <= 3,
+# s = 2..6 and every limit in the twisted grading for n <= 4, summand order
+# and labels included
 TOWER_ROUTE_SHA256 = "937a1cfd52b18bdd68e5dad3a74184ec836646c0ad31b6a0ebe819470931fb68"
 
 
@@ -159,7 +161,7 @@ def test_tower_route_is_pinned():
     for n in range(1, 4):
         for p, q in CoefficientTower(n).bidegrees():
             for s in range(2, 7):
-                for f in transition_maps(n, p, q, s):
+                for f in (*transition_maps(n, p, q, s), _delta(n, p, q, s)):
                     h.update(repr((f.domain.summands, f.codomain.summands, f.matrix)).encode())
     for n in range(1, 5):
         tower = CoefficientTower(n)
