@@ -11,7 +11,8 @@ generator; a kernel applies the one lattice routine twice.  Inverse limits
 take towers of finite groups: each chain of images into a level shrinks,
 so it is read by the orders of its images alone, computed only until the
 first stable run (Mittag-Leffler stabilization), on composites carried as
-matrices; only the stable images of the last two levels, the tail the
+matrices.  The levels whose chains settle form a prefix, read from the
+top down until two have settled; only their stable images, the tail the
 limit depends on, are built as homomorphisms and labeled.
 
 Everything is exact over arbitrary-precision integers: odd factors are
@@ -403,10 +404,11 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     a time, each composite a reduced matrix, until WINDOW consecutive ones
     agree (the Mittag-Leffler condition, read on a finite tower), and the
     composite that began that run gives the level's stable image.  A limit
-    depends only on the tail of its tower, so only the stable composites of
-    the last two such levels become homomorphisms, whose images are built,
-    with labels, and matched summand by summand in order of size: a chain
-    whose order doubles contributes a free 2-adic summand, a chain of
+    depends only on the last two levels whose chains settle, a prefix, so
+    the chains are read from level T - WINDOW down until two have settled,
+    and only their stable composites become homomorphisms, whose images are
+    built, with labels, and matched summand by summand in order of size: a
+    chain whose order doubles contributes a free 2-adic summand, a chain of
     constant order contributes that torsion summand, and chains with
     eventually-zero transition maps contribute nothing.
     """
@@ -421,8 +423,10 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
     if T == 0:
         return FinAb2Group.trivial()
 
-    stable = []  # (domain, codomain, matrix) of each level's stable composite
-    for k in range(T - WINDOW + 1):
+    # Im(m -> k-1) is the image of Im(m -> k), so a run of equal image orders into
+    # level k maps onto one into k-1: the settled levels form a prefix, its last two found first.
+    stable = []  # (domain, codomain, matrix) of each level's stable composite, top first
+    for k in range(T - WINDOW, -1, -1):
         orders = tower[k].orders
         comp = first = _identity(len(orders))  # reduced: every order is at least 2
         dom, size, run = tower[k], prod(orders), 1  # first's domain and |Im first|, where the current run began
@@ -432,22 +436,18 @@ def inverse_limit(tower: Sequence[FinAb2Group], maps: Sequence[GroupHom]) -> Fin
             comp = _product(comp, f.matrix, f.domain.ngens, orders)
             order = _image_order(comp, orders)
             first, dom, size, run = (first, dom, size, run + 1) if order == size else (comp, f.domain, order, 1)
-        if run < WINDOW:
-            if k == 0:
-                raise NotStabilized(
-                    f"image chain into level 0 not constant for {WINDOW} consecutive depths"
-                )
-            # the chain into this level would only settle beyond the supplied
-            # depth; the certified prefix of levels carries the pattern
-            break
-        stable.append((dom, tower[k], first))
+        if run == WINDOW:
+            stable.append((dom, tower[k], first))
+            if len(stable) == 2:
+                break
+    if T >= WINDOW and not stable:  # level 0, scanned last, did not settle either
+        raise NotStabilized(f"image chain into level 0 not constant for {WINDOW} consecutive depths")
     if len(stable) < 2:
         raise NotStabilized(
-            f"tower depth {T} too shallow for window {WINDOW}: image chains settled"
-            f" into {len(stable)} level(s), the limit needs two"
+            f"tower depth {T} too shallow for window {WINDOW}: image chains settled into {len(stable)} level(s), the limit needs two"
         )
 
-    below, last = (sorted(image(GroupHom(*f)).summands, key=lambda s: (-s.order, s.label)) for f in stable[-2:])
+    below, last = (sorted(image(GroupHom(*f)).summands, key=lambda s: (-s.order, s.label)) for f in stable[::-1])
     if len(below) != len(last):
         raise NotStabilized("stable images change their number of summands")
     result = []

@@ -59,9 +59,9 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # The largest coefficient level s whose order 2^s still prints under the
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
-# The deepest coefficient tower verify builds.  Its tower checks grow about
-# linearly with the depth: `verify --scope all` takes 0.24 s at --smax 8,
-# 0.47 s at 32 and 0.75 s at 64 on a 2-core Xeon host (spawned, best of 11).
+# The deepest coefficient tower verify builds.  Its per-level checks grow
+# linearly with the depth, its limits not: `verify --scope all` takes 0.21 s
+# at --smax 8, 0.32 s at 32 and 0.48 s at 64 on a 2-core Xeon (spawned, best of 11).
 MAX_DEPTH = 64
 # verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")

@@ -24,7 +24,7 @@ Every function here is pure and every value immutable.  Only the parts
 of each bidegree are memoised, without bound: there are O(2^n) of them,
 whatever the depth.  Groups and maps are built where a caller reads them:
 the long-exact-sequence check builds only connecting maps, and a limit
-only its levels and reductions, so no deep tower stays resident.
+only its top MIN_DEPTH levels and their reductions, at any depth.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def _delta(n: int, p: int, q: int, s: int) -> GroupHom:
 # the coefficient tower
 
 
-# The ghost chain settles one level late, so a limit reads two stabilized
-# levels only from WINDOW + 2 levels on: the least tower depth.
+# The ghost chain settles one level late, so a limit reads two stabilized levels
+# only from WINDOW + 2 levels on: the least tower depth, and the top levels a limit builds.
 MIN_DEPTH = WINDOW + 2
 # The tower depth used when none is given.
 DEFAULT_DEPTH = 8
@@ -236,11 +236,11 @@ class CoefficientTower:
         return prod(mod_2s_group(self.n, p, q, s).torsion_orders) == prod(rhs)
 
     def limit(self, p: int, q: int) -> FinAb2Group:
-        """Inverse limit at (p, q) of levels 1..s_max along the reductions r,
-        all read off one list of parts."""
+        """Inverse limit at (p, q) of the top MIN_DEPTH levels, along the
+        reductions r and read off one list of parts: the limit's tail."""
         _check_region(p, q)
         parts = _uct_parts(self.n, p, q)
-        levels = [_group_of(parts, s) for s in range(1, self.s_max + 1)]
+        levels = [_group_of(parts, s) for s in range(self.s_max - MIN_DEPTH + 1, self.s_max + 1)]
         r = [_KINDS[kind].r for kind, _, _ in parts]
         return inverse_limit(levels, [_diagonal(hi, lo, r) for lo, hi in zip(levels, levels[1:])])
 

@@ -364,6 +364,14 @@ def test_limit_of_zero_maps_vanishes():
     # it settles
     for g, f in ((Z(2), hom(Z(2), Z(2), [[0]])), (Z(8), hom(Z(8), Z(8), [[2]]))):
         assert inverse_limit([g] * 8, [f] * 7).is_trivial
+    # x2 on Z/16 reaches 0 four levels down, so only the chains into levels
+    # up to depth - 8 settle: at depth 9 those into levels 2-5 do not, and
+    # the scan from the top descends to levels 1 and 0
+    g, f = Z(16), hom(Z(16), Z(16), [[2]])
+    for depth in (9, 12):
+        tower, maps = [g] * depth, [f] * (depth - 1)
+        assert inverse_limit(tower, maps).is_trivial
+        assert inverse_limit(tower, maps) == image_structure_limit(tower, maps)
 
 
 def test_limit_of_constant_tower_returns_the_group():
@@ -393,6 +401,16 @@ def test_limit_requires_depth():
     groups, maps = reduction_tower(3)
     with pytest.raises(NotStabilized):
         inverse_limit(groups, maps)
+    # x2 on Z/16: the message names what settled, never a negative count
+    g, f = Z(16), hom(Z(16), Z(16), [[2]])
+    for depth, message in (
+        (3, r"settled into 0 level\(s\)"),
+        (4, "image chain into level 0"),
+        (6, "image chain into level 0"),
+        (8, r"settled into 1 level\(s\)"),
+    ):
+        with pytest.raises(NotStabilized, match=message):
+            inverse_limit([g] * depth, [f] * (depth - 1))
 
 
 def test_limit_rejects_mismatched_maps():
@@ -450,13 +468,13 @@ def image_structure_limit(tower, maps):
 
 @st.composite
 def finite_towers(draw):
-    """WINDOW + 1 to 8 levels of 1-3 cyclic summands of order <= 16, each
+    """WINDOW + 1 to 12 levels of 1-3 cyclic summands of order <= 16, each
     map scaled so that it respects the orders.  Half of the time the levels
     all have the same orders, and half of the time a diagonal entry is odd
     wherever the orders allow it, so that chains settle often and onto
     nonzero images."""
     level_orders = st.lists(st.sampled_from([2, 4, 8, 16]), min_size=1, max_size=3)
-    depth = draw(st.integers(WINDOW + 1, 8))
+    depth = draw(st.integers(WINDOW + 1, 12))
     if draw(st.booleans()):
         orders = [draw(level_orders)] * depth
     else:

@@ -1,9 +1,10 @@
 """Cost contracts: how the work of a computation grows with its size.
 
 A Rost table of index n has Θ(2^n) entries, so building it should cost
-Θ(2^n) too: about ×2 per step of n.  An inverse limit over a tower of
-depth S should cost Θ(S), and the non-algebraic report of Q^d O(d): about
-×2 when S or d doubles.  The motive decomposition of Q^d should cost
+Θ(2^n) too: about ×2 per step of n.  An inverse limit reads only the
+top of its tower, so a limit over a tower of depth S should cost the
+same at every S, and the non-algebraic report of Q^d O(d): about ×2 when
+d doubles.  The motive decomposition of Q^d should cost
 O(log d): about ×2 when the bits of d double.  The work is counted as profiler events (every
 Python and C call and return), which depend on the code alone, not on the
 host, so the ratio between two sizes is exact on every Python.  Only
@@ -123,11 +124,39 @@ def test_rost_table_cost_doubles_per_index(table, coeff):
     assert ratio <= MAX_RATIO, f"{table.__name__}(n, {coeff!r}) grows x{ratio:.2f} per n"
 
 
+# A flat cost reads ×1.00; the rest is headroom for the interpreter.
+MAX_FLAT_RATIO = 1.1
+
+
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
-def test_tower_limit_cost_is_linear_in_depth(bidegree):
+def test_tower_limit_cost_is_flat_in_depth(bidegree):
+    """A limit builds only the top MIN_DEPTH levels of its tower and reads
+    the chains into them from the top, so its cost is flat in the depth:
+    within MAX_FLAT_RATIO from depth 16 to 32, where building and walking
+    every level read about ×1.95."""
     shallow, deep = (cold(CoefficientTower(2, s_max=s).limit) for s in (16, 32))
     ratio = profile_events(deep, *bidegree) / profile_events(shallow, *bidegree)
-    assert ratio <= MAX_RATIO, f"limit{bidegree} grows x{ratio:.2f} from depth 16 to 32"
+    assert ratio <= MAX_FLAT_RATIO, f"limit{bidegree} grows x{ratio:.2f} from depth 16 to 32"
+
+
+@pytest.mark.parametrize(
+    "orders_of",
+    (lambda depth: [4] * depth, lambda depth: [2**s for s in range(1, depth + 1)]),
+    ids=("identity-on-Z/4", "reductions"),
+)
+def test_inverse_limit_reads_only_the_top_levels(monkeypatch, orders_of):
+    """inverse_limit walks down from the top and stops at the second level
+    whose chain settles, so a cold call measures as many image orders at 32
+    levels as at 16; a walk up from level 0 measures one chain per level."""
+    calls = count_calls(monkeypatch, abelian, "_image_order")
+    counts = []
+    for depth in (16, 32):
+        levels = [abelian.FinAb2Group((abelian.CyclicSummand(o, "g"),)) for o in orders_of(depth)]
+        maps = [abelian.GroupHom(hi, lo, ((1,),)) for lo, hi in zip(levels, levels[1:])]
+        calls[0] = 0
+        cold(abelian.inverse_limit)(levels, maps)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0, f"inverse_limit measures {counts} image orders at 16, 32 levels"
 
 
 @pytest.mark.parametrize("bidegree", ((6, 7), (4, 4), (2, 3)))  # free, torsion, ghost
