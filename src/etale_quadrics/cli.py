@@ -59,9 +59,9 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 # The largest coefficient level s whose order 2^s still prints under the
 # interpreter's default limit of 4300 digits for int-to-str conversion.
 MAX_LEVEL = 14284
-# The deepest coefficient tower verify builds.  Its per-level checks grow
-# linearly with the depth, its limits not: `verify --scope all` takes 0.21 s
-# at --smax 8, 0.32 s at 32 and 0.48 s at 64 on a 2-core Xeon (spawned, best of 11).
+# The deepest level verify's per-level tower checks sweep.  They grow linearly
+# with it, while a limit reads levels 1..MIN_DEPTH at every --smax: `verify --scope all` takes
+# 0.21 s at --smax 8, 0.30 s at 32 and 0.46 s at 64 on a 2-core Xeon (spawned, best of 11).
 MAX_DEPTH = 64
 # verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
@@ -240,8 +240,8 @@ def _cmd_verify(args) -> int:
 
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
-    # the rule of tower.CoefficientTower, checked for every scope so that
-    # the error names the flag
+    # from MIN_DEPTH on the per-level checks cover every level a limit reads;
+    # checked for every scope so that the error names the flag
     _check_bound("--smax", args.smax, MAX_DEPTH, low=tower.MIN_DEPTH)
     opts = verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
     with _output(args.out) as write:

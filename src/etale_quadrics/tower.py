@@ -24,7 +24,7 @@ Every function here is pure and every value immutable.  Only the parts
 of each bidegree are memoised, without bound: there are O(2^n) of them,
 whatever the depth.  Groups and maps are built where a caller reads them:
 the long-exact-sequence check builds only connecting maps, and a limit
-only its top MIN_DEPTH levels and their reductions, at any depth.
+only the MIN_DEPTH levels it reads and their reductions.
 """
 
 from __future__ import annotations
@@ -198,10 +198,8 @@ def _delta(n: int, p: int, q: int, s: int) -> GroupHom:
 
 
 # The ghost chain settles one level late, so a limit reads two stabilized levels
-# only from WINDOW + 2 levels on: the least tower depth, and the top levels a limit builds.
+# only from WINDOW + 2 levels on: the levels a limit builds.
 MIN_DEPTH = WINDOW + 2
-# The tower depth used when none is given.
-DEFAULT_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -210,12 +208,9 @@ class CoefficientTower:
     transition maps and the long-exact-sequence bookkeeping."""
 
     n: int
-    s_max: int = DEFAULT_DEPTH
 
     def __post_init__(self):
         mod2._check_index(self.n)
-        if self.s_max < MIN_DEPTH:
-            raise ValueError(f"tower depth must be at least {MIN_DEPTH}")
 
     def bidegrees(self) -> list[tuple[int, int]]:
         top = mod2.top_rho_exponent(self.n)
@@ -236,11 +231,11 @@ class CoefficientTower:
         return prod(mod_2s_group(self.n, p, q, s).torsion_orders) == prod(rhs)
 
     def limit(self, p: int, q: int) -> FinAb2Group:
-        """Inverse limit at (p, q) of the top MIN_DEPTH levels, along the
-        reductions r and read off one list of parts: the limit's tail."""
+        """Inverse limit at (p, q) along the reductions r, read off one list
+        of parts: levels 1..MIN_DEPTH, whose limit every deeper tower shares."""
         _check_region(p, q)
         parts = _uct_parts(self.n, p, q)
-        levels = [_group_of(parts, s) for s in range(self.s_max - MIN_DEPTH + 1, self.s_max + 1)]
+        levels = [_group_of(parts, s) for s in range(1, MIN_DEPTH + 1)]
         r = [_KINDS[kind].r for kind, _, _ in parts]
         return inverse_limit(levels, [_diagonal(hi, lo, r) for lo, hi in zip(levels, levels[1:])])
 
@@ -253,12 +248,12 @@ def twist_bidegree(degree: int) -> tuple[int, int]:
     return (degree, degree) if degree % 4 == 0 else (degree, degree + 1)
 
 
-def etale_2adic(n: int, s_max: int = DEFAULT_DEPTH) -> Graded2Group:
+def etale_2adic(n: int) -> Graded2Group:
     """2-adic etale cohomology of the index-n Rost motive in the twisted
     even-degree grading, assembled as the inverse limit of the reduction
     tower in every degree.  Algebraicity flags come from the mod-2 cycle
     image degrees."""
-    tower = CoefficientTower(n, s_max=s_max)
+    tower = CoefficientTower(n)
     algebraic_degrees = mod2.cycle_image_mod2(n)
     entries = []
     for degree in range(0, mod2.top_rho_exponent(n) + 1, 2):

@@ -39,7 +39,7 @@ class CheckResult:
 
 @dataclass
 class VerifyOptions:
-    smax: int = tower.DEFAULT_DEPTH
+    smax: int = 8
     dmax: int = 512
     nmax: int = 6
 
@@ -127,7 +127,7 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
     only a ghost class at every finite level and vanishes in the limit."""
     failures = []
     for n in range(2, min(opts.nmax, 4) + 1):
-        ct = tower.CoefficientTower(n, s_max=opts.smax)
+        ct = tower.CoefficientTower(n)
         top = mod2.top_rho_exponent(n)
         for degree in range(2, top, 4):
             p, q = tower.twist_bidegree(degree)
@@ -170,7 +170,7 @@ def check_z4_table(opts: VerifyOptions) -> CheckResult:
 def check_les_identity(opts: VerifyOptions) -> CheckResult:
     failures = []
     for n in (2, 3):
-        ct = tower.CoefficientTower(n, s_max=opts.smax)
+        ct = tower.CoefficientTower(n)
         for p, q in ct.bidegrees():
             for s in range(2, opts.smax + 1):
                 if not ct.les_order_identity(p, q, s):
@@ -200,7 +200,7 @@ def check_tower_pattern(opts: VerifyOptions) -> CheckResult:
 
 def check_limits(opts: VerifyOptions) -> CheckResult:
     failures = []
-    ct = tower.CoefficientTower(2, s_max=opts.smax)
+    ct = tower.CoefficientTower(2)
     for s in range(2, opts.smax + 1):
         _, r = tower.transition_maps(2, 2, 3, s)
         if not r.is_zero:
@@ -224,7 +224,7 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
     """t after r and r after t are multiplication by 2 at every level."""
     failures = []
     for n in (2, 3):
-        ct = tower.CoefficientTower(n, s_max=opts.smax)
+        ct = tower.CoefficientTower(n)
         for p, q in ct.bidegrees():
             for s in range(2, opts.smax + 1):
                 t, r = tower.transition_maps(n, p, q, s)
@@ -246,7 +246,7 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
 def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
     failures = []
     for n in range(1, min(opts.nmax, 5) + 1):
-        computed = tower.etale_2adic(n, s_max=opts.smax)
+        computed = tower.etale_2adic(n)
         table = rost.rost_etale_table(n)
         a = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in computed.entries]
         b = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in table.entries]

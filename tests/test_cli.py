@@ -280,10 +280,10 @@ OUT_OF_BOUND = [
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
-    # the tower depth is checked for every scope, also one that builds no tower
+    # the sweep depth is checked for every scope, also one that sweeps no level
     (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "6.."),
     (("verify", "--smax", "4"), "--smax 4", "6.."),
-    # a tower limit needs WINDOW + 2 levels: the ghost chain settles one level late
+    # below WINDOW + 2 the per-level checks would miss levels a tower limit reads
     (("verify", "--scope", "s5", "--smax", "5"), "--smax 5", "6.."),
     (("verify", "--scope", "s3", "--smax", "5"), "--smax 5", "6.."),
     (("verify", "--scope", "s2", "--smax", "65"), "--smax 65", "6..64"),

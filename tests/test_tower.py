@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_quadrics.abelian import WINDOW
+from etale_quadrics.abelian import WINDOW, inverse_limit
 from etale_quadrics.cli import MAX_INDEX
+from etale_quadrics.errors import NotStabilized
 from etale_quadrics.mod2 import bockstein, top_rho_exponent
 from etale_quadrics.quadrics import rost_table
 from etale_quadrics.rost import rost_etale_table
@@ -188,9 +189,24 @@ def test_tower_depth_is_window_plus_two():
     # the ghost chain at (2, 3) settles one level late, so WINDOW + 1 = 5
     # levels leave a single stabilized level
     assert MIN_DEPTH == WINDOW + 2 == 6
-    with pytest.raises(ValueError):
-        CoefficientTower(2, s_max=5)
-    assert CoefficientTower(2, s_max=6).limit(2, 3).is_trivial
+    with pytest.raises(NotStabilized, match="settled into 1 level"):
+        reduction_limit(2, 2, 3, MIN_DEPTH - 1)
+    assert CoefficientTower(2).limit(2, 3).is_trivial
+
+
+def reduction_limit(n, p, q, depth):
+    """inverse_limit at (p, q) over levels 1..depth along the reductions r."""
+    levels = [mod_2s_group(n, p, q, s) for s in range(1, depth + 1)]
+    return inverse_limit(levels, [transition_maps(n, p, q, s)[1] for s in range(2, depth + 1)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_limit_window_equals_a_deeper_limit(n):
+    """A limit reads levels 1..MIN_DEPTH; the limit over levels 1..16 is the
+    same group, labels included, at every bidegree."""
+    ct = CoefficientTower(n)
+    for p, q in ct.bidegrees():
+        assert ct.limit(p, q) == reduction_limit(n, p, q, 16), (p, q)
 
 
 def test_twist_bidegree():
