@@ -15,31 +15,20 @@ is one f-string of the two.  Exit codes: 0 success (also when the reader
 of stdout stops early), 1 verification mismatch, 2 invalid input or usage
 (an --out path that cannot be written included).
 
-Each subcommand imports only the modules it runs, since every process pays
-its imports: every table needs quadrics, rost, mod2 and graded, and only
-verify loads verify, presentations, tower and abelian.
+Each process imports only what its subcommand and output format run,
+since every process pays its imports (and, without a bytecode cache,
+compiles them): the module itself loads argparse, os and sys alone, so
+--version, --help and usage errors load nothing more.  The three table
+subcommands load quadrics (with rost, mod2 and graded) when they run, and
+only verify loads verify, presentations, tower and abelian.  json is
+loaded only to write JSON or a failed check's diff, csv only to write CSV.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from contextlib import contextmanager
-from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .graded import GradedSummand
-from .quadrics import (
-    decompose_motive,
-    iter_cohomology,
-    nonalgebraic_report,
-    parse_coefficients,
-)
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
@@ -85,34 +74,40 @@ def _order_str(order: int) -> str:
     return "Z2" if order == 0 else f"Z/{order}"
 
 
-@contextmanager
-def _output(path: Optional[str]) -> Iterator[Callable[[str], object]]:
-    """The write function of stdout, or of the --out file, which is opened
-    here, after the arguments are checked and before anything is computed.
-    A path that cannot be written, the empty one too, is invalid input,
-    like any bad argument."""
+def _emit(path: str | None, produce):
+    """Run produce(write) and return what it returns; write is the write
+    function of stdout, or of the --out file, which is opened here, after
+    the arguments are checked and before anything is computed.  A path
+    that cannot be written, the empty one too, is invalid input, like any
+    bad argument."""
     if path is None:
-        yield sys.stdout.write
+        result = produce(sys.stdout.write)
         sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
-        return
+        return result
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            yield fh.write
+            return produce(fh.write)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
-    """What a row of Rost entry e keeps under every shift M_n tensor T^j:
-    order, generator label, n and algebraicity, formatted once per entry
-    and split around the j column (the source column in text)."""
+def _row_parts(fmt: str, e) -> tuple[str, str]:
+    """What a row of Rost entry e (a graded.GradedSummand) keeps under every
+    shift M_n tensor T^j: order, generator label, n and algebraicity,
+    formatted once per entry and split around the j column (the source
+    column in text)."""
     if fmt == "json":
+        import json
+
         return (
             f'      "order": {e.order},\n      "generator": {json.dumps(e.label)},\n'
             f'      "source": {{\n        "n": {e.source[0]},\n        "j": ',
             f'\n      }},\n      "algebraic": {json.dumps(e.algebraic)}\n    }}',
         )
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow((e.order, e.label, e.source[0], ""))
         return buf.getvalue()[:-1], f",{'' if e.algebraic is None else str(e.algebraic).lower()}\n"
@@ -120,9 +115,7 @@ def _row_parts(fmt: str, e: GradedSummand) -> tuple[str, str]:
     return f"{_order_str(e.order):>6}  {e.label:<24}  ", f"  {alg}\n"
 
 
-def _write_table(
-    write: Callable[[str], object], fmt: str, target: str, coeff: str, groups: Iterable
-) -> None:
+def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:
     """Write per-degree groups (c, segments), segments (cells, here) as
     iter_cohomology yields them with view _row_parts(fmt, _) and the j
     column of each term as its cell, as they come, once CHUNK_ROWS rows
@@ -134,6 +127,8 @@ def _write_table(
     one join.  The JSON is byte for byte json.dumps(payload, indent=2) of
     the whole table."""
     if fmt == "json":
+        import json
+
         write(
             f'{{\n  "target": {json.dumps(target)},\n'
             f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
@@ -170,9 +165,13 @@ def _write_table(
 
 def _cmd_decompose(args) -> int:
     _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-    with _output(args.out) as write:
-        dec = decompose_motive(args.d)
+    from . import quadrics
+
+    def produce(write):
+        dec = quadrics.decompose_motive(args.d)
         if args.format == "json":
+            import json
+
             payload = {
                 "d": dec.d,
                 "expansion": list(dec.expansion),
@@ -186,14 +185,20 @@ def _cmd_decompose(args) -> int:
         else:
             write(f"Q^{dec.d}: {dec.render()}\n")
             write(f"expansion: {list(dec.expansion)} residual: {dec.residual}\n")
+
+    _emit(args.out, produce)
     return 0
 
 
 def _cmd_cohomology(args) -> int:
+    from functools import partial
+
+    from . import quadrics
+
     kind, _, level = args.coeff.partition(":")
     if kind == "mod2s" and level.isascii() and level.isdigit():
         _check_bound("coefficient level", level, MAX_LEVEL)  # before int() reads it
-    parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
+    quadrics.parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
     if args.rost is not None:
@@ -201,20 +206,24 @@ def _cmd_cohomology(args) -> int:
         target, blocks = f"M{args.rost}", ((args.rost, 0, 1),)
     else:
         _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-        target, blocks = f"Q^{args.d}", decompose_motive(args.d).blocks
+        target, blocks = f"Q^{args.d}", quadrics.decompose_motive(args.d).blocks
     view = partial(_row_parts, args.format)
     cell = (lambda n, j: f"M{n}*T{j}".ljust(10)) if args.format == "text" else (lambda n, j: str(j))
-    with _output(args.out) as write:
-        _write_table(write, args.format, target, args.coeff, iter_cohomology(blocks, args.coeff, view, cell))
+    groups = quadrics.iter_cohomology(blocks, args.coeff, view, cell)  # a generator: nothing runs yet
+    _emit(args.out, lambda write: _write_table(write, args.format, target, args.coeff, groups))
     return 0
 
 
 def _cmd_nonalgebraic(args) -> int:
     _check_bound("quadric dimension", args.d, MAX_DIMENSION)
-    with _output(args.out) as write:
-        report = nonalgebraic_report(args.d)
+    from . import quadrics
+
+    def produce(write):
+        report = quadrics.nonalgebraic_report(args.d)
         rows = [{"degree": deg, "dim": dim, "mod4": deg % 4} for deg, dim in report.dims]
         if args.format == "json":
+            import json
+
             payload = {
                 "target": f"Q^{args.d}",
                 "has_nonalgebraic": report.has_nonalgebraic,
@@ -232,6 +241,8 @@ def _cmd_nonalgebraic(args) -> int:
                 lines.append("all classes algebraic")
             lines.append(f"has_nonalgebraic: {str(report.has_nonalgebraic).lower()}")
             write("\n".join(lines) + "\n")
+
+    _emit(args.out, produce)
     return 0
 
 
@@ -244,10 +255,13 @@ def _cmd_verify(args) -> int:
     # checked for every scope so that the error names the flag
     _check_bound("--smax", args.smax, MAX_DEPTH, low=tower.MIN_DEPTH)
     opts = verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
-    with _output(args.out) as write:
+
+    def produce(write) -> bool:
         results = verify.run_checks(args.scope, opts)
         ok = all(r.passed for r in results)
         if args.format == "json":
+            import json
+
             payload = {
                 "scope": args.scope,
                 "passed": ok,
@@ -260,11 +274,15 @@ def _cmd_verify(args) -> int:
                 mark = "PASS" if r.passed else "FAIL"
                 line = f"{mark} {r.check_id}: {r.detail}"
                 if not r.passed:
+                    import json
+
                     line += f"  diff={json.dumps(r.diff, sort_keys=True)}"
                 lines.append(line)
             lines.append(f"{'OK' if ok else 'MISMATCH'} ({sum(r.passed for r in results)}/{len(results)} checks)")
             write("\n".join(lines) + "\n")
-    return 0 if ok else 1
+        return ok
+
+    return 0 if _emit(args.out, produce) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

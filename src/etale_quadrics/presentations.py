@@ -193,10 +193,6 @@ def monomial_table(degrees: tuple[int, ...], max_degree: int) -> list[list[tuple
     return table
 
 
-def _multiply(poly: Poly, exps: tuple[int, ...]) -> Poly:
-    return tuple((tuple(a + b for a, b in zip(e, exps)), c) for e, c in poly)
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     return make_poly(
         (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
@@ -214,49 +210,83 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 
     Degree k is presented on its monomial basis modulo the columns
     relation * monomial; generator labels keep the smallest contributing
-    monomial.
+    monomial.  A monomial is coded as one integer, its exponents the digits
+    in base max_degree + 1, so a product's code is the sum of its factors'
+    codes, and each column is one dict of its live entries (nonzero in the
+    coefficients) by row.
 
-    Before the cokernel, a column whose only live entry (nonzero in the
-    coefficients) is odd kills its monomial: an odd integer is a unit over
-    the 2-local integers, so that monomial is 0 in the quotient and its row
-    and the column drop out with no change to the group.  Dropping rows
-    leaves other columns with a lone odd entry, so this repeats until no
-    column has one; then the columns with no live entry left go too, and
-    `cokernel` runs on what remains.  A killed monomial projects to 0 on
-    every surviving class, so it never was a contributing label; the other
-    labels are read off the elimination of the smaller matrix, and for
-    every built-in family they are those of the full one.
+    Before the cokernel, a sparse 2-local reduction splits rows off.  Take
+    a column whose only live entry a is in row i, where no live entry of
+    row i has a smaller 2-adic valuation than a's, v.  Over the 2-local
+    integers every entry of row i is then a multiple of a, so column steps
+    clear row i outside that column and change no other row: the group is
+    Z/2^v on row i, labeled by its monomial, plus the quotient of the other
+    rows by the other columns.  An odd a (v = 0) kills row i; over F2 every
+    live entry is odd, so every row split off is killed.  Dropping a row
+    leaves columns with a lone entry, so a worklist runs until none
+    qualifies; a row's entries stay as they are until it is dropped, so
+    its least valuation is read once.  `cokernel` runs on the rows and the
+    nonzero columns that remain, and its labels are read off that smaller
+    elimination; for every built-in family they are those of the full one.
+    The work before the cokernel is linear in the monomials and the
+    relation entries.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     names = p.generator_names
-    rel_degs = p.relation_degrees()
     base_order = 0 if p.coefficients == "Z2" else 2
     table = monomial_table(p.generator_degrees, max_degree)
+    radix = max_degree + 1
+
+    def code(exps: tuple[int, ...]) -> int:
+        c = 0
+        for e in exps:
+            c = c * radix + e
+        return c
+
+    codes = [[code(m) for m in monos] for monos in table]
+    relations = []  # (degree, live terms (code, coefficient)), equal monomials summed
+    for rel, rdeg in zip(p.relations, p.relation_degrees()):
+        if rdeg <= max_degree:
+            terms: dict[int, int] = {}
+            for exps, coeff in rel:
+                c = code(exps)
+                terms[c] = terms.get(c, 0) + coeff
+            relations.append((rdeg, [(c, a) for c, a in terms.items() if (a % base_order if base_order else a)]))
     entries = []
     for k, monos in enumerate(table):
         if not monos:
             continue
-        index = {m: i for i, m in enumerate(monos)}
-        cols = []  # each column as {row: entry}, live entries only
-        for rel, rdeg in zip(p.relations, rel_degs):
-            if rdeg > k:
+        index = {c: i for i, c in enumerate(codes[k])}
+        cols = [
+            {index[rc + mc]: a for rc, a in terms}
+            for rdeg, terms in relations if rdeg <= k
+            for mc in codes[k - rdeg]
+        ]
+        in_row: list[list[int]] = [[] for _ in monos]  # the columns live in each row
+        least = [0] * len(monos)  # the least 2-part of a live entry in each row
+        for j, col in enumerate(cols):
+            for i, a in col.items():
+                in_row[i].append(j)
+                if not least[i] or a & -a < least[i]:
+                    least[i] = a & -a
+        split = [0] * len(monos)  # order 2^v of a row split off, 1 when killed
+        work = [j for j, col in enumerate(cols) if len(col) == 1]
+        while work:
+            col = cols[work.pop()]
+            if len(col) != 1:  # emptied since it was queued
                 continue
-            for m in table[k - rdeg]:
-                col: dict[int, int] = {}
-                for exps, coeff in _multiply(rel, m):
-                    i = index[exps]
-                    col[i] = col.get(i, 0) + coeff
-                cols.append({i: c for i, c in col.items() if (c % base_order if base_order else c)})
-        dead: set[int] = set()
-        while True:
-            lives = ([i for i in col if i not in dead] for col in cols)
-            kills = {live[0] for live, col in zip(lives, cols) if len(live) == 1 and col[live[0]] & 1}
-            if not kills:
-                break
-            dead |= kills
-        rows = [i for i in range(len(monos)) if i not in dead]
-        cols = [col for col in cols if not dead.issuperset(col)]
+            ((i, a),) = col.items()
+            if a & -a != least[i]:
+                continue
+            split[i] = least[i]
+            for j in in_row[i]:
+                del cols[j][i]
+                if len(cols[j]) == 1:
+                    work.append(j)
+        entries += (GradedSummand(k, o, monomial_label(monos[i], names)) for i, o in enumerate(split) if o > 1)
+        rows = [i for i, o in enumerate(split) if not o]
+        cols = [col for col in cols if col]
         module = FinAb2Group(
             tuple(CyclicSummand(base_order, monomial_label(monos[i], names)) for i in rows)
         )

@@ -48,10 +48,10 @@ def _result(check_id, scope, failures, detail):
     return CheckResult(check_id, scope, not failures, detail, diff=failures or None)
 
 
-def _nothing(lo: int, hi: int) -> str:
-    """The detail of a check over an empty index range n=lo..hi, hi < lo:
-    it passes, but over nothing."""
-    return f"nothing checked, the range n={lo}..{hi} is empty"
+def _nothing(lo: int, hi: int, name: str = "n") -> str:
+    """The detail of a check over an empty range name=lo..hi, hi < lo, of
+    indices n or levels s: it passes, but over nothing."""
+    return f"nothing checked, the range {name}={lo}..{hi} is empty"
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +192,10 @@ def check_tower_pattern(opts: VerifyOptions) -> CheckResult:
         want = [(2**s,), (2,), (2,), (2**s,)]
         if got != want:
             failures.append({"s": s, "orders": got})
+    pattern = "tower pattern (Z/2^s, Z/2, Z/2, Z/2^s)"
     return _result(
         "C3", "s5", failures,
-        f"tower pattern (Z/2^s, Z/2, Z/2, Z/2^s) holds for s=1..{opts.smax}",
+        f"{pattern} holds for s=1..{opts.smax}" if opts.smax >= 1 else f"{pattern}: {_nothing(1, opts.smax, 's')}",
     )
 
 
@@ -361,36 +362,39 @@ def check_assembly_tables(opts: VerifyOptions) -> CheckResult:
     return _result("s7.tables", "s7", failures, "assembled tables match the frozen fixtures")
 
 
-def coefficient_change(d: int, levels: Iterable[int]) -> list[dict]:
-    """Compare, at each level s, the printed mod-2^s table of Q^d (closed
-    form) with the sum of the tower route's Rost tables, M_n*T^j shifted
-    by 2j and M_0*T^j the unit Z/2^s in degree 2j.  Returns one diff per
-    level that disagrees."""
-    terms = quadrics.decompose_motive(d).terms
+def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]:
+    """Compare, at each level s, the printed mod-2^s table of each Q^d
+    (closed form) with the sum of the tower route's Rost tables, M_n*T^j
+    shifted by 2j and M_0*T^j the unit Z/2^s in degree 2j.  Each level's
+    Rost tables are built once for all d, and only that level's are held.
+    Returns one diff per d and level that disagree, sorted by (d, s)."""
+    terms = {d: quadrics.decompose_motive(d).terms for d in dims}
+    indices = {t.n for ts in terms.values() for t in ts} - {0}
     failures = []
     for s in levels:
-        tables = {n: tower.mod_2s_table(n, s).entries for n in {t.n for t in terms} - {0}}
-        want = sorted(
-            [(2 * t.j, 2**s, "1", (0, t.j)) for t in terms if not t.n]
-            + [(e.degree + 2 * t.j, e.order, e.label, (t.n, t.j)) for t in terms if t.n for e in tables[t.n]]
-        )
-        got = sorted(
-            (e.degree, e.order, e.label, e.source)
-            for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
-        )
-        if got != want:
-            failures.append({"d": d, "s": s, "closed_form": got, "tower": want})
-    return failures
+        tables = {n: tower.mod_2s_table(n, s).entries for n in indices}
+        for d, ts in terms.items():
+            want = sorted(
+                [(2 * t.j, 2**s, "1", (0, t.j)) for t in ts if not t.n]
+                + [(e.degree + 2 * t.j, e.order, e.label, (t.n, t.j)) for t in ts if t.n for e in tables[t.n]]
+            )
+            got = sorted(
+                (e.degree, e.order, e.label, e.source)
+                for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
+            )
+            if got != want:
+                failures.append({"d": d, "s": s, "closed_form": got, "tower": want})
+    return sorted(failures, key=lambda f: (f["d"], f["s"]))
 
 
 def check_coefficient_change(opts: VerifyOptions) -> CheckResult:
     """The printed mod-2^s assembly (universal coefficients on the 2-adic
     closed form) agrees with the tower route's, ghosts included."""
-    levels = range(1, opts.smax + 1)
-    failures = [diff for d in (3, 5, 6, 7, 15, 31) for diff in coefficient_change(d, levels)]
+    failures = coefficient_change((3, 5, 6, 7, 15, 31), range(1, opts.smax + 1))
+    levels = f"s=1..{opts.smax}" if opts.smax >= 1 else f"({_nothing(1, opts.smax, 's')})"
     return _result(
         "s7.coeff", "s7", failures,
-        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,5,6,7,15,31}} and s=1..{opts.smax}",
+        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,5,6,7,15,31}} and {levels}",
     )
 
 

@@ -495,6 +495,22 @@ def test_verify_names_an_empty_index_range(capsys, nmax, empty):
             assert int(lo) <= int(hi) or f"the range n={lo}..{hi} is empty" in line, line
 
 
+def test_verify_names_an_empty_level_range():
+    """The CLI takes --smax >= 6, but the library takes any level bound: at
+    smax = 0 the level sweeps of C3 and s7.coeff pass over nothing, and
+    their details say so instead of printing s=1..0 as if it were checked."""
+    import re
+
+    from etale_quadrics import verify
+
+    results = verify.run_checks("all", verify.VerifyOptions(smax=0))
+    assert all(r.passed for r in results)
+    assert {r.check_id for r in results if "nothing checked" in r.detail} == {"C3", "s7.coeff"}
+    for r in results:
+        for lo, hi in re.findall(r"s=(\d+)\.\.(\d+)", r.detail):
+            assert int(lo) <= int(hi) or f"the range s={lo}..{hi} is empty" in r.detail, r.detail
+
+
 def test_verify_json_format():
     res = run_cli("verify", "--scope", "s9", "--format", "json")
     payload = json.loads(res.stdout)
@@ -552,6 +568,9 @@ OFF_THE_TABLE_PATH = {
     "dataclasses",
 }
 
+# what every table subcommand loads and --version needs none of
+TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mod2", "errors")}
+
 
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
@@ -569,6 +588,9 @@ OFF_THE_TABLE_PATH = {
             )
         ),
         pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), id="verify --scope s2"),
+        pytest.param(("--version",), set(), TABLE_STACK | {"json", "csv"}, id="--version loads no table stack"),
+        pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, id="cohomology 7 loads neither json nor csv"),
+        pytest.param(("cohomology", "7", "--format", "csv"), {"csv"}, set(), id="cohomology 7 --format csv"),
     ],
 )
 def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded):

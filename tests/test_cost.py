@@ -5,13 +5,16 @@ A Rost table of index n has Θ(2^n) entries, so building it should cost
 of levels, so its cost is pinned by exact counts of what it reads, and
 the non-algebraic report of Q^d should cost O(d): about ×2 when d
 doubles.  The motive decomposition of Q^d should cost
-O(log d): about ×2 when the bits of d double.  The work is counted as profiler events (every
-Python and C call and return), which depend on the code alone, not on the
-host, so the ratio between two sizes is exact on every Python.  Only
-ratios are asserted, never counts, because the interpreter's own calls
-differ between Python versions.  Each measured call starts with every
-memo of the package cleared, found by scanning its modules for
-`cache_clear`, so that a warm memo never stands in for work.
+O(log d): about ×2 when the bits of d double.  The graded ranks of a ring
+presentation should cost as much as its monomials and relation entries
+when every relation column is split off before the cokernel.  The work
+is counted as profiler events (every Python and C call and return),
+which depend on the code alone, not on the host, so the ratio between
+two sizes is exact on every Python.  Only ratios are asserted, never
+counts, because the interpreter's own calls differ between Python
+versions.  Each measured call starts with every memo of the package
+cleared, found by scanning its modules for `cache_clear`, so that a warm
+memo never stands in for work.
 
 A quadric table has Θ(d²) rows, and work per row inside a comprehension
 fires no profile event.  So the table walk is pinned by the calls to the
@@ -26,7 +29,8 @@ import sys
 import pytest
 
 import etale_quadrics
-from etale_quadrics import abelian, rost, tower
+from etale_quadrics import abelian, presentations, rost, tower
+from etale_quadrics.presentations import builtin_presentation, graded_ranks, monomial_table
 from etale_quadrics.quadrics import (
     claim_norm_quadric,
     decompose_motive,
@@ -237,6 +241,43 @@ def test_decompose_motive_cost_is_linear_in_the_bits_of_d():
     short, long = int("10" * 10, 2), int("10" * 20, 2)
     ratio = profile_events(decompose_motive, long) / profile_events(decompose_motive, short)
     assert ratio <= MAX_RATIO, f"decompose_motive(d) grows x{ratio:.2f} from 20 to 40 bits"
+
+
+def presentation_size(p, max_degree):
+    """The monomials of degree <= max_degree plus the relation entries:
+    every term of every relation times every monomial that keeps the
+    product within max_degree."""
+    table = monomial_table(p.generator_degrees, max_degree)
+    below = [0]
+    for monos in table:
+        below.append(below[-1] + len(monos))
+    return below[-1] + sum(
+        len(rel) * below[max_degree - rdeg + 1]
+        for rel, rdeg in zip(p.relations, p.relation_degrees())
+        if rdeg <= max_degree
+    )
+
+
+def test_graded_ranks_cost_is_linear_in_the_presentation(monkeypatch):
+    """Every relation of the norm family is a monomial, so each column is
+    split off before the cokernel and every cokernel of n = 6..8 gets a
+    matrix with no column.  From n = 7 to 8 the monomials and relation
+    entries grow about ×4, and the events may grow as much times the
+    headroom MAX_RATIO / 2 for terms that do not grow with them; cokernels
+    that take the 2*rho4 columns read about ×5.5."""
+    tops = {n: 2 * (2**n - 1) for n in (6, 7, 8)}
+    events = {n: profile_events(cold(graded_ranks), builtin_presentation("norm", n), tops[n]) for n in (7, 8)}
+    sizes = {n: presentation_size(builtin_presentation("norm", n), tops[n]) for n in (7, 8)}
+    bound = MAX_RATIO / 2 * sizes[8] / sizes[7]
+    ratio = events[8] / events[7]
+    assert ratio <= bound, f"graded_ranks grows x{ratio:.2f} from n = 7 to 8, over x{bound:.2f}"
+
+    columns = []
+    cokernel = presentations.cokernel
+    monkeypatch.setattr(presentations, "cokernel", lambda hom: columns.append(hom.domain.ngens) or cokernel(hom))
+    for n, top in tops.items():
+        graded_ranks(builtin_presentation("norm", n), top)
+    assert columns and set(columns) == {0}, f"cokernels get {max(columns)} columns"
 
 
 @pytest.mark.parametrize("coeff", ("2adic", "mod2", "mod2s:3"))

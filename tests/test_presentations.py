@@ -307,7 +307,7 @@ def test_prune_keeps_a_lone_even_entry(cokernel_rows):
     assert [(e.degree, e.order, e.label) for e in table.entries] == [
         (0, 0, "1"), (4, 2, "rho4"), (8, 2, "rho4^2"),
     ]
-    assert cokernel_rows == [("1",), ("rho4",), ("rho4^2",)]
+    assert cokernel_rows == [("1",), (), ()]
 
 
 def test_prune_iterates(cokernel_rows):
@@ -319,7 +319,7 @@ def test_prune_iterates(cokernel_rows):
     table = graded_ranks(p, 2)
     assert table.entries == unpruned_ranks(p, 2).entries
     assert table.at(2) == (GradedSummand(2, 2, "c"),)
-    assert cokernel_rows == [("1",), ("c",)]
+    assert cokernel_rows == [("1",), ()]
 
 
 def test_prune_reads_f2_entries_modulo_two(cokernel_rows):

@@ -387,7 +387,7 @@ def test_nonalgebraic_report_is_the_per_term_sum():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 254), st.integers(1, 8))
 def test_tower_route_is_universal_coefficients_on_the_closed_form(d, s):
-    assert coefficient_change(d, [s]) == []
+    assert coefficient_change([d], [s]) == []
 
 
 def test_boundary():
