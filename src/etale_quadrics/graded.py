@@ -64,9 +64,5 @@ class Graded2Group(NamedTuple):
         return {c: _profile(here) for c, here in groupby(self.entries, key=_degree)}
 
     @property
-    def free_entries(self) -> tuple[GradedSummand, ...]:
-        return tuple(e for e in self.entries if e.order == 0)
-
-    @property
     def torsion_entries(self) -> tuple[GradedSummand, ...]:
         return tuple(e for e in self.entries if e.order)

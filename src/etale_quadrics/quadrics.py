@@ -245,9 +245,10 @@ def claim_neighbor(kind: str, n: int) -> list[dict]:
 def claim_norm_quadric(n: int) -> list[dict]:
     """Norm quadric d = 2^n - 1: non-algebraic classes in every degree
     c = 0 mod 4 with 4 <= c <= 2^(n+1) - 12, while the free part is fully
-    algebraic.  The free classes are read per block off the Rost table's
-    flags (the M_0 unit is algebraic by construction), so the claim costs
-    O(d).  Returns the failures, empty when the claim holds."""
+    algebraic.  The free classes are read per block off rost.free_classes,
+    the flags each Rost table is built from, with no table built (the M_0
+    unit is algebraic by construction), so the claim costs O(d).  Returns
+    the failures, empty when the claim holds."""
     d = 2**n - 1
     claim = f"norm quadric n={n} (d={d})"
     nonalgebraic = dict(nonalgebraic_report(d).dims)
@@ -255,7 +256,7 @@ def claim_norm_quadric(n: int) -> list[dict]:
     free = sorted(
         e.degree + 2 * j
         for k, j0, m in decompose_motive(d).blocks if k
-        for e in rost_table(k).free_entries if not e.algebraic
+        for e in rost.free_classes(k) if not e.algebraic
         for j in range(j0, j0 + m)
     )
     failures = [{"claim": claim, "missing_degrees": missing}] if missing else []

@@ -34,22 +34,25 @@ def torsion_degrees(n: int) -> tuple[int, ...]:
     return tuple(4 * m for m in range(1, 2 ** (n - 1)))
 
 
+def free_classes(n: int) -> tuple[GradedSummand, GradedSummand]:
+    """The free classes of the index-n Rost motive, source (n, 0): the unit 1
+    and pi in the top degree, both algebraic.  O(1), so a reader of the free
+    part does not build the Θ(2^n) table."""
+    _check_index(n)
+    return GradedSummand(0, 0, "1", True, (n, 0)), GradedSummand(top_rho_exponent(n), 0, "pi", True, (n, 0))
+
+
 def rost_etale_table(n: int) -> Graded2Group:
     """2-adic etale cohomology of the index-n Rost motive, every entry with
     source (n, 0): the free classes 1 and pi, one Z/2 class rho_bar_d in each
     torsion degree, each flagged algebraic when the cycle map hits it."""
-    _check_index(n)
-    top = top_rho_exponent(n)
+    free = free_classes(n)  # checks n
     algebraic = set(chow_torsion_degrees(n))
-    free = [
-        GradedSummand(0, 0, "1", True, (n, 0)),
-        GradedSummand(top, 0, "pi", True, (n, 0)),
-    ]
     torsion = [
         GradedSummand(d, 2, f"rho_bar_{d}", d in algebraic, (n, 0))
         for d in torsion_degrees(n)
     ]
-    return Graded2Group.from_entries(free + torsion)
+    return Graded2Group.from_entries([*free, *torsion])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True is refused, not read as 1

@@ -456,23 +456,74 @@ def test_closed_stdout_ends_quietly(argv, read, unbuffered):
 
 
 def test_table_memory_is_flat_in_d(tmp_path):
-    """Rows are written as they are computed: the traced peak of a mod2 JSON
-    table at d = 1022 (about 520,000 rows) stays within twice that at
-    d = 127, where a table built whole grows like d^2."""
+    """Rows are written as they are computed: Q^1022 is the 512 terms
+    M_9 tensor T^j, so its mod2 JSON table (523,776 rows) holds the
+    same Rost table as that of M_9 alone (1,023 rows), and its traced peak
+    exceeds the Rost motive's only by one write, one degree's rows and the
+    512 cells: within 1.5 times, where a table held whole grows it like
+    d^2 and a write of 4096 JSON rows (780 KB) about fourfold.  An untraced
+    run first loads and warms every code path, so neither traced run pays
+    for that."""
     import tracemalloc
 
     from etale_quadrics import cli
 
+    def argv(*target):
+        return ["cohomology", *target, "--coeff", "mod2", "--format", "json", "--out", str(tmp_path / "t.json")]
+
+    assert cli.main(argv("--rost", "9")) == 0
     peaks = {}
-    for d in (127, 1022):
-        argv = ["cohomology", str(d), "--coeff", "mod2", "--format", "json", "--out", str(tmp_path / "t.json")]
+    for target in (("1022",), ("--rost", "9")):
         tracemalloc.start()
         try:
-            assert cli.main(argv) == 0
-            peaks[d] = tracemalloc.get_traced_memory()[1]
+            assert cli.main(argv(*target)) == 0
+            peaks[" ".join(target)] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1022] <= 2 * peaks[127], peaks
+    assert peaks["1022"] <= 1.5 * peaks["--rost 9"], peaks
+
+
+@pytest.mark.parametrize(
+    "target, fmt",  # each table takes more than two writes (the M_10 CSV fits in one)
+    [(["300"], "text"), (["300"], "json"), (["300"], "csv"), (["--rost", "10"], "text"), (["--rost", "10"], "json")],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_table_writes_are_pipe_sized(monkeypatch, target, fmt):
+    """Each write of a table holds at least CHUNK_BYTES of text, the last
+    one excepted, and less than CHUNK_BYTES plus the text of the table's
+    largest degree, so no write is much larger than a pipe holds."""
+    import re
+
+    from etale_quadrics import cli
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["cohomology", *target, "--coeff", "mod2", "--format", fmt]) == 0
+    text = "".join(stdout.writes)
+    # where a row of degree c starts (group 1: c)
+    row_start = {"text": r"(?m)^ *(\d+)  ", "csv": r"(?m)^(\d+),", "json": r'\n    \{\n      "degree": (\d+),'}
+    rows = list(re.finditer(row_start[fmt], text))
+    starts = {}  # offset of the first row of each degree
+    for m in rows:
+        starts.setdefault(int(m.group(1)), m.start())
+    offsets = sorted(starts.values()) + [len(text)]
+    largest = max(b - a for a, b in zip(offsets, offsets[1:]))
+    sizes = [len(w) for w in stdout.writes]
+    assert len(sizes) > 2, sizes
+    assert all(cli.CHUNK_BYTES <= n < cli.CHUNK_BYTES + largest for n in sizes[:-1]), (sizes, largest)
+    if fmt == "json":
+        assert len(json.loads(text)["records"]) == len(rows)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_quadrics import graded, quadrics
+from etale_quadrics import graded, quadrics, rost
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
 from etale_quadrics.mod2 import rost_etale_mod2
 from etale_quadrics.quadrics import (
@@ -311,7 +311,7 @@ def test_assembly_sources_and_flags():
     }
     deg4 = {(e.label, e.source, e.algebraic) for e in table.at(4)}
     assert deg4 == {("rho_bar_4", (3, 0), False), ("1", (2, 2), True)}
-    assert all(e.algebraic for e in table.free_entries)
+    assert all(e.algebraic for e in table.entries if e.order == 0)
     # twist parity always equals half-degree parity after shifting
     assert all(e.twist == (e.degree // 2) % 2 for e in table.entries)
 
@@ -419,15 +419,25 @@ def test_norm_quadric_free_classes_are_read_per_block(monkeypatch):
     """With every free class of M_n (n >= 1) flagged non-algebraic, the
     claim lists the degree of each one in every term, sorted: the free
     classes the assembled table shows, read without assembling it."""
-    real = quadrics.rost_table
-
-    def unflagged(n, coeff="2adic"):
-        table = real(n, coeff)
-        return graded.Graded2Group(tuple(e._replace(algebraic=e.algebraic and e.order != 0) for e in table.entries))
-
-    monkeypatch.setattr(quadrics, "rost_table", unflagged)
+    real = rost.free_classes
+    monkeypatch.setattr(rost, "free_classes", lambda n: tuple(e._replace(algebraic=False) for e in real(n)))
     for n in (3, 4, 5):
         d = 2**n - 1
-        free = [e.degree for e in assemble_cohomology(d).free_entries if not e.algebraic]
+        free = [e.degree for e in assemble_cohomology(d).entries if e.order == 0 and not e.algebraic]
         assert len(free) == 2 * (2 ** (n - 1))  # 1 and pi in each of the 2^(n-1) terms M_n, M_(n-1)*T^j
         assert claim_norm_quadric(n)[-1] == {"claim": f"norm quadric n={n} (d={d})", "nonalgebraic_free_degrees": free}
+
+
+def test_norm_quadric_claim_builds_no_rost_table(monkeypatch):
+    """The claim reads the free flags off rost.free_classes: no Rost table
+    is built, so its cost is the O(d) report's."""
+    calls = Counter()
+    real = rost.rost_etale_table
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(rost, "rost_etale_table", counted)
+    assert claim_norm_quadric(10) == []
+    assert not calls, calls

@@ -19,19 +19,19 @@ def test_library_has_no_index_cap():
 def test_etale_table_fixtures():
     t3 = rost_etale_table(3)
     assert [e.degree for e in t3.torsion_entries] == [4, 8, 12]
-    assert [e.degree for e in t3.free_entries] == [0, 14]
+    assert [e.degree for e in t3.entries if e.order == 0] == [0, 14]
     t2 = rost_etale_table(2)
     assert [e.degree for e in t2.torsion_entries] == [4]
-    assert [e.degree for e in t2.free_entries] == [0, 6]
+    assert [e.degree for e in t2.entries if e.order == 0] == [0, 6]
     t4 = rost_etale_table(4)
     assert [e.degree for e in t4.torsion_entries] == [4, 8, 12, 16, 20, 24, 28]
-    assert [e.degree for e in t4.free_entries] == [0, 30]
+    assert [e.degree for e in t4.entries if e.order == 0] == [0, 30]
     assert {e.source for e in t4.entries} == {(4, 0)}
 
 
 def test_twist_parities():
     t3 = rost_etale_table(3)
-    unit, pi = t3.free_entries
+    unit, pi = [e for e in t3.entries if e.order == 0]
     assert unit.twist == 0
     assert pi.twist == 1  # the top degree is 2 mod 4
     assert all(e.twist == 0 for e in t3.torsion_entries)  # torsion sits in 0 mod 4
@@ -46,7 +46,7 @@ def test_cycle_image_fixtures():
 def test_algebraic_flags_follow_the_cycle_image():
     for n in (2, 3, 4, 5):
         table = rost_etale_table(n)
-        assert all(e.algebraic for e in table.free_entries)
+        assert all(e.algebraic for e in table.entries if e.order == 0)
         algebraic = set(chow_torsion_degrees(n))
         for e in table.torsion_entries:
             assert e.algebraic == (e.degree in algebraic)
@@ -70,5 +70,5 @@ def test_nonalgebraic_quotient_count(n):
 @given(st.integers(2, 9))
 def test_torsion_is_a_truncated_power_ring(n):
     """rho_bar_4^m sits in degree 4m and the power 2^(n-1) vanishes."""
-    pi = rost_etale_table(n).free_entries[-1]
+    pi = [e for e in rost_etale_table(n).entries if e.order == 0][-1]
     assert 4 * 2 ** (n - 1) > pi.degree  # the next power would truncate
