@@ -58,29 +58,22 @@ MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
 # d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
 MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
-# The largest coefficient level s whose order 2^s still prints under the
-# interpreter's default limit of 4300 digits for int-to-str conversion.
-MAX_LEVEL = 14284
-# The deepest level verify's per-level tower checks sweep.  They grow linearly
-# with it, while a limit reads levels 1..MIN_DEPTH at every --smax: `verify --scope all` takes
-# 0.21 s at --smax 8, 0.30 s at 32 and 0.46 s at 64 on a 2-core Xeon (spawned, best of 11).
-MAX_DEPTH = 64
 # verify.SCOPES; like the VerifyOptions defaults in build_parser, pinned by a test
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
 
 
-def _check_bound(name: str, value: int | str, bound: int, low: int = 1) -> None:
-    """Reject a value outside low..bound, naming what the user passed: an
+def _check_bound(name: str, value: int | str, bound: int) -> None:
+    """Reject a value outside 1..bound, naming what the user passed: an
     int, or the ASCII digits of a level typed inside a spec.  Digits longer
     than the bound are out of range unread, so int() never sees them (it
     refuses more than 4300)."""
     if isinstance(value, str):
         digits = value.lstrip("0") or "0"
-        inside = len(digits) <= len(str(bound)) and low <= int(digits) <= bound
+        inside = len(digits) <= len(str(bound)) and 1 <= int(digits) <= bound
     else:
-        inside = low <= value <= bound
+        inside = 1 <= value <= bound
     if not inside:
-        raise ValueError(f"{name} {value} is outside {low}..{bound}")
+        raise ValueError(f"{name} {value} is outside 1..{bound}")
 
 
 def _order_str(order: int) -> str:
@@ -214,7 +207,7 @@ def _cmd_cohomology(args) -> int:
 
     kind, _, level = args.coeff.partition(":")
     if kind == "mod2s" and level.isascii() and level.isdigit():
-        _check_bound("coefficient level", level, MAX_LEVEL)  # before int() reads it
+        _check_bound("coefficient level", level, quadrics.MAX_LEVEL)  # before int() reads it
     quadrics.parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
@@ -264,14 +257,11 @@ def _cmd_nonalgebraic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import tower, verify
+    from . import verify
 
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
-    # from MIN_DEPTH on the per-level checks cover every level a limit reads;
-    # checked for every scope so that the error names the flag
-    _check_bound("--smax", args.smax, MAX_DEPTH, low=tower.MIN_DEPTH)
-    opts = verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax)
+    opts = verify.VerifyOptions(dmax=args.dmax, nmax=args.nmax)
 
     def produce(write) -> bool:
         results = verify.run_checks(args.scope, opts)
@@ -345,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", default="all", choices=SCOPES,
         help="check group to run (default: all)",
     )
-    p.add_argument("--smax", type=int, default=8, help="tower depth (default: %(default)s)")
     p.add_argument("--dmax", type=int, default=512, help="dimension sweep bound (default: %(default)s)")
     p.add_argument("--nmax", type=int, default=6, help="Rost index bound (default: %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")

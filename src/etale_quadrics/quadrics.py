@@ -97,6 +97,9 @@ def decompose_motive(d: int) -> MotiveDecomposition:
 # additive assembly
 
 
+MAX_LEVEL = 14284  # the largest level s whose order 2^s prints under the default 4300-digit int-to-str limit
+
+
 def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
     """(kind, level) of a coefficient spec: mod2, mod2s:<s> with <s> a
     decimal level >= 1, or 2adic."""

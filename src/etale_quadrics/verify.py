@@ -39,19 +39,36 @@ class CheckResult:
 
 @dataclass
 class VerifyOptions:
-    smax: int = 8
     dmax: int = 512
     nmax: int = 6
 
 
+# The levels every per-level check sweeps: 1..MIN_DEPTH, all a 2-adic limit
+# reads, and the largest the CLI prints.  A level enters a check only through
+# the order 2^s of the free parts, so the levels between show nothing new.
+LEVELS = (*range(1, tower.MIN_DEPTH + 1), quadrics.MAX_LEVEL)
+_LEVELS_TEXT = f"s=1..{tower.MIN_DEPTH} and s={quadrics.MAX_LEVEL}"
+
+
+def _printable(x):
+    """x with each int that str() refuses (sys.get_int_max_str_digits()) written
+    as the string 2^k, or in hex if no power of 2: a diff prints at any level."""
+    if isinstance(x, (dict, list, tuple)):
+        return {k: _printable(v) for k, v in x.items()} if isinstance(x, dict) else type(x)(map(_printable, x))
+    try:
+        str(x)
+    except ValueError:  # only an int with too many digits
+        return f"2^{x.bit_length() - 1}" if x & (x - 1) == 0 else hex(x)
+    return x
+
+
 def _result(check_id, scope, failures, detail):
-    return CheckResult(check_id, scope, not failures, detail, diff=failures or None)
+    return CheckResult(check_id, scope, not failures, detail, diff=_printable(failures) or None)
 
 
-def _nothing(lo: int, hi: int, name: str = "n") -> str:
-    """The detail of a check over an empty range name=lo..hi, hi < lo, of
-    indices n or levels s: it passes, but over nothing."""
-    return f"nothing checked, the range {name}={lo}..{hi} is empty"
+def _nothing(lo: int, hi: int) -> str:
+    """The detail of a check over an empty index range n=lo..hi, hi < lo."""
+    return f"nothing checked, the range n={lo}..{hi} is empty"
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +148,10 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
         top = mod2.top_rho_exponent(n)
         for degree in range(2, top, 4):
             p, q = tower.twist_bidegree(degree)
-            for s in range(1, opts.smax + 1):
+            for s in LEVELS:
                 grp = tower.mod_2s_group(n, p, q, s)
-                if [sm.order for sm in grp.summands] != [2] or not grp.labels[0].startswith("ghost("):
-                    failures.append({"n": n, "degree": degree, "s": s, "group": repr(grp)})
+                if grp.orders != (2,) or not grp.labels[0].startswith("ghost("):
+                    failures.append({"n": n, "degree": degree, "s": s, "orders": grp.orders, "labels": grp.labels})
                     break
             if not ct.limit(p, q).is_trivial:
                 failures.append({"n": n, "degree": degree, "limit": "nonzero"})
@@ -172,7 +189,7 @@ def check_les_identity(opts: VerifyOptions) -> CheckResult:
     for n in (2, 3):
         ct = tower.CoefficientTower(n)
         for p, q in ct.bidegrees():
-            for s in range(2, opts.smax + 1):
+            for s in LEVELS[1:]:
                 if not ct.les_order_identity(p, q, s):
                     failures.append({"n": n, "bidegree": (p, q), "s": s})
     return _result(
@@ -186,23 +203,15 @@ def check_les_identity(opts: VerifyOptions) -> CheckResult:
 
 
 def check_tower_pattern(opts: VerifyOptions) -> CheckResult:
-    failures = []
-    for s in range(1, opts.smax + 1):
-        got = [tower.mod_2s_group(2, p, q, s).torsion_orders for p, q in _N2_SPOTS]
-        want = [(2**s,), (2,), (2,), (2**s,)]
-        if got != want:
-            failures.append({"s": s, "orders": got})
-    pattern = "tower pattern (Z/2^s, Z/2, Z/2, Z/2^s)"
-    return _result(
-        "C3", "s5", failures,
-        f"{pattern} holds for s=1..{opts.smax}" if opts.smax >= 1 else f"{pattern}: {_nothing(1, opts.smax, 's')}",
-    )
+    got = {s: [tower.mod_2s_group(2, p, q, s).torsion_orders for p, q in _N2_SPOTS] for s in LEVELS}
+    failures = [{"s": s, "orders": orders} for s, orders in got.items() if orders != [(2**s,), (2,), (2,), (2**s,)]]
+    return _result("C3", "s5", failures, f"tower pattern (Z/2^s, Z/2, Z/2, Z/2^s) holds for {_LEVELS_TEXT}")
 
 
 def check_limits(opts: VerifyOptions) -> CheckResult:
     failures = []
     ct = tower.CoefficientTower(2)
-    for s in range(2, opts.smax + 1):
+    for s in LEVELS[1:]:
         _, r = tower.transition_maps(2, 2, 3, s)
         if not r.is_zero:
             failures.append({"s": s, "r_on_ghost": r.matrix})
@@ -227,7 +236,7 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
     for n in (2, 3):
         ct = tower.CoefficientTower(n)
         for p, q in ct.bidegrees():
-            for s in range(2, opts.smax + 1):
+            for s in LEVELS[1:]:
                 t, r = tower.transition_maps(n, p, q, s)
                 squares = (("t*r", t.compose(r), t.codomain), ("r*t", r.compose(t), t.domain))
                 for side, square, grp in squares:  # levels are finite: 2 * identity, reduced
@@ -390,11 +399,10 @@ def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]
 def check_coefficient_change(opts: VerifyOptions) -> CheckResult:
     """The printed mod-2^s assembly (universal coefficients on the 2-adic
     closed form) agrees with the tower route's, ghosts included."""
-    failures = coefficient_change((3, 5, 6, 7, 15, 31), range(1, opts.smax + 1))
-    levels = f"s=1..{opts.smax}" if opts.smax >= 1 else f"({_nothing(1, opts.smax, 's')})"
+    failures = coefficient_change((3, 4, 5, 6, 7, 8, 15, 31), LEVELS)
     return _result(
         "s7.coeff", "s7", failures,
-        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,5,6,7,15,31}} and {levels}",
+        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,4,5,6,7,8,15,31}} and {_LEVELS_TEXT}",
     )
 
 

@@ -11,7 +11,7 @@ import sys
 from etale_quadrics import verify
 from etale_quadrics.verify import VerifyOptions
 
-OPTS = VerifyOptions(smax=8, dmax=512, nmax=6)
+OPTS = VerifyOptions(dmax=512, nmax=6)
 
 
 def _verdict(name, result):

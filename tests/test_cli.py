@@ -229,9 +229,7 @@ REPORT_DIGESTS = {
     ("cohomology", "--rost", "10", "--coeff", "mod2s:3", "--format", "csv"):
         "d274c93737335093bcc60b8171c7cd0c210761a52a7c76a351edabdbb10e7ea5",
     ("verify", "--scope", "all", "--format", "json"):
-        "5c361a3307efd20d92806a4f0f8f6bfb58a9651eae7e332e4f7ee49cb7032edd",
-    ("verify", "--scope", "all", "--smax", "6", "--format", "json"):
-        "2332fccb3430d83e3ec541f5b78f16db334bbb9fcb4db28472410dfded57d483",
+        "f3315fd32a8849f4314309dedd55cd367d5bc949f6fe8cb097427585d0a83eb4",
 }
 
 
@@ -243,22 +241,21 @@ def test_report_digests(argv):
 
 
 def test_warm_memos_give_cold_bytes(capsys):
-    """verify at --smax 64, then 13, an odd depth, then 6, then the default
-    depth, in one process: each report has the bytes a fresh process
-    prints, so no memoised parts list or lattice answer leaks from one depth
-    or run into the next."""
+    """verify at the largest --nmax, then over one scope, then at small
+    bounds, then at the defaults, in one process: each report has the bytes
+    a fresh process prints, so no memoised parts list or lattice answer
+    leaks from one run into the next."""
     from etale_quadrics import cli
 
-    report = ("verify", "--scope", "all")
     runs = (
-        (("--smax", "64"), "0f3b31bbfac3d3ac68eaa635a35986e4529add2a37ea330f3f7be671b34044c0"),
-        (("--smax", "13"), "c382780d09ef2480899480f43291557b39ebe2f52a1ca18a40c4c78989f57882"),
-        (("--smax", "6"), REPORT_DIGESTS[(*report, "--smax", "6", "--format", "json")]),
-        ((), REPORT_DIGESTS[(*report, "--format", "json")]),
+        (("--scope", "all", "--nmax", "10", "--dmax", "64"), "47a12dba0efa427558e2b4a244338c6671f28fe24df73829701acff080a2f4dd"),
+        (("--scope", "s5"), "9ae84f0be11e466d75f344c18ff05f5c195f99199d35e650edd2d9739bfd6648"),
+        (("--scope", "all", "--nmax", "2", "--dmax", "8"), "273774d5af4fe834207240da017816ab6823ecc6ebc8738862ca41eeec6e133c"),
+        (("--scope", "all"), REPORT_DIGESTS[("verify", "--scope", "all", "--format", "json")]),
     )
-    for depth, digest in runs:
-        assert cli.main([*report, *depth, "--format", "json"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, depth
+    for argv, digest in runs:
+        assert cli.main(["verify", *argv, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 COEFFS = ("2adic", "mod2", "mod2s:3")
@@ -280,13 +277,6 @@ OUT_OF_BOUND = [
     (("verify", "--nmax", "11"), "--nmax 11", "1..10"),
     (("verify", "--nmax", "0"), "--nmax 0", "1..10"),
     (("verify", "--dmax", "2047"), "--dmax 2047", "1..2046"),
-    # the sweep depth is checked for every scope, also one that sweeps no level
-    (("verify", "--scope", "s2", "--smax", "-5"), "--smax -5", "6.."),
-    (("verify", "--smax", "4"), "--smax 4", "6.."),
-    # below WINDOW + 2 the per-level checks would miss levels a tower limit reads
-    (("verify", "--scope", "s5", "--smax", "5"), "--smax 5", "6.."),
-    (("verify", "--scope", "s3", "--smax", "5"), "--smax 5", "6.."),
-    (("verify", "--scope", "s2", "--smax", "65"), "--smax 65", "6..64"),
 ]
 
 
@@ -311,7 +301,6 @@ def test_table_bound_rejects(argv, quantity, bound):
         ("cohomology", "--rost", "1", "--coeff", "mod2s:" + "0" * 4300 + "3"),
         ("nonalgebraic", "2046"),
         ("decompose", "2046"),
-        ("verify", "--scope", "s2", "--smax", "64"),
     ],
     ids=lambda argv: " ".join(argv)[:60],
 )
@@ -323,6 +312,13 @@ def test_verify_has_no_window_flag():
     res = run_cli("verify", "--window", "4")
     assert res.returncode == 2 and res.stdout == ""
     assert "unrecognized arguments: --window 4" in res.stderr
+
+
+def test_verify_has_no_level_flag():
+    """verify sweeps the fixed verify.LEVELS: a level bound is a usage error."""
+    res = run_cli("verify", "--smax", "8")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unrecognized arguments: --smax 8" in res.stderr
 
 
 def test_cohomology_requires_one_target():
@@ -546,22 +542,6 @@ def test_verify_names_an_empty_index_range(capsys, nmax, empty):
             assert int(lo) <= int(hi) or f"the range n={lo}..{hi} is empty" in line, line
 
 
-def test_verify_names_an_empty_level_range():
-    """The CLI takes --smax >= 6, but the library takes any level bound: at
-    smax = 0 the level sweeps of C3 and s7.coeff pass over nothing, and
-    their details say so instead of printing s=1..0 as if it were checked."""
-    import re
-
-    from etale_quadrics import verify
-
-    results = verify.run_checks("all", verify.VerifyOptions(smax=0))
-    assert all(r.passed for r in results)
-    assert {r.check_id for r in results if "nothing checked" in r.detail} == {"C3", "s7.coeff"}
-    for r in results:
-        for lo, hi in re.findall(r"s=(\d+)\.\.(\d+)", r.detail):
-            assert int(lo) <= int(hi) or f"the range s={lo}..{hi} is empty" in r.detail, r.detail
-
-
 def test_verify_json_format():
     res = run_cli("verify", "--scope", "s9", "--format", "json")
     payload = json.loads(res.stdout)
@@ -585,6 +565,46 @@ def test_verify_exit_code_on_mismatch(monkeypatch, capsys):
     assert "FAIL X0" in out and '"got": 1' in out
 
 
+def test_verify_sweeps_the_levels_a_limit_reads_and_the_printed_top(monkeypatch):
+    """The per-level checks sweep levels 1..MIN_DEPTH and the largest level
+    the CLI prints: a free part that is Z/2^s only up to s = 64 fails C3
+    and s7.coeff, at s = MAX_LEVEL alone."""
+    from etale_quadrics import quadrics, tower, verify
+
+    assert verify.LEVELS == (*range(1, tower.MIN_DEPTH + 1), quadrics.MAX_LEVEL)
+    free = tower._KINDS["free"]
+    monkeypatch.setitem(tower._KINDS, "free", free._replace(order=lambda s: 2 ** (s if s <= 64 else s - 1)))
+    results = {r.check_id: r for r in verify.run_checks("all")}
+    for check_id in ("C3", "s7.coeff"):
+        assert not results[check_id].passed, check_id
+        assert {f["s"] for f in results[check_id].diff} == {quadrics.MAX_LEVEL}, check_id
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_verify_reports_a_mismatch_at_the_top_level(monkeypatch, capsys, fmt):
+    """mod-2^s tables read at level s + 1 fail s7.coeff up to s = MAX_LEVEL,
+    where the order 2^(s+1) has more digits than str() converts: the whole
+    report still prints, with exit 1, and no input error."""
+    from etale_quadrics import cli, quadrics
+
+    parse = quadrics.parse_coefficients
+
+    def one_level_up(spec):
+        kind, s = parse(spec)
+        return kind, s if s is None else s + 1
+
+    monkeypatch.setattr(quadrics, "parse_coefficients", one_level_up)
+    assert cli.main(["verify", "--scope", "s7", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and f'"2^{quadrics.MAX_LEVEL + 1}"' in out
+    if fmt == "json":
+        payload = json.loads(out)
+        assert [c["check"] for c in payload["checks"] if not c["passed"]] == ["s7.coeff"]
+    else:
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["s7.coeff:"]
+        assert out.endswith("MISMATCH (5/6 checks)\n")
+
+
 def test_verify_parser_states_the_verify_scopes_and_defaults():
     """The parser writes out verify.SCOPES and the VerifyOptions defaults
     so that a table never imports verify; they must not drift apart."""
@@ -593,7 +613,7 @@ def test_verify_parser_states_the_verify_scopes_and_defaults():
     assert cli.SCOPES == verify.SCOPES
     args = cli.build_parser().parse_args(["verify"])
     assert args.scope == "all"
-    assert verify.VerifyOptions(smax=args.smax, dmax=args.dmax, nmax=args.nmax) == verify.VerifyOptions()
+    assert verify.VerifyOptions(dmax=args.dmax, nmax=args.nmax) == verify.VerifyOptions()
 
 
 # Runs cli.main on argv[2:] in a fresh interpreter and writes to the file

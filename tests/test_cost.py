@@ -186,36 +186,6 @@ def test_tower_limit_composes_no_homomorphisms(monkeypatch, bidegree):
     assert calls[0] == 0, f"limit{bidegree} composes {calls[0]} homomorphisms"
 
 
-def test_verify_memory_is_flat_in_depth():
-    """The lattice memos are bounded and the tower memoises no group or
-    map, so a deep tower does not stay resident: with every memo cleared
-    first, the traced peak of a verify run over all scopes stays at
-    --smax 64 within 1.5 times that at --smax 8 (about 1.15 times), where
-    unbounded memos read about 4 times.
-    The cyclic collector is paused while tracing: a full collection also
-    empties the interpreter's free lists, at moments that depend on all
-    earlier allocation, and would make the peaks differ by chance."""
-    import gc
-    import tracemalloc
-
-    from etale_quadrics import verify
-
-    verify.run_checks("all", verify.VerifyOptions(smax=tower.MIN_DEPTH))  # first-use set-up is not measured
-    peaks = {}
-    for depth in (8, 64):
-        clear_memos()
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            verify.run_checks("all", verify.VerifyOptions(smax=depth))
-            peaks[depth] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-    assert peaks[64] <= 1.5 * peaks[8], peaks
-
-
 def test_etale_2adic_cost_doubles_per_index():
     ratio = profile_events(cold(etale_2adic), 7) / profile_events(cold(etale_2adic), 6)
     assert ratio <= MAX_RATIO, f"etale_2adic(n) grows x{ratio:.2f} per n"
