@@ -7,9 +7,9 @@ truncated by rho^(2^(n+1) - 1) = 0.  The Bockstein acts as a derivation
 with bockstein(tau) = rho and bockstein(rho) = 0; a monomial is handled
 as its exponent pair (a, b) = (p, q - p).
 
-Also here: the degrees hit by the mod-2 cycle map, the mod-2 etale table
-(a truncated polynomial ring on rho) as a Graded2Group flagged by that
-image, and the non-algebraic complement.
+Also here: the degrees hit by the mod-2 cycle map and the mod-2 etale
+table (a truncated polynomial ring on rho) as a Graded2Group flagged by
+that image; its unflagged degrees are the non-algebraic complement.
 """
 
 from __future__ import annotations
@@ -68,9 +68,3 @@ def rost_etale_mod2(n: int) -> Graded2Group:
         for c in range(top_rho_exponent(n) + 1)
     )
 
-
-def nonalgebraic_mod2_degrees(n: int) -> frozenset[int]:
-    """Degrees 1 .. 2^(n+1) - 2 whose mod-2 class is not a cycle class."""
-    _check_index(n)
-    algebraic = cycle_image_mod2(n)
-    return frozenset(c for c in range(1, top_rho_exponent(n) + 1) if c not in algebraic)

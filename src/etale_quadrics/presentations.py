@@ -11,16 +11,14 @@ elements ("F2").
 Relations in scope are few and degrees bounded, so exhaustive monomial
 enumeration is exact and there is no need for any rewriting theory.
 
-Text format (one item per line, '#' starts a comment):
+`presentation(coeff, generators, *relations)` builds one from relations
+written as text, each read by `parse_poly`:
 
-    coeff Z2            # or F2
-    gen h 2             # name and degree
-    rel h^4             # integer polynomial in the generators
-    rel 2*c1
-    rel h*c0 - h^4
+    presentation("Z2", (("h", 2), ("c1", 4)), "h^4", "2*c1", "c1*h", "c1^2")
 
-Polynomials are sums of terms [integer][*][name[^power][*name...]] with
-integer coefficients; no parentheses.
+A polynomial is a sum of signed terms, each a product of integers and
+powers name^k of generators, with no parentheses; spaces may stand only
+next to an operator (+, -, * or ^).
 """
 
 from __future__ import annotations
@@ -100,33 +98,30 @@ def monomial_label(exps: tuple[int, ...], names: tuple[str, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-_TERM_FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(\d+))?$")
+_FACTOR = r"(?:[0-9]+|[A-Za-z][A-Za-z0-9_]*(?:\s*\^\s*[0-9]+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_POLY = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
 
 
 def parse_poly(text: str, names: tuple[str, ...]) -> Poly:
-    """Parse an integer polynomial like '2*c1' or 'h*c0 - h^4'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial")
-    # split into signed terms
-    chunks = re.findall(r"[+-]?[^+-]+", s)
+    """Parse an integer polynomial like '2*c1' or 'h*c0 - h^4'.  Text
+    outside the grammar (a doubled or dangling sign, two numbers or names
+    side by side, an empty string) raises ValueError, as does a name
+    outside `names`."""
+    if not _POLY.fullmatch(text):
+        raise ValueError(f"malformed polynomial {text!r}")
     terms = []
-    for chunk in chunks:
-        sign = -1 if chunk.startswith("-") else 1
-        body = chunk.lstrip("+-")
-        if not body:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
+    for chunk in re.findall(r"[+-]?[^+-]+", re.sub(r"\s", "", text)):  # spaces stand only next to operators
+        coeff = -1 if chunk[0] == "-" else 1
         exps = [0] * len(names)
-        for factor in body.split("*"):
+        for factor in chunk.lstrip("+-").split("*"):
             if factor.isdigit():
                 coeff *= int(factor)
                 continue
-            m = _TERM_FACTOR.match(factor)
-            if not m or m.group(1) not in names:
+            name, _, power = factor.partition("^")
+            if name not in names:
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
-            idx = names.index(m.group(1))
-            exps[idx] += int(m.group(2) or 1)
+            exps[names.index(name)] += int(power or 1)
         terms.append((tuple(exps), coeff))
     return make_poly(terms)
 
@@ -150,30 +145,11 @@ def format_poly(poly: Poly, names: tuple[str, ...]) -> str:
     return out
 
 
-def parse_presentation(text: str) -> RingPresentation:
-    coeff = None
-    gens: list[tuple[str, int]] = []
-    rel_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "coeff":
-            coeff = rest
-        elif head == "gen":
-            name, _, deg = rest.partition(" ")
-            gens.append((name.strip(), int(deg)))
-        elif head == "rel":
-            rel_lines.append(rest)
-        else:
-            raise ValueError(f"unknown directive {head!r}")
-    if coeff is None:
-        raise ValueError("missing 'coeff' line")
-    names = tuple(name for name, _ in gens)
-    relations = tuple(parse_poly(line, names) for line in rel_lines)
-    return RingPresentation(coeff, tuple(gens), relations)
+def presentation(coeff: str, generators: tuple[tuple[str, int], ...], *relations: str) -> RingPresentation:
+    """The presentation over `coeff` on `generators` (name, degree), each
+    relation read by parse_poly in the generator names."""
+    names = tuple(name for name, _ in generators)
+    return RingPresentation(coeff, generators, tuple(parse_poly(rel, names) for rel in relations))
 
 
 # ---------------------------------------------------------------------------
@@ -303,52 +279,19 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 def _norm_quadric_presentation(n: int) -> RingPresentation:
     if n < 2:
         raise UnknownFamily(f"norm quadric presentations need n >= 2, got {n}")
-    return parse_presentation(
-        f"""
-        coeff Z2
-        gen h 2
-        gen rho4 4
-        rel h^{2 ** n}
-        rel 2*rho4
-        rel h*rho4^{2 ** (n - 2)}
-        rel rho4*h^{2 ** (n - 1)}
-        rel rho4^{2 ** (n - 1)}
-        """
+    return presentation(
+        "Z2", (("h", 2), ("rho4", 4)),
+        f"h^{2 ** n}", "2*rho4", f"h*rho4^{2 ** (n - 2)}", f"rho4*h^{2 ** (n - 1)}", f"rho4^{2 ** (n - 1)}",
     )
 
 
 _FIXED_FAMILIES = {
-    "Q3": """
-        coeff Z2
-        gen h 2
-        gen c1 4
-        rel h^4
-        rel 2*c1
-        rel c1*h
-        rel c1^2
-        """,
-    "Q5": """
-        coeff Z2
-        gen h 2
-        gen c1 4
-        rel h^6
-        rel 2*c1
-        rel c1*h^3
-        rel c1^2
-        """,
-    "Q6": """
-        coeff Z2
-        gen h 2
-        gen c1 4
-        gen c0 6
-        rel h^7
-        rel 2*c1
-        rel c1*h^4
-        rel c1^2
-        rel h*c0 - h^4
-        rel c0*c1
-        rel c0^2
-        """,
+    "Q3": ("Z2", (("h", 2), ("c1", 4)), "h^4", "2*c1", "c1*h", "c1^2"),
+    "Q5": ("Z2", (("h", 2), ("c1", 4)), "h^6", "2*c1", "c1*h^3", "c1^2"),
+    "Q6": (
+        "Z2", (("h", 2), ("c1", 4), ("c0", 6)),
+        "h^7", "2*c1", "c1*h^4", "c1^2", "h*c0 - h^4", "c0*c1", "c0^2",
+    ),
 }
 
 
@@ -375,21 +318,19 @@ def _g2_presentation(family: str) -> RingPresentation:
 
 
 def builtin_presentation(family: str, param: Optional[int] = None) -> RingPresentation:
-    """Built-in presentations: Q3, Q5, Q6, Q7, norm (with index parameter),
+    """Built-in presentations: Q3, Q5, Q6, norm (with index parameter),
     G2_flag_etale, G2_flag_chow_mod2, G2_GT_mod2.
 
     The G2 relations are spelled out through b1 = t1^2 + t1*t2 + t2^2 and
     b2 = t2^3: the etale ring is Z2[t1,t2]/(2*b1, b1^2, b2^2, b1*b2) and the
     mod-2 Chow ring drops the 2*b1 relation in favor of coefficient 2.
     """
-    if family == "Q7":
-        return _norm_quadric_presentation(3)
     if family == "norm":
         if param is None:
             raise UnknownFamily("family 'norm' needs the index parameter")
         return _norm_quadric_presentation(param)
     if family in _FIXED_FAMILIES:
-        return parse_presentation(_FIXED_FAMILIES[family])
+        return presentation(*_FIXED_FAMILIES[family])
     if family.startswith("G2_"):
         return _g2_presentation(family)
     raise UnknownFamily(f"unknown presentation family {family!r}")

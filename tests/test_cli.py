@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -350,6 +351,26 @@ def test_csv_output():
     assert "4,0,2,rho_bar_4,2,0,true" in lines
 
 
+def test_every_table_label_needs_no_csv_quoting():
+    """A CSV row writes its generator label bare, so every label a table can
+    print keeps to an alphabet with no comma, quote, space or line break:
+    those of the Rost tables n = 1..MAX_INDEX of all three kinds, and the
+    M_0 unit, the one block (0, 0, 1)."""
+    from etale_quadrics.cli import MAX_INDEX
+    from etale_quadrics.quadrics import iter_cohomology
+
+    labels = {
+        label
+        for coeff in ("mod2", "mod2s:3", "2adic")
+        for n in range(MAX_INDEX + 1)
+        for _, segments in iter_cohomology(((n, 0, 1),), coeff, view=lambda e: e.label)
+        for _, here in segments
+        for _, label in here
+    }
+    assert len(labels) == 3070
+    assert [label for label in labels if not re.fullmatch(r"[A-Za-z0-9_^()]+", label)] == []
+
+
 def test_nonalgebraic_fixtures():
     res = run_cli("nonalgebraic", "7", "--format", "json")
     payload = json.loads(res.stdout)
@@ -661,7 +682,7 @@ TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mo
         pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), id="verify --scope s2"),
         pytest.param(("--version",), set(), TABLE_STACK | {"json", "csv"}, id="--version loads no table stack"),
         pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, id="cohomology 7 loads neither json nor csv"),
-        pytest.param(("cohomology", "7", "--format", "csv"), {"csv"}, set(), id="cohomology 7 --format csv"),
+        pytest.param(("cohomology", "7", "--format", "csv"), set(), {"csv"}, id="cohomology 7 --format csv"),
     ],
 )
 def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded):

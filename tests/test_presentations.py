@@ -1,5 +1,5 @@
-"""Ring presentations: text format, graded ranks, built-in families, and
-agreement with the additive assembly.
+"""Ring presentations: the constructor and its polynomial text, graded
+ranks, built-in families, and agreement with the additive assembly.
 
 The mod-2 families are cross-checked against an independent GF(2)
 row-reduction oracle written here from scratch, and one integer fixture
@@ -28,34 +28,61 @@ from etale_quadrics.presentations import (
     monomial_label,
     monomial_table,
     parse_poly,
-    parse_presentation,
+    presentation,
     presentation_for_quadric,
 )
 
 
 # ---------------------------------------------------------------------------
-# text format
+# the constructor, relation text and the built-in families
 
 
-Q3_TEXT = """
-# three-dimensional anisotropic quadric
-coeff Z2
-gen h 2
-gen c1 4
-rel h^4
-rel 2*c1
-rel c1*h
-rel c1^2
-"""
+# every built-in family with its relations as format_poly writes them, in order
+BUILTIN_RELATIONS = {
+    ("Q3", None): ("h^4", "2*c1", "h*c1", "c1^2"),
+    ("Q5", None): ("h^6", "2*c1", "h^3*c1", "c1^2"),
+    ("Q6", None): ("h^7", "2*c1", "h^4*c1", "c1^2", "h*c0 - h^4", "c1*c0", "c0^2"),
+    ("norm", 2): ("h^4", "2*rho4", "h*rho4", "h^2*rho4", "rho4^2"),
+    ("norm", 3): ("h^8", "2*rho4", "h*rho4^2", "h^4*rho4", "rho4^4"),
+    ("norm", 4): ("h^16", "2*rho4", "h*rho4^4", "h^8*rho4", "rho4^8"),
+    ("norm", 5): ("h^32", "2*rho4", "h*rho4^8", "h^16*rho4", "rho4^16"),
+    ("norm", 6): ("h^64", "2*rho4", "h*rho4^16", "h^32*rho4", "rho4^32"),
+    ("norm", 7): ("h^128", "2*rho4", "h*rho4^32", "h^64*rho4", "rho4^64"),
+    ("norm", 8): ("h^256", "2*rho4", "h*rho4^64", "h^128*rho4", "rho4^128"),
+    ("norm", 9): ("h^512", "2*rho4", "h*rho4^128", "h^256*rho4", "rho4^256"),
+    ("norm", 10): ("h^1024", "2*rho4", "h*rho4^256", "h^512*rho4", "rho4^512"),
+    ("G2_flag_etale", None): (
+        "2*t2^2 + 2*t1*t2 + 2*t1^2",
+        "t2^4 + 2*t1*t2^3 + 3*t1^2*t2^2 + 2*t1^3*t2 + t1^4",
+        "t2^6",
+        "t2^5 + t1*t2^4 + t1^2*t2^3",
+    ),
+    ("G2_flag_chow_mod2", None): (
+        "t2^4 + 2*t1*t2^3 + 3*t1^2*t2^2 + 2*t1^3*t2 + t1^4",
+        "t2^6",
+        "t2^5 + t1*t2^4 + t1^2*t2^3",
+    ),
+    ("G2_GT_mod2", None): ("t2^2 + t1*t2 + t1^2", "t2^3", "y^2"),
+}
+
+
+@pytest.mark.parametrize("family, param", BUILTIN_RELATIONS, ids=str)
+def test_builtin_relations(family, param):
+    p = builtin_presentation(family, param)
+    assert tuple(format_poly(r, p.generator_names) for r in p.relations) == BUILTIN_RELATIONS[family, param]
 
 
 def test_parse_and_format_round_trip():
-    p = parse_presentation(Q3_TEXT)
-    assert p.coefficients == "Z2"
-    assert p.generators == (("h", 2), ("c1", 4))
-    assert len(p.relations) == 4
-    for rel in p.relations:
-        assert parse_poly(format_poly(rel, p.generator_names), p.generator_names) == rel
+    for family, param in BUILTIN_RELATIONS:
+        p = builtin_presentation(family, param)
+        for rel in p.relations:
+            assert parse_poly(format_poly(rel, p.generator_names), p.generator_names) == rel
+
+
+def test_constructor_reads_each_relation():
+    p = presentation("Z2", (("h", 2), ("c1", 4)), "h^4", "2 * c1", "c1*h", "c1^2")
+    assert p == builtin_presentation("Q3")
+    assert presentation("F2", (("a", 2),)) == RingPresentation("F2", (("a", 2),), ())
 
 
 def test_poly_parsing():
@@ -64,6 +91,8 @@ def test_poly_parsing():
     assert parse_poly("2*c0", names) == (((0, 1), 2),)
     assert parse_poly("3", names) == (((0, 0), 3),)
     assert parse_poly("h - h", names) == ()
+    assert parse_poly(" -h ^ 2 + 2 * c0 ", names) == (((0, 1), 2), ((2, 0), -1))  # spaces next to an operator
+    assert parse_poly("+h", names) == (((1, 0), 1),)
     assert format_poly(parse_poly("h*c0 - h^4", names), names) == "h*c0 - h^4"
     with pytest.raises(ValueError):
         parse_poly("h + q", names)
@@ -71,31 +100,28 @@ def test_poly_parsing():
         parse_poly("", names)
 
 
+@pytest.mark.parametrize("text", ["h--c", "h-+c", "h-", "-", "--h", "2 3", "h^1 0", "h c", "h*", "*h", "h^", "2h"])
+def test_poly_parsing_rejects_malformed_text(text):
+    """A stray sign or two tokens side by side is an error, not a
+    different polynomial."""
+    with pytest.raises(ValueError, match="malformed"):
+        parse_poly(text, ("h", "c"))
+
+
 def test_homogeneity_is_enforced():
     with pytest.raises(NonHomogeneousRelation):
-        parse_presentation("coeff Z2\ngen h 2\nrel h^2 + h")
+        presentation("Z2", (("h", 2),), "h^2 + h")
 
 
 def test_unknown_family():
     with pytest.raises(UnknownFamily):
         builtin_presentation("Q4")
     with pytest.raises(UnknownFamily):
+        builtin_presentation("Q7")  # Q^7 is the norm quadric of index 3
+    with pytest.raises(UnknownFamily):
         builtin_presentation("norm")
     with pytest.raises(UnknownFamily):
         presentation_for_quadric(9)
-
-
-def test_builtin_q5_relations():
-    p = builtin_presentation("Q5")
-    rels = {format_poly(r, p.generator_names) for r in p.relations}
-    assert rels == {"h^6", "2*c1", "h^3*c1", "c1^2"}
-
-
-def test_norm_family_matches_q7():
-    assert builtin_presentation("norm", 3) == builtin_presentation("Q7")
-    p = builtin_presentation("norm", 4)
-    rels = {format_poly(r, p.generator_names) for r in p.relations}
-    assert rels == {"h^16", "2*rho4", "h*rho4^4", "h^8*rho4", "rho4^8"}
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +147,7 @@ def test_q6_graded_fixture():
 def test_q7_multiplicative_identifications():
     """The top free class is the seventh power of the hyperplane class,
     and the torsion column is generated by powers of the degree-4 class."""
-    table = graded_ranks(builtin_presentation("Q7"), 14)
+    table = graded_ranks(presentation_for_quadric(7), 14)
     top_free = [e.label for e in table.at(14) if e.order == 0]
     assert top_free == ["h^7"]
     assert {e.label for e in table.at(8) if e.order} == {"h^2*rho4", "rho4^2"}
@@ -199,12 +225,7 @@ def test_mod2_families_against_gf2_oracle():
 
 
 def test_flag_dimension_totals():
-    names = ("t1", "t2")
-    weyl = RingPresentation(
-        "F2",
-        (("t1", 2), ("t2", 2)),
-        (parse_poly("t1^2 + t1*t2 + t2^2", names), parse_poly("t2^3", names)),
-    )
+    weyl = presentation("F2", (("t1", 2), ("t2", 2)), "t1^2 + t1*t2 + t2^2", "t2^3")
     series = {k: len(graded_ranks(weyl, 8).at(k)) for k in (0, 2, 4, 6, 8)}
     assert series == {0: 1, 2: 2, 4: 2, 6: 1, 8: 0}
     gt = graded_ranks(builtin_presentation("G2_GT_mod2"), 12)
@@ -226,7 +247,8 @@ def test_q5_torsion_column():
 
 
 def test_q7_relation_set():
-    p = builtin_presentation("Q7")
+    p = presentation_for_quadric(7)
+    assert p == builtin_presentation("norm", 3)
     rels = {format_poly(r, p.generator_names) for r in p.relations}
     assert rels == {"h^8", "2*rho4", "h*rho4^2", "h^4*rho4", "rho4^4"}
 
@@ -273,7 +295,7 @@ def unpruned_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 
 BUILTIN_RANGES = (
     [("G2_flag_etale", None, 64), ("G2_flag_chow_mod2", None, 12), ("G2_GT_mod2", None, 12)]
-    + [(family, None, 2 * d + 4) for family, d in (("Q3", 3), ("Q5", 5), ("Q6", 6), ("Q7", 7))]
+    + [(family, None, 2 * d + 4) for family, d in (("Q3", 3), ("Q5", 5), ("Q6", 6))]
     + [("norm", n, 2 * (2**n - 1) + 4) for n in range(2, 8)]
 )
 
@@ -301,7 +323,7 @@ def cokernel_rows(monkeypatch):
 
 def test_prune_keeps_a_lone_even_entry(cokernel_rows):
     """2*rho4 is its column's only entry, but even: it kills nothing."""
-    p = parse_presentation("coeff Z2\ngen rho4 4\nrel 2*rho4")
+    p = presentation("Z2", (("rho4", 4),), "2*rho4")
     table = graded_ranks(p, 8)
     assert table.entries == unpruned_ranks(p, 8).entries
     assert [(e.degree, e.order, e.label) for e in table.entries] == [
@@ -313,9 +335,7 @@ def test_prune_keeps_a_lone_even_entry(cokernel_rows):
 def test_prune_iterates(cokernel_rows):
     """a kills a; then a + 3*b has the lone odd entry 3*b and kills b; then
     b + 2*c has the lone even entry 2*c, which kills nothing: c is Z/2."""
-    p = parse_presentation(
-        "coeff Z2\ngen a 2\ngen b 2\ngen c 2\nrel a\nrel a + 3*b\nrel b + 2*c"
-    )
+    p = presentation("Z2", (("a", 2), ("b", 2), ("c", 2)), "a", "a + 3*b", "b + 2*c")
     table = graded_ranks(p, 2)
     assert table.entries == unpruned_ranks(p, 2).entries
     assert table.at(2) == (GradedSummand(2, 2, "c"),)
@@ -324,7 +344,7 @@ def test_prune_iterates(cokernel_rows):
 
 def test_prune_reads_f2_entries_modulo_two(cokernel_rows):
     """Over F2 the 2*b of a + 2*b is zero, so the column kills a."""
-    p = parse_presentation("coeff F2\ngen a 2\ngen b 2\nrel a + 2*b")
+    p = presentation("F2", (("a", 2), ("b", 2)), "a + 2*b")
     assert graded_ranks(p, 2).entries == unpruned_ranks(p, 2).entries
     assert cokernel_rows == [("1",), ("b",)]
 
@@ -332,7 +352,7 @@ def test_prune_reads_f2_entries_modulo_two(cokernel_rows):
 def test_prune_leaves_a_degree_with_no_entry(cokernel_rows):
     """Every monomial of degrees 4 and 6 dies under h^2: the cokernel of
     the empty module, and no entry in those degrees."""
-    p = parse_presentation("coeff Z2\ngen h 2\nrel h^2")
+    p = presentation("Z2", (("h", 2),), "h^2")
     table = graded_ranks(p, 6)
     assert table.entries == unpruned_ranks(p, 6).entries
     assert [e.degree for e in table.entries] == [0, 2]
