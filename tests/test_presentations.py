@@ -295,7 +295,7 @@ def unpruned_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 
 BUILTIN_RANGES = (
     [("G2_flag_etale", None, 64), ("G2_flag_chow_mod2", None, 12), ("G2_GT_mod2", None, 12)]
-    + [(family, None, 2 * d + 4) for family, d in (("Q3", 3), ("Q5", 5), ("Q6", 6))]
+    + [(f"Q{d}", None, 2 * d + 4) for d in (3, 5, 6, 7)]
     + [("norm", n, 2 * (2**n - 1) + 4) for n in range(2, 8)]
 )
 
@@ -303,8 +303,13 @@ BUILTIN_RANGES = (
 @pytest.mark.parametrize("family, param, max_degree", BUILTIN_RANGES, ids=str)
 def test_prune_keeps_every_builtin_entry(family, param, max_degree):
     """Labels included: the G2 families at the degrees the flag-variety
-    check reads, the quadrics four degrees past their top class."""
-    p = builtin_presentation(family, param)
+    check reads, the quadrics four degrees past their top class.  A "Qd"
+    case reads Q^d's presentation as presentation_for_quadric(d) gives it
+    (Q^7 is the norm quadric of index 3)."""
+    if family.startswith("Q"):
+        p = presentation_for_quadric(int(family[1:]))
+    else:
+        p = builtin_presentation(family, param)
     assert graded_ranks(p, max_degree).entries == unpruned_ranks(p, max_degree).entries
 
 
