@@ -8,12 +8,14 @@ image), verify (the built-in exactness sweeps).
 Output is deterministic: identical invocations produce identical bytes,
 and nothing carries a timestamp.  Table records are emitted in the order
 (degree, Rost index descending, Tate twist, label) in which
-quadrics.iter_cohomology yields them, one group of block segments per
-degree, not sorted here, and written while they are computed: each Rost
-entry's text is formatted once, each term's source cell once, and a row
-is one f-string of the two.  Exit codes: 0 success (also when the reader
-of stdout stops early), 1 verification mismatch, 2 invalid input or usage
-(an --out path that cannot be written included).
+quadrics.iter_cohomology yields them, one group of segments per degree,
+not sorted here, and written while they are computed: each Rost entry's
+text is formatted once, each term's source cell once, and a segment
+comes as aligned slices of these, so its rows are interleaved with the
+degree's prefix by slice assignment and joined once, with no Python run
+per row.  Exit codes: 0 success (also when the reader of stdout stops
+early), 1 verification mismatch, 2 invalid input or usage (an --out path
+that cannot be written included).
 
 A table is written in pieces of about CHUNK_BYTES = 64 KiB of text, what a
 Linux pipe holds by default.  A write that fits returns at once, so the
@@ -28,9 +30,9 @@ compiles them): the module itself loads argparse, os and sys alone, so
 --version, --help and usage errors load nothing more.  The three table
 subcommands load quadrics (with rost, mod2 and graded) when they run, and
 only verify loads verify, presentations, tower and abelian.  json is
-loaded only to write JSON or a failed check's diff; CSV rows are plain
-f-strings, since no label the tables print needs quoting, so csv is never
-loaded.
+loaded only to write JSON or a failed check's diff; CSV rows are joined
+from plain text pieces, since no label the tables print needs quoting, so
+csv is never loaded.
 """
 
 import argparse
@@ -44,18 +46,18 @@ RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
 # Text held before a table write, in characters (the module docstring says
 # why): the default Linux pipe capacity.  Against a cap of 4096 rows, about
 # 260 KB of text or 780 KB of JSON per write, it gave 10% more records per
-# second on the quadric-2adic benchmark workload (9 of 10 paired runs), and
+# second on the quadric-2adic benchmark workload (9 of 10 paired runs).
 # `cohomology 2046 --coeff mod2 --format json` read through a pipe takes
-# 1.27 s and 16.8 MB resident, not 1.68 s and 19.7 MB (2-core Xeon host,
-# spawned, best of 5).
+# 0.56 s with 16.2 MB resident (2-core Xeon host, Python 3.11, spawned,
+# best of 5).
 CHUNK_BYTES = 1 << 16
 
 # The table bound: the largest Rost index the CLI tabulates.  The table of
 # M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
-# --coeff mod2` writes 134 MB in 0.45 s to /dev/null and in 0.72 s through
-# a pipe, with 16 MB resident, on a 2-core Xeon host (spawned, best of 5),
-# where the table built whole took 19 s and 1.0 GB.  The library itself
-# has no bound.
+# --coeff mod2` writes 134 MB in 0.23 s to /dev/null and in 0.32 s through
+# a pipe, with 16 MB resident, on a 2-core Xeon host (Python 3.11, spawned,
+# best of 5), where the table built whole took 19 s and 1.0 GB.  The
+# library itself has no bound.
 MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
 # d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
@@ -119,18 +121,20 @@ def _row_parts(fmt: str, e) -> tuple[str, str]:
 
 
 def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:
-    """Write per-degree groups (c, segments), segments (cells, here) as
-    iter_cohomology yields them with view _row_parts(fmt, _) and the j
+    """Write per-degree groups (c, segments), segments (cells, mids, tails)
+    as iter_cohomology yields them with view _row_parts(fmt, _) and the j
     column of each term as its cell, as they come, so that no table is
     ever held whole: the text held, the header first, is written once it
     reaches CHUNK_BYTES characters, checked after each degree, so every
     write but the last holds at least CHUNK_BYTES and less than CHUNK_BYTES
-    plus one degree's rows.  The degree-and-twist prefix is formatted once
-    per degree, with the twist string looked up by degree mod 4 (0 and 2:
-    parity 0 and 1, odd: none).  A row is one f-string: that prefix, then
-    the entry's (mid, tail) around its term's cell, read by index off the
-    segment's cells; each degree's rows are one join.  The JSON is byte
-    for byte json.dumps(payload, indent=2) of the whole table."""
+    plus one degree's rows.  The degree-and-twist prefix, the head of each
+    row in degree c, is formatted once per degree, with the twist string
+    looked up by degree mod 4 (0 and 2: parity 0 and 1, odd: none).  A
+    segment's rows are one list, the head repeated with the mids, cells
+    and tails put in by three slice assignments, and one join, so no
+    Python runs per row.  A JSON head starts with the separator, which the
+    table's first row drops.  The JSON is byte for byte
+    json.dumps(payload, indent=2) of the whole table."""
     if fmt == "json":
         import json
 
@@ -139,7 +143,7 @@ def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:
             f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
         )
         twists = ("0", "null", "1", "null")
-        prefix = lambda c: f'\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n'
+        prefix = lambda c: f',\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n'
     elif fmt == "csv":
         header = ",".join(RECORD_FIELDS) + "\n"
         twists = ("0", "", "1", "")
@@ -151,18 +155,21 @@ def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:
         )
         twists = ("0", "-", "1", "-")
         prefix = lambda c: f"{c:>6}  {twists[c & 3]:>5}  "
-    sep = "," if fmt == "json" else ""
-    lead, chunk, held = "", [header], len(header)  # lead: the separator before every degree but the first
+    cut = fmt == "json"  # the length of the separator the next row drops: 1 before the first JSON row
+    chunk, held = [header], len(header)
     for c, segments in groups:
         head = prefix(c)
-        rows = [f"{head}{mid}{cells[(c - g) >> 1]}{tail}" for cells, here in segments for g, (mid, tail) in here]
-        chunk.append(lead + sep.join(rows))
-        lead, held = sep, held + len(chunk[-1])
+        for cells, mids, tails in segments:
+            rows = [head] * (4 * len(cells))
+            rows[1::4], rows[2::4], rows[3::4] = mids, cells, tails
+            rows[0], cut = head[cut:], 0
+            chunk.append("".join(rows))
+            held += len(chunk[-1])
         if held >= CHUNK_BYTES:
             write("".join(chunk))
             chunk, held = [], 0
     if fmt == "json":
-        chunk.append("\n  ]\n}\n" if lead else "]\n}\n")
+        chunk.append("]\n}\n" if cut else "\n  ]\n}\n")
     write("".join(chunk))
 
 

@@ -18,9 +18,8 @@ quotient by the cycle image is computed per degree from those flags.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import rost
 from .errors import InvalidDimension
@@ -135,8 +134,8 @@ def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:
 
 def iter_cohomology(
     blocks: Iterable[tuple[int, int, int]], coeff: str = "2adic",
-    view: Callable[[GradedSummand], Any] = lambda e: e, cell: Callable[[int, int], Any] = lambda n, j: (n, j),
-) -> Iterator[tuple[int, list[tuple[list, list[tuple[int, Any]]]]]]:
+    view: Callable[[GradedSummand], tuple] = lambda e: (e,), cell: Callable[[int, int], Any] = lambda n, j: (n, j),
+) -> Iterator[tuple[int, list[tuple[Sequence, ...]]]]:
     """The cohomology of a motive given by its blocks (n, j0, m), the sum
     of the M_n tensor T^j for j0 <= j < j0 + m, with the n strictly
     decreasing: decompose_motive(d).blocks for the dimension-d quadric, or
@@ -144,47 +143,59 @@ def iter_cohomology(
     (c, segments) per nonempty degree c, degrees ascending, up to the top
     degree read off the blocks: M_0 tensor T^j is the algebraic unit class
     in degree 2j, and M_n tensor T^j moves every class e of rost_table(n)
-    up by 2j in degree.  A segment (cells, here) is one block with rows in
-    degree c: cells holds cell(n, j) for j0 <= j < j0 + m, and here the
-    pairs (g, view(e)) of its rows, g the degree of e in M_n tensor T^j0,
-    so the row's term is M_n tensor T^j with cells[(c - g) >> 1] its cell.
+    up by 2j in degree.  A segment (cells, *fields) is a run of rows in
+    degree c as aligned slices: the k-th row has the term's cell(n, j) as
+    cells[k] and view(e), a tuple of fields, as the fields' k-th items.
     The rows come in the order of graded._sort_key with no sort: per
     degree, the blocks (n descending), j ascending, then the entries at
-    c - 2j in the table's label order.  Each block holds its entries split
-    by degree parity and stably sorted by degree descending, so the rows of
-    degree c are one slice, bisected to g = c - 2(m - 1) .. c.  A table
-    costs Θ(rows + degrees·blocks), and nothing is built per row: no empty
-    cell is visited, view runs once per entry of the Rost tables held and
-    cell once per term, not once per row."""
+    c - 2j in the table's label order.  Each block cuts its entries of one
+    parity, stably sorted by degree descending, into runs: maximal
+    stretches with one degree step, a tie in degree ending one.  The rows
+    of degree c in a run are then one slice of its views and one extended
+    slice, of stride step/2, of the block's cells, found by arithmetic.
+    Every Rost table makes at most two runs per parity (2-adic: pi and the
+    top torsion class, then step 4 down to the unit; mod2 and mod2s: step
+    2), so a table costs Θ(degrees·blocks) Python steps and the rows'
+    slices in C: view runs once per entry of the Rost tables held, cell
+    once per term, and nothing once per row."""
     kind, s = parse_coefficients(coeff)
     unit_order = 2**s if kind == "mod2s" else (2 if kind == "mod2" else 0)
     unit = GradedSummand(0, unit_order, "1", True, (0, 0))  # M_0 tensor T^0
-    parts = ([], [])  # per parity of c: (cells, span, keys, pairs) per block
+    runs = ([], [])  # per parity of c: (first degree in M_n tensor T^j0, cell stride, rows, m - 1, cells, fields) per run
     top = -1
     for n, j0, m in blocks:
         table = sorted(rost_table(n, coeff).entries if n else (unit,), key=lambda e: -e.degree)  # stable
         cells = [cell(n, j) for j in range(j0, j0 + m)]
         for p in (0, 1):  # the entries of even and of odd degree
-            half = [(e.degree + 2 * j0, view(e)) for e in table if e.degree & 1 == p]
-            parts[p].append((cells, 2 * (m - 1), [-g for g, _ in half], half))
+            half = [e for e in table if e.degree & 1 == p]
+            i = 0
+            while i < len(half):  # one run per pass
+                step = half[i].degree - half[i + 1].degree if i + 1 < len(half) else 0  # 0: a tie or the last
+                k = i + 1
+                while step and k < len(half) and half[k - 1].degree - half[k].degree == step:
+                    k += 1
+                fields = tuple(zip(*map(view, half[i:k])))
+                runs[p].append((half[i].degree + 2 * j0, step // 2 or 1, k - i, m - 1, cells, fields))
+                i = k
         top = max(top, top_rho_exponent(n) + 2 * (j0 + m - 1))  # the top class of M_n tensor T^(j0+m-1)
     for c in range(top + 1):
-        segments = [
-            (cells, here)
-            for cells, span, keys, half in parts[c & 1]  # keys: the degrees negated, ascending
-            if (here := half[bisect_left(keys, -c) : bisect_right(keys, span - c)])
-        ]
+        segments = []
+        for g, h, length, last, cells, fields in runs[c & 1]:
+            x = (c - g) >> 1  # the cell index of the run's first row, k-th row at x + h k
+            lo, hi = max(0, -(x // h)), min(length, (last - x) // h + 1)
+            if lo < hi:
+                segments.append((cells[x + h * lo : x + h * hi : h], *[f[lo:hi] for f in fields]))
         if segments:
             yield c, segments
 
 
 def assemble_cohomology(d: int, coeff: str = "2adic") -> Graded2Group:
     """The rows of iter_cohomology as a Graded2Group, already in order, each
-    entry's source (n, j) read off the default cell of its term."""
+    entry's source (n, j) the default cell of its term."""
     entries = (
-        GradedSummand(c, e.order, e.label, e.algebraic, cells[(c - g) >> 1])
+        GradedSummand(c, e.order, e.label, e.algebraic, source)
         for c, segments in iter_cohomology(decompose_motive(d).blocks, coeff)
-        for cells, here in segments for g, e in here
+        for cells, views in segments for source, e in zip(cells, views)
     )
     return Graded2Group(tuple(entries))
 

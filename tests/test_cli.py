@@ -363,9 +363,9 @@ def test_every_table_label_needs_no_csv_quoting():
         label
         for coeff in ("mod2", "mod2s:3", "2adic")
         for n in range(MAX_INDEX + 1)
-        for _, segments in iter_cohomology(((n, 0, 1),), coeff, view=lambda e: e.label)
-        for _, here in segments
-        for _, label in here
+        for _, segments in iter_cohomology(((n, 0, 1),), coeff, view=lambda e: (e.label,))
+        for _, labels in segments
+        for label in labels
     }
     assert len(labels) == 3070
     assert [label for label in labels if not re.fullmatch(r"[A-Za-z0-9_^()]+", label)] == []

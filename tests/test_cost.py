@@ -17,11 +17,17 @@ cleared, found by scanning its modules for `cache_clear`, so that a warm
 memo never stands in for work.
 
 A quadric table has Θ(d²) rows, and work per row inside a comprehension
-fires no profile event.  So the table walk is pinned by the calls to the
-callables it is given, which are the package's own and the same on every
-Python: O(d) of them while the rows grow about ×4 per doubling of d.
+fires no profile event, so profiler counts cannot show Python that runs
+once per row.  The table walk is pinned by the calls to the callables it
+is given, which are the package's own and the same on every Python: O(d)
+of them while the rows grow about ×4 per doubling of d.  And the printed
+table is pinned by the line events (sys.settrace) of the CLI and the walk
+while a table is written: a comprehension or loop over the rows fires one
+per row, so the lines run may grow by MAX_RATIO at most while the rows
+grow about ×4.
 """
 
+import contextlib
 import importlib
 import pkgutil
 import sys
@@ -29,7 +35,7 @@ import sys
 import pytest
 
 import etale_quadrics
-from etale_quadrics import abelian, presentations, rost, tower
+from etale_quadrics import abelian, cli, presentations, quadrics, rost, tower
 from etale_quadrics.presentations import builtin_presentation, graded_ranks, monomial_table
 from etale_quadrics.quadrics import (
     claim_norm_quadric,
@@ -262,13 +268,13 @@ def test_table_walk_calls_view_per_entry_and_cell_per_term(coeff):
 
         def view(e):
             calls["view"] += 1
-            return e
+            return (e,)
 
         def cell(n, j):
             calls["cell"] += 1
             return n, j
 
-        rows = sum(len(here) for _, segments in iter_cohomology(decompose_motive(d).blocks, coeff, view, cell) for _, here in segments)
+        rows = sum(len(cells) for _, segments in iter_cohomology(decompose_motive(d).blocks, coeff, view, cell) for cells, _ in segments)
         blocks = decompose_motive(d).blocks
         held = sum(len(rost_table(n, coeff).entries) if n else 1 for n, _, _ in blocks)
         assert calls == {"view": held, "cell": sum(m for _, _, m in blocks)}, d
@@ -277,3 +283,51 @@ def test_table_walk_calls_view_per_entry_and_cell_per_term(coeff):
     assert view_large / view_small <= MAX_RATIO, f"view calls grow x{view_large / view_small:.2f}"
     assert cell_large / cell_small <= MAX_RATIO, f"cell calls grow x{cell_large / cell_small:.2f}"
     assert 3.5 <= rows_large / rows_small <= 4.5, f"rows grow x{rows_large / rows_small:.2f}, not about x4"
+
+
+def line_events(files, fn, *args):
+    """The "line" trace events fired in the given source files while fn runs."""
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code.co_filename in files else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class LineCounter:
+    """A stdout that keeps only the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("coeff", ("2adic", "mod2", "mod2s:3"))
+def test_printed_table_runs_no_python_per_row(coeff):
+    """`cohomology d --coeff <kind>` runs lines of cli and quadrics per
+    degree, block and Rost entry, not per row: from d = 1023 to 2046 the
+    lines run grow at most MAX_RATIO while the rows written grow about ×4."""
+    files = {cli.__file__, quadrics.__file__}
+    counts = []
+    for d in (1023, 2046):
+        sink = LineCounter()
+        with contextlib.redirect_stdout(sink):
+            lines = line_events(files, cli.main, ["cohomology", str(d), "--coeff", coeff])
+        counts.append((lines, sink.lines))
+    (lines_small, rows_small), (lines_large, rows_large) = counts
+    assert 3.5 <= rows_large / rows_small <= 4.5, f"rows grow x{rows_large / rows_small:.2f}, not about x4"
+    assert lines_large / lines_small <= MAX_RATIO, f"lines run grow x{lines_large / lines_small:.2f} from d = 1023 to 2046"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from etale_quadrics import graded, quadrics, rost
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
-from etale_quadrics.mod2 import rost_etale_mod2
+from etale_quadrics.mod2 import rost_etale_mod2, top_rho_exponent
 from etale_quadrics.quadrics import (
     MotiveTerm,
     NonAlgebraicReport,
@@ -199,11 +199,11 @@ def cached_rost_tables(monkeypatch):
 
 def flat_rows(groups):
     """The rows (c, n, j, e) of iter_cohomology's groups made with the
-    default view and cell, each segment's cell read by its entry's degree."""
+    default view and cell, each segment's cells and entries read in step."""
     for c, segments in groups:
-        for cells, here in segments:
-            for g, e in here:
-                yield (c, *cells[(c - g) >> 1], e)
+        for cells, entries in segments:
+            for (n, j), e in zip(cells, entries, strict=True):
+                yield c, n, j, e
 
 
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
@@ -256,14 +256,67 @@ def test_rows_are_complete(cached_rost_tables, coeff):
     for d in range(1, 301):
         groups = list(quadrics.iter_cohomology(decompose_motive(d).blocks, coeff))
         for c, segments in groups:
-            assert segments and all(here for _, here in segments), (d, c)
+            assert segments and all(cells for cells, _ in segments), (d, c)
+            assert all(len(cells) == len(entries) for cells, entries in segments), (d, c)
         degrees = [c for c, _ in groups]
         assert degrees == sorted(set(degrees)) and degrees[-1] == 2 * d, d
         blocks = decompose_motive(d).blocks
         sizes = {n: len(cached_rost_tables(n, coeff).entries) if n else 1 for n, _, _ in blocks}
-        assert len(list(flat_rows(groups))) == sum(m * sizes[n] for n, _, m in blocks), d
+        rows = sum(len(cells) for _, segments in groups for cells, _ in segments)
+        assert rows == sum(m * sizes[n] for n, _, m in blocks), d
         if d <= 64:
             assert list(assemble_cohomology(d, coeff).entries) == shifted_reference(d, coeff), d
+
+
+@st.composite
+def motives(draw):
+    """Blocks (n, j0, m), the n distinct and descending, M_0 included, with
+    a table for each n >= 1 that no Rost table is like: degrees drawn from
+    0..top_rho_exponent(n), so ties, uneven gaps, single entries and both
+    parities, labels from a small alphabet, so ties may share a label too,
+    and each entry's order its index, which tells equal keys apart."""
+    ns = sorted(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True)), reverse=True)
+    blocks = tuple((n, draw(st.integers(0, 6)), draw(st.integers(1, 5))) for n in ns)
+    degrees_and_labels = lambda n: st.tuples(st.integers(0, top_rho_exponent(n)), st.sampled_from("abc"))
+    tables = {
+        n: graded.Graded2Group.from_entries(
+            graded.GradedSummand(c, i, label, None, (n, 0))
+            for i, (c, label) in enumerate(draw(st.lists(degrees_and_labels(n), min_size=1, max_size=10)))
+        )
+        for n in ns if n
+    }
+    return blocks, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(motives())
+def test_runs_keep_ties_gaps_and_parities(motive):
+    """The runs' slices cover every row of tables with ties in degree,
+    uneven degree gaps, single entries and both parities, which no built-in
+    table has: the rows are the shifted tables sorted by graded._sort_key,
+    one group per nonempty degree, no segment empty, and the fields of a
+    two-field view aligned with the cells."""
+    blocks, tables = motive
+    unit = graded.GradedSummand(0, 0, "1", True, (0, 0))
+    reference = sorted(
+        (
+            graded.GradedSummand(e.degree + 2 * j, e.order, e.label, e.algebraic, (n, j))
+            for n, j0, m in blocks for j in range(j0, j0 + m)
+            for e in (tables[n].entries if n else (unit,))
+        ),
+        key=graded._sort_key,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrics, "rost_table", lambda n, coeff: tables[n])
+        groups = list(quadrics.iter_cohomology(blocks, "2adic", view=lambda e: (e, e.label)))
+    rows = []
+    for c, segments in groups:
+        assert segments and all(cells for cells, _, _ in segments), c
+        for cells, entries, labels in segments:
+            assert [e.label for e in entries] == list(labels), c
+            rows += (graded.GradedSummand(c, e.order, e.label, e.algebraic, cell) for cell, e in zip(cells, entries, strict=True))
+    assert rows == reference
+    assert [c for c, _ in groups] == sorted({e.degree for e in reference})
 
 
 @pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:3"])
