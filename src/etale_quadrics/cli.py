@@ -15,24 +15,23 @@ comes as aligned slices of these, so its rows are interleaved with the
 degree's prefix by slice assignment and joined once, with no Python run
 per row.  Exit codes: 0 success (also when the reader of stdout stops
 early), 1 verification mismatch, 2 invalid input or usage (an --out path
-that cannot be written included).
+that cannot be written included); run() ends a process at its last flush.
 
-A table is written in pieces of about CHUNK_BYTES = 64 KiB of text, what a
-Linux pipe holds by default.  A write that fits returns at once, so the
-reader of stdout drains one piece while the next is formatted; a larger
-write blocks until the reader has taken all but its last 64 KiB, and the
-two sides take turns.  The cap counts characters, not rows, so JSON rows
+A table is written in pieces of about CHUNK_BYTES = 64 KiB of text, into
+a pipe on stdout grown to hold 16 (PIPE_BYTES, 1 MiB), so a write blocks
+only while the reader of stdout is 16 pieces behind, and each side works
+while the other does.  The cap counts characters, not rows, so JSON rows
 (about 190 B) and text rows (about 64 B) make writes of one size.
 
 Each process imports only what its subcommand and output format run,
 since every process pays its imports (and, without a bytecode cache,
 compiles them): the module itself loads argparse, os and sys alone, so
---version, --help and usage errors load nothing more.  The three table
-subcommands load quadrics (with rost, mod2 and graded) when they run, and
-only verify loads verify, presentations, tower and abelian.  json is
-loaded only to write JSON or a failed check's diff; CSV rows are joined
-from plain text pieces, since no label the tables print needs quoting, so
-csv is never loaded.
+--version, --help and usage errors load nothing more, and fcntl only when
+stdout is written.  The three table subcommands load quadrics (with rost,
+mod2 and graded) when they run, and only verify loads verify,
+presentations, tower and abelian.  json is loaded only to write JSON or a
+failed check's diff; CSV rows are joined from plain text pieces, since no
+label the tables print needs quoting, so csv is never loaded.
 """
 
 import argparse
@@ -43,18 +42,19 @@ from . import __version__
 
 
 RECORD_FIELDS = ("degree", "twist", "order", "generator", "n", "j", "algebraic")
-# Text held before a table write, in characters (the module docstring says
-# why): the default Linux pipe capacity.  Against a cap of 4096 rows, about
-# 260 KB of text or 780 KB of JSON per write, it gave 10% more records per
-# second on the quadric-2adic benchmark workload (9 of 10 paired runs).
-# `cohomology 2046 --coeff mod2 --format json` read through a pipe takes
-# 0.56 s with 16.2 MB resident (2-core Xeon host, Python 3.11, spawned,
-# best of 5).
+# Text held before a table write, in characters, and what a pipe on stdout
+# is grown to hold, 16 writes: the module docstring says why.  Against 4096
+# rows (260 KB of text, 780 KB of JSON) a write of 64 KiB gave 10% more
+# records/s on the quadric-2adic workload; writes of 256 KiB or 1 MiB into
+# the 1 MiB pipe were slower (`cohomology 2046`: 95, 113, 121 ms).  Its mod2
+# JSON table read through a pipe takes 0.34 s with 16.4 MB resident (2-core
+# Xeon host, Python 3.11, spawned, best of 5).
 CHUNK_BYTES = 1 << 16
+PIPE_BYTES = 16 * CHUNK_BYTES  # 1 MiB: the default pipe-max-size, the most a user may ask for
 
 # The table bound: the largest Rost index the CLI tabulates.  The table of
 # M_n has about 2^n rows and that of Q^d grows like d^2; `cohomology 2046
-# --coeff mod2` writes 134 MB in 0.23 s to /dev/null and in 0.32 s through
+# --coeff mod2` writes 134 MB in 0.18 s to /dev/null and in 0.21 s through
 # a pipe, with 16 MB resident, on a 2-core Xeon host (Python 3.11, spawned,
 # best of 5), where the table built whole took 19 s and 1.0 GB.  The
 # library itself has no bound.
@@ -86,11 +86,19 @@ def _order_str(order: int) -> str:
 
 def _emit(path: str | None, produce):
     """Run produce(write) and return what it returns; write is the write
-    function of stdout, or of the --out file, which is opened here, after
-    the arguments are checked and before anything is computed.  A path
-    that cannot be written, the empty one too, is invalid input, like any
-    bad argument."""
+    function of stdout, whose pipe, if it is one, is first grown to
+    PIPE_BYTES (never shrunk, and left as it is where that fails), or of
+    the --out file, opened here after the arguments are checked and before
+    anything is computed.  A path that cannot be written, the empty one
+    too, is invalid input, like any bad argument."""
     if path is None:
+        try:
+            import fcntl
+
+            fd = sys.stdout.fileno()
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, max(PIPE_BYTES, fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)))
+        except (ImportError, AttributeError, OSError, ValueError):  # no such call, no pipe, a size refused
+            pass
         result = produce(sys.stdout.write)
         sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
         return result
@@ -363,5 +371,29 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
+def run() -> None:
+    """The process entry (python -m etale_quadrics, the etale-quadrics
+    script): the exit code of main(), or of argparse's SystemExit, ends
+    the process through os._exit once stdout and stderr are flushed,
+    skipping the interpreter's teardown.  Nothing is left for it to do:
+    the package registers no atexit handler, and _emit closes an --out
+    file in its with block.  A code that is no int, a stream that is None
+    or a flush that raises ends through sys.exit, as before.  Only
+    SystemExit is caught, so a bug prints its traceback and exits 1."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    if isinstance(code, int) and None not in (sys.stdout, sys.stderr):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

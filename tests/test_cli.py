@@ -441,6 +441,15 @@ def test_out_is_opened_before_the_table_is_computed(monkeypatch, capsys, tmp_pat
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+def spawn_env(unbuffered):
+    """The environment of a spawned CLI: stdout block-buffered (no
+    PYTHONUNBUFFERED), or unbuffered, and 80 columns for --help."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return dict(env, COLUMNS="80")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, read",
@@ -458,18 +467,127 @@ def test_closed_stdout_ends_quietly(argv, read, unbuffered):
     """A reader that stops early (`| head -c 10`, or before reading at all)
     ends the CLI with exit 0 and nothing on stderr: no BrokenPipeError
     traceback, and no failed flush at exit."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
     with subprocess.Popen(
         [sys.executable, "-m", "etale_quadrics", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=spawn_env(unbuffered),
     ) as proc:
         assert len(proc.stdout.read(read)) == read
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == 0
     assert err == b""
+
+
+def written(folder):
+    """The digest of each file in folder, which is then emptied."""
+    digests = {}
+    for path in folder.iterdir():
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        path.unlink()
+    return digests
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--version",), 0),
+        (("--help",), 0),
+        (("cohomology", "--bogus"), 2),
+        (("cohomology", "0"), 2),
+        (("cohomology", "7", "--out", "{tmp}/missing/x.txt"), 2),
+        (("verify", "--scope", "s2"), 0),
+        (("cohomology", "300", "--format", "json"), 0),
+        (("cohomology", "300", "--format", "json", "--out", "{tmp}/t.json"), 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"exit {v}",
+)
+def test_the_process_entry_ends_as_main_returns(monkeypatch, capsys, tmp_path, argv, code, unbuffered):
+    """A spawned CLI ends through cli.run's os._exit, after its last flush:
+    it writes what cli.main writes in-process, to stdout, stderr and
+    --out, and exits with main's code, or argparse's, so a flush missed
+    before the exit shows as a short table."""
+    from etale_quadrics import cli
+
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # --version, --help, usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    want = (code, hashlib.sha256(out.encode()).hexdigest(), err, written(tmp_path))
+    res = subprocess.run(
+        [sys.executable, "-m", "etale_quadrics", *argv], capture_output=True, env=spawn_env(unbuffered), timeout=300,
+    )
+    assert got == code
+    assert (res.returncode, hashlib.sha256(res.stdout).hexdigest(), res.stderr.decode(), written(tmp_path)) == want
+
+
+# A process entry whose main has a bug: run() lets the exception through
+CRASHING_ENTRY = """
+from etale_quadrics import cli
+
+
+def main(argv=None):
+    raise RuntimeError("a bug")
+
+
+cli.main = main
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_the_process_entry_swallows_no_bug(unbuffered):
+    res = subprocess.run(
+        [sys.executable, "-c", CRASHING_ENTRY], capture_output=True, text=True, env=spawn_env(unbuffered), timeout=300,
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("Traceback (most recent call last):\n")
+    assert res.stderr.endswith("RuntimeError: a bug\n")
+
+
+def pipe_size_calls():
+    """fcntl, where it can read a pipe's size; the test is skipped elsewhere."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("fcntl cannot read a pipe's size here")
+    return fcntl
+
+
+def test_a_stdout_pipe_is_grown():
+    """A table written into a pipe grows it to PIPE_BYTES, or to the most
+    the host lets a process ask for."""
+    from etale_quadrics import cli
+
+    fcntl = pipe_size_calls()
+    with open("/proc/sys/fs/pipe-max-size") as fh:
+        max_size = int(fh.read())
+    with subprocess.Popen([sys.executable, "-m", "etale_quadrics", "cohomology", "7"], stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read().startswith(b"# Q^7  coefficients=2adic\n")
+        size = fcntl.fcntl(proc.stdout.fileno(), fcntl.F_GETPIPE_SZ)
+        assert proc.wait(timeout=300) == 0
+    assert size >= min(cli.PIPE_BYTES, max_size)
+
+
+def test_a_stdout_pipe_is_never_shrunk(monkeypatch):
+    from etale_quadrics import cli
+
+    fcntl = pipe_size_calls()
+    r, w = os.pipe()
+    try:
+        assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == 65536
+        monkeypatch.setattr(cli, "PIPE_BYTES", 4096)
+        with open(w, "w", closefd=False) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["decompose", "7"]) == 0
+        assert fcntl.fcntl(r, fcntl.F_GETPIPE_SZ) == 65536
+        assert os.read(r, 1 << 16) == b"Q^7: M3 + M2*T1 + M2*T2 + M2*T3\nexpansion: [3, 2] residual: 1\n"
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_table_memory_is_flat_in_d(tmp_path):
@@ -681,6 +799,7 @@ TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mo
         ),
         pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), id="verify --scope s2"),
         pytest.param(("--version",), set(), TABLE_STACK | {"json", "csv"}, id="--version loads no table stack"),
+        pytest.param(("--version",), set(), {"fcntl"}, id="--version loads no fcntl"),
         pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, id="cohomology 7 loads neither json nor csv"),
         pytest.param(("cohomology", "7", "--format", "csv"), set(), {"csv"}, id="cohomology 7 --format csv"),
     ],

@@ -2,6 +2,7 @@
 non-algebraic inventory."""
 
 import functools
+import operator
 from collections import Counter
 
 import pytest
@@ -211,13 +212,22 @@ def test_rows_come_in_sort_order(cached_rost_tables, coeff):
     """iter_cohomology emits rows in the order of the global sort it
     replaced, ties by label included, with no sort of its own: for d <= 64
     the assembly equals its own sort by graded._sort_key, and for every
-    d <= 300 the rows' keys (degree, -n, j, label) are already sorted."""
+    d <= 300 the rows' keys (degree, -n, j, label) are already sorted.  A
+    segment is one degree and one n, so its keys rise exactly when its
+    cells (n, j) rise, which is compared in C; each segment's first key is
+    compared with the last key of the segment before."""
     for d in range(1, 301):
         if d <= 64:
             entries = list(assemble_cohomology(d, coeff).entries)
             assert entries == sorted(entries, key=graded._sort_key), d
-        keys = [(c, -n, j, e.label) for c, n, j, e in flat_rows(quadrics.iter_cohomology(decompose_motive(d).blocks, coeff))]
-        assert keys == sorted(keys), d
+        last = ()
+        for c, segments in quadrics.iter_cohomology(decompose_motive(d).blocks, coeff):
+            for cells, entries in segments:
+                (n, j), (n_last, j_last) = cells[0], cells[-1]
+                assert len(cells) == len(entries) and n == n_last, (d, c)
+                assert all(map(operator.lt, cells, cells[1:])), (d, c)
+                assert last <= (c, -n, j, entries[0].label), (d, c)
+                last = (c, -n, j_last, entries[-1].label)
 
 
 def shifted_reference(d, coeff):
