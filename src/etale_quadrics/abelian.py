@@ -224,21 +224,6 @@ class FinAb2Group:
         """Isomorphism invariant: (free rank, torsion orders sorted descending)."""
         return self.free_rank, tuple(sorted(self.torsion_orders, reverse=True))
 
-    def __repr__(self):
-        if not self.summands:
-            return "0"
-        parts = []
-        free = [s.label for s in self.summands if s.order == 0]
-        if free:
-            parts.append("Z2{%s}" % ",".join(free))
-        by_order: dict[int, list[str]] = {}
-        for s in self.summands:
-            if s.order:
-                by_order.setdefault(s.order, []).append(s.label)
-        for o in sorted(by_order):
-            parts.append("Z/%d{%s}" % (o, ",".join(by_order[o])))
-        return " + ".join(parts)
-
 
 def _reduce_entry(value: int, order: int) -> int:
     return value % order if order else value

@@ -14,8 +14,9 @@ text is formatted once, each term's source cell once, and a segment
 comes as aligned slices of these, so its rows are interleaved with the
 degree's prefix by slice assignment and joined once, with no Python run
 per row.  Exit codes: 0 success (also when the reader of stdout stops
-early), 1 verification mismatch, 2 invalid input or usage (an --out path
-that cannot be written included); run() ends a process at its last flush.
+early or is gone before it starts), 1 verification mismatch, 2 invalid
+input or usage (an --out path that cannot be written included); run()
+ends a process at its last flush.
 
 A table is written in pieces of about CHUNK_BYTES = 64 KiB of text, into
 a pipe on stdout grown to hold 16 (PIPE_BYTES, 1 MiB), so a write blocks
@@ -377,16 +378,22 @@ def run() -> None:
     the process through os._exit once stdout and stderr are flushed,
     skipping the interpreter's teardown.  Nothing is left for it to do:
     the package registers no atexit handler, and _emit closes an --out
-    file in its with block.  A code that is no int, a stream that is None
-    or a flush that raises ends through sys.exit, as before.  Only
-    SystemExit is caught, so a bug prints its traceback and exits 1."""
+    file in its with block.  A stdout whose reader has gone flushes its
+    last text into os.devnull, so `--help | true` exits 0.  A code that
+    is no int, a stream that is None or another flush that raises ends
+    through sys.exit, as before.  Only SystemExit is caught, so a bug
+    prints its traceback and exits 1."""
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
     if isinstance(code, int) and None not in (sys.stdout, sys.stderr):
         try:
-            sys.stdout.flush()
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:  # argparse printed --help or --version outside main
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                sys.stdout.flush()
             sys.stderr.flush()
         except (OSError, ValueError):
             pass

@@ -12,7 +12,8 @@ Relations in scope are few and degrees bounded, so exhaustive monomial
 enumeration is exact and there is no need for any rewriting theory.
 
 `presentation(coeff, generators, *relations)` builds one from relations
-written as text, each read by `parse_poly`:
+written as text, each read by `parse_poly`; every built-in family,
+products included, is built this way:
 
     presentation("Z2", (("h", 2), ("c1", 4)), "h^4", "2*c1", "c1*h", "c1^2")
 
@@ -169,18 +170,6 @@ def monomial_table(degrees: tuple[int, ...], max_degree: int) -> list[list[tuple
     return table
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return make_poly(
-        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        for e1, c1 in a
-        for e2, c2 in b
-    )
-
-
-def poly_scale(a: Poly, k: int) -> Poly:
-    return make_poly((e, k * c) for e, c in a)
-
-
 def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
     """Free rank and torsion orders of every degree <= max_degree.
 
@@ -285,6 +274,11 @@ def _norm_quadric_presentation(n: int) -> RingPresentation:
     )
 
 
+# The G2 rings belong to the twisted flag variety of the rank-2 exceptional
+# group.  With b1 = t1^2 + t1*t2 + t2^2 and b2 = t2^3 (degrees 4 and 6), the
+# etale ring is Z2[t1,t2]/(2*b1, b1^2, b2^2, b1*b2), the mod-2 Chow ring is
+# F2[t1,t2]/(b1^2, b2^2, b1*b2), and GT lifts b1 and b2 beside y, y^2 = 0;
+# the products are written out expanded.
 _FIXED_FAMILIES = {
     "Q3": ("Z2", (("h", 2), ("c1", 4)), "h^4", "2*c1", "c1*h", "c1^2"),
     "Q5": ("Z2", (("h", 2), ("c1", 4)), "h^6", "2*c1", "c1*h^3", "c1^2"),
@@ -292,47 +286,34 @@ _FIXED_FAMILIES = {
         "Z2", (("h", 2), ("c1", 4), ("c0", 6)),
         "h^7", "2*c1", "c1*h^4", "c1^2", "h*c0 - h^4", "c0*c1", "c0^2",
     ),
+    "G2_flag_etale": (
+        "Z2", (("t1", 2), ("t2", 2)),
+        "2*t1^2 + 2*t1*t2 + 2*t2^2",
+        "t1^4 + 2*t1^3*t2 + 3*t1^2*t2^2 + 2*t1*t2^3 + t2^4",
+        "t2^6",
+        "t1^2*t2^3 + t1*t2^4 + t2^5",
+    ),
+    "G2_flag_chow_mod2": (
+        "F2", (("t1", 2), ("t2", 2)),
+        "t1^4 + 2*t1^3*t2 + 3*t1^2*t2^2 + 2*t1*t2^3 + t2^4",
+        "t2^6",
+        "t1^2*t2^3 + t1*t2^4 + t2^5",
+    ),
+    "G2_GT_mod2": ("F2", (("t1", 2), ("t2", 2), ("y", 6)), "t1^2 + t1*t2 + t2^2", "t2^3", "y^2"),
 }
-
-
-def _g2_presentation(family: str) -> RingPresentation:
-    """Rings attached to the twisted flag variety of the rank-2 exceptional
-    group, built from b1 = t1^2 + t1*t2 + t2^2 and b2 = t2^3 (degrees 4, 6)."""
-    names = ("t1", "t2")
-    b1 = parse_poly("t1^2 + t1*t2 + t2^2", names)
-    b2 = parse_poly("t2^3", names)
-    gens = (("t1", 2), ("t2", 2))
-    if family == "G2_flag_etale":
-        rels = (poly_scale(b1, 2), poly_mul(b1, b1), poly_mul(b2, b2), poly_mul(b1, b2))
-        return RingPresentation("Z2", gens, rels)
-    if family == "G2_flag_chow_mod2":
-        rels = (poly_mul(b1, b1), poly_mul(b2, b2), poly_mul(b1, b2))
-        return RingPresentation("F2", gens, rels)
-    if family == "G2_GT_mod2":
-        names_y = ("t1", "t2", "y")
-        lift = tuple((e + (0,), c) for e, c in b1)
-        lift2 = tuple((e + (0,), c) for e, c in b2)
-        ysq = parse_poly("y^2", names_y)
-        return RingPresentation("F2", gens + (("y", 6),), (lift, lift2, ysq))
-    raise UnknownFamily(family)
 
 
 def builtin_presentation(family: str, param: Optional[int] = None) -> RingPresentation:
     """Built-in presentations: Q3, Q5, Q6, norm (with index parameter),
-    G2_flag_etale, G2_flag_chow_mod2, G2_GT_mod2.
-
-    The G2 relations are spelled out through b1 = t1^2 + t1*t2 + t2^2 and
-    b2 = t2^3: the etale ring is Z2[t1,t2]/(2*b1, b1^2, b2^2, b1*b2) and the
-    mod-2 Chow ring drops the 2*b1 relation in favor of coefficient 2.
-    """
+    G2_flag_etale, G2_flag_chow_mod2, G2_GT_mod2, each built by
+    `presentation` from its relation text.  Any other family raises
+    UnknownFamily."""
     if family == "norm":
         if param is None:
             raise UnknownFamily("family 'norm' needs the index parameter")
         return _norm_quadric_presentation(param)
     if family in _FIXED_FAMILIES:
         return presentation(*_FIXED_FAMILIES[family])
-    if family.startswith("G2_"):
-        return _g2_presentation(family)
     raise UnknownFamily(f"unknown presentation family {family!r}")
 
 

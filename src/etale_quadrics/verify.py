@@ -122,11 +122,12 @@ def check_torsion_ladder(opts: VerifyOptions) -> CheckResult:
         for c in range(1, top + 1):
             grp = tower.integral_cohomology(n, c, c)
             if grp.torsion_orders != (2,) or grp.labels != (f"rho_bar_{c}",):
-                failures.append({"n": n, "c": c, "group": repr(grp)})
+                failures.append({"n": n, "c": c, "orders": grp.orders, "labels": grp.labels})
         one = tower.integral_cohomology(n, 0, 0)
         pi = tower.integral_cohomology(n, top, top + 1)
         if (one.free_rank, pi.free_rank) != (1, 1) or pi.labels != ("pi",):
-            failures.append({"n": n, "free": (repr(one), repr(pi))})
+            failures.append({"n": n, "bidegrees": ((0, 0), (top, top + 1)),
+                             "orders": (one.orders, pi.orders), "labels": (one.labels, pi.labels)})
     return _result(
         "s3.ladder", "s3", failures,
         "one 2-torsion class per degree 1..top on the diagonal, frees at 0 and top"
@@ -210,15 +211,10 @@ def check_limits(opts: VerifyOptions) -> CheckResult:
         _, r = tower.transition_maps(2, 2, 3, s)
         if not r.is_zero:
             failures.append({"s": s, "r_on_ghost": r.matrix})
-    lim_ghost = ct.limit(2, 3)
-    lim_tors = ct.limit(4, 4)
-    lim_free = ct.limit(6, 7)
-    if not lim_ghost.is_trivial:
-        failures.append({"limit(2,3)": repr(lim_ghost)})
-    if lim_tors.structure() != (0, (2,)):
-        failures.append({"limit(4,4)": repr(lim_tors)})
-    if lim_free.structure() != (1, ()):
-        failures.append({"limit(6,7)": repr(lim_free)})
+    for bidegree, want in (((2, 3), (0, ())), ((4, 4), (0, (2,))), ((6, 7), (1, ()))):
+        lim = ct.limit(*bidegree)
+        if lim.structure() != want:
+            failures.append({"limit": bidegree, "orders": lim.orders, "labels": lim.labels})
     return _result(
         "C4", "s5", failures,
         "ghost transitions vanish and the three limits are 0, Z/2, Z2",

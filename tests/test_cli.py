@@ -460,13 +460,27 @@ def spawn_env(unbuffered):
         (("verify", "--scope", "s2"), 10),
         (("decompose", "7"), 0),
         (("nonalgebraic", "7", "--format", "json"), 0),
+        (("--help",), None),
+        (("--version",), None),
     ],
-    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"read {v}",
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else "closed first" if v is None else f"read {v}",
 )
 def test_closed_stdout_ends_quietly(argv, read, unbuffered):
-    """A reader that stops early (`| head -c 10`, or before reading at all)
-    ends the CLI with exit 0 and nothing on stderr: no BrokenPipeError
-    traceback, and no failed flush at exit."""
+    """A reader that stops early (`| head -c 10`, before reading at all, or
+    gone before the CLI starts) ends the CLI with exit 0 and nothing on
+    stderr: no BrokenPipeError traceback, and no failed flush at exit."""
+    if read is None:  # argparse prints --help and --version outside main's BrokenPipeError branch
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "etale_quadrics", *argv],
+                stdout=w, stderr=subprocess.PIPE, env=spawn_env(unbuffered), timeout=300,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return
     with subprocess.Popen(
         [sys.executable, "-m", "etale_quadrics", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=spawn_env(unbuffered),
@@ -717,6 +731,30 @@ def test_verify_sweeps_the_levels_a_limit_reads_and_the_printed_top(monkeypatch)
     for check_id in ("C3", "s7.coeff"):
         assert not results[check_id].passed, check_id
         assert {f["s"] for f in results[check_id].diff} == {quadrics.MAX_LEVEL}, check_id
+
+
+def test_a_failed_check_gives_each_group_by_orders_and_labels(monkeypatch):
+    """Every group in a failure diff is given by its orders and labels, as
+    JSON: s3.ladder's torsion and free classes and C4's three limits."""
+    from etale_quadrics import tower, verify
+    from etale_quadrics.abelian import CyclicSummand, FinAb2Group
+
+    wrong = FinAb2Group((CyclicSummand(8, "x"),))
+    monkeypatch.setattr(tower, "integral_cohomology", lambda n, p, q: wrong)
+    monkeypatch.setattr(tower.CoefficientTower, "limit", lambda self, p, q: wrong)
+    opts = verify.VerifyOptions()
+    ladder, limits = verify.check_torsion_ladder(opts), verify.check_limits(opts)
+    assert not ladder.passed and not limits.passed
+    ladder_diff = json.loads(json.dumps(ladder.diff))
+    # transition_maps reads integral_cohomology too, so C4's ghost maps fail first
+    limits_diff = [f for f in json.loads(json.dumps(limits.diff)) if "r_on_ghost" not in f]
+    assert [f["limit"] for f in limits_diff] == [[2, 3], [4, 4], [6, 7]]
+    assert sum("bidegrees" in f for f in ladder_diff) == 3  # the free classes of n = 2, 3, 4
+    for f in ladder_diff + limits_diff:
+        if "bidegrees" in f:
+            assert (f["orders"], f["labels"]) == ([[8], [8]], [["x"], ["x"]])
+        else:
+            assert (f["orders"], f["labels"]) == ([8], ["x"])
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))

@@ -72,6 +72,24 @@ def test_builtin_relations(family, param):
     assert tuple(format_poly(r, p.generator_names) for r in p.relations) == BUILTIN_RELATIONS[family, param]
 
 
+def test_g2_relations_are_the_products():
+    """The G2 relations, written out expanded, are 2*b1, b1^2, b2^2 and
+    b1*b2 with b1 = t1^2 + t1*t2 + t2^2 and b2 = t2^3; GT lifts b1 and b2
+    beside y^2."""
+    t1, t2, y = sympy.symbols("t1 t2 y")
+    b1, b2 = t1**2 + t1 * t2 + t2**2, t2**3
+    products = {
+        "G2_flag_etale": (2 * b1, b1**2, b2**2, b1 * b2),
+        "G2_flag_chow_mod2": (b1**2, b2**2, b1 * b2),
+        "G2_GT_mod2": (b1, b2, y**2),
+    }
+    for family, rels in products.items():
+        p = builtin_presentation(family)
+        gens = sympy.symbols(p.generator_names)
+        expanded = tuple(make_poly((e, int(c)) for e, c in sympy.Poly(rel, *gens).as_dict().items()) for rel in rels)
+        assert p.relations == expanded, family
+
+
 def test_parse_and_format_round_trip():
     for family, param in BUILTIN_RELATIONS:
         p = builtin_presentation(family, param)
@@ -116,6 +134,8 @@ def test_homogeneity_is_enforced():
 def test_unknown_family():
     with pytest.raises(UnknownFamily):
         builtin_presentation("Q4")
+    with pytest.raises(UnknownFamily, match="^unknown presentation family 'G2_x'$"):
+        builtin_presentation("G2_x")  # no family prefix is read on its own
     with pytest.raises(UnknownFamily):
         builtin_presentation("Q7")  # Q^7 is the norm quadric of index 3
     with pytest.raises(UnknownFamily):
