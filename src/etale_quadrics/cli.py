@@ -15,8 +15,9 @@ comes as aligned slices of these, so its rows are interleaved with the
 degree's prefix by slice assignment and joined once, with no Python run
 per row.  Exit codes: 0 success (also when the reader of stdout stops
 early or is gone before it starts), 1 verification mismatch, 2 invalid
-input or usage (an --out path that cannot be written included); run()
-ends a process at its last flush.
+input or usage (an --out path that cannot be written, or a stdout closed
+before the process started, included); run() alone handles a gone
+reader, and ends a process at its last flush.
 
 A table is written in pieces of about CHUNK_BYTES = 64 KiB of text, into
 a pipe on stdout grown to hold 16 (PIPE_BYTES, 1 MiB), so a write blocks
@@ -58,7 +59,8 @@ PIPE_BYTES = 16 * CHUNK_BYTES  # 1 MiB: the default pipe-max-size, the most a us
 # --coeff mod2` writes 134 MB in 0.18 s to /dev/null and in 0.21 s through
 # a pipe, with 16 MB resident, on a 2-core Xeon host (Python 3.11, spawned,
 # best of 5), where the table built whole took 19 s and 1.0 GB.  The
-# library itself has no bound.
+# library bounds no d or n; its one bound, quadrics.MAX_LEVEL, belongs to
+# the mod2s:<s> spec grammar, since no order 2^s past it prints.
 MAX_INDEX = 10
 # Q^d splits into Rost motives M_n with n <= MAX_INDEX exactly when
 # d + 2 <= 2^(MAX_INDEX + 1), so the dimension bound follows from it.
@@ -67,17 +69,9 @@ MAX_DIMENSION = 2 ** (MAX_INDEX + 1) - 2
 SCOPES = ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
 
 
-def _check_bound(name: str, value: int | str, bound: int) -> None:
-    """Reject a value outside 1..bound, naming what the user passed: an
-    int, or the ASCII digits of a level typed inside a spec.  Digits longer
-    than the bound are out of range unread, so int() never sees them (it
-    refuses more than 4300)."""
-    if isinstance(value, str):
-        digits = value.lstrip("0") or "0"
-        inside = len(digits) <= len(str(bound)) and 1 <= int(digits) <= bound
-    else:
-        inside = 1 <= value <= bound
-    if not inside:
+def _check_bound(name: str, value: int, bound: int) -> None:
+    """Reject a value outside 1..bound, naming what the user passed."""
+    if not 1 <= value <= bound:
         raise ValueError(f"{name} {value} is outside 1..{bound}")
 
 
@@ -90,9 +84,11 @@ def _emit(path: str | None, produce):
     function of stdout, whose pipe, if it is one, is first grown to
     PIPE_BYTES (never shrunk, and left as it is where that fails), or of
     the --out file, opened here after the arguments are checked and before
-    anything is computed.  A path that cannot be written, the empty one
-    too, is invalid input, like any bad argument."""
+    anything is computed.  A path that cannot be written (the empty one
+    too) or a closed stdout is invalid input, like any bad argument."""
     if path is None:
+        if sys.stdout is None:  # fd 1 was closed before the process started
+            raise ValueError("cannot write stdout: it is closed")
         try:
             import fcntl
 
@@ -101,7 +97,7 @@ def _emit(path: str | None, produce):
         except (ImportError, AttributeError, OSError, ValueError):  # no such call, no pipe, a size refused
             pass
         result = produce(sys.stdout.write)
-        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
+        sys.stdout.flush()  # a reader gone fails here, before main returns its code
         return result
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -218,9 +214,6 @@ def _cmd_cohomology(args) -> int:
 
     from . import quadrics
 
-    kind, _, level = args.coeff.partition(":")
-    if kind == "mod2s" and level.isascii() and level.isdigit():
-        _check_bound("coefficient level", level, quadrics.MAX_LEVEL)  # before int() reads it
     quadrics.parse_coefficients(args.coeff)  # a bad spec is reported before a bad target
     if (args.d is None) == (args.rost is None):
         raise ValueError("give exactly one target: a quadric dimension or --rost <n>")
@@ -270,10 +263,10 @@ def _cmd_nonalgebraic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
-
     _check_bound("--dmax", args.dmax, MAX_DIMENSION)
     _check_bound("--nmax", args.nmax, MAX_INDEX)
+    from . import verify
+
     opts = verify.VerifyOptions(dmax=args.dmax, nmax=args.nmax)
 
     def produce(write) -> bool:
@@ -358,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand argv names and return its exit code, 2 for invalid
+    input; a gone reader of stdout raises BrokenPipeError, for run() to end."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -365,33 +360,32 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): end quietly, and point
-        # stdout at /dev/null so that the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
 
 
 def run() -> None:
     """The process entry (python -m etale_quadrics, the etale-quadrics
-    script): the exit code of main(), or of argparse's SystemExit, ends
+    script), and the one place that handles a reader of stdout that has
+    gone: the exit code of main(), of argparse's SystemExit, or 0 for a
+    BrokenPipeError out of main (the reader stopped early, `| head`), ends
     the process through os._exit once stdout and stderr are flushed,
     skipping the interpreter's teardown.  Nothing is left for it to do:
     the package registers no atexit handler, and _emit closes an --out
     file in its with block.  A stdout whose reader has gone flushes its
     last text into os.devnull, so `--help | true` exits 0.  A code that
     is no int, a stream that is None or another flush that raises ends
-    through sys.exit, as before.  Only SystemExit is caught, so a bug
-    prints its traceback and exits 1."""
+    through sys.exit.  No other exception is caught, so a bug prints its
+    traceback and exits 1."""
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
+    except BrokenPipeError:  # the reader of stdout stopped early (`| head`)
+        code = 0
     if isinstance(code, int) and None not in (sys.stdout, sys.stderr):
         try:
             try:
                 sys.stdout.flush()
-            except BrokenPipeError:  # argparse printed --help or --version outside main
+            except BrokenPipeError:  # its reader is gone: what stdout holds goes nowhere
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 sys.stdout.flush()
             sys.stderr.flush()

@@ -100,19 +100,19 @@ MAX_LEVEL = 14284  # the largest level s whose order 2^s prints under the defaul
 
 
 def parse_coefficients(spec: str) -> tuple[str, Optional[int]]:
-    """(kind, level) of a coefficient spec: mod2, mod2s:<s> with <s> a
-    decimal level >= 1, or 2adic."""
-    if spec == "mod2":
-        return "mod2", None
-    if spec == "2adic":
-        return "2adic", None
-    level = re.fullmatch(r"mod2s:0*([0-9]+)", spec)  # int() counts leading zeros too
-    if level:
-        s = int(level.group(1))
-        if s < 1:
-            raise ValueError("coefficient level must be >= 1")
-        return "mod2s", s
-    raise ValueError(f"unknown coefficient spec {spec!r} (use mod2 | mod2s:<s> | 2adic)")
+    """(kind, level) of a coefficient spec: mod2, 2adic, or mod2s:<s> with
+    <s> ASCII decimal digits, leading zeros ignored, naming a level in
+    1..MAX_LEVEL.  The digits are counted before int() reads them, since
+    int() refuses more than 4300."""
+    if spec in ("mod2", "2adic"):
+        return spec, None
+    level = re.fullmatch(r"mod2s:(0*([0-9]+))", spec)
+    if level is None:
+        raise ValueError(f"unknown coefficient spec {spec!r} (use mod2 | mod2s:<s> | 2adic)")
+    typed, digits = level.groups()
+    if len(digits) > len(str(MAX_LEVEL)) or not 1 <= int(digits) <= MAX_LEVEL:
+        raise ValueError(f"coefficient level {typed} is outside 1..{MAX_LEVEL}")
+    return "mod2s", int(digits)
 
 
 def rost_table(n: int, coeff: str = "2adic") -> Graded2Group:

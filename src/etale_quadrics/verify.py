@@ -42,6 +42,11 @@ class VerifyOptions:
     dmax: int = 512
     nmax: int = 6
 
+    def __post_init__(self):  # a sweep over no d or no n would pass having compared nothing
+        for name in ("dmax", "nmax"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"VerifyOptions.{name} is {getattr(self, name)}, below 1")
+
 
 # The levels every per-level check sweeps: 1..MIN_DEPTH, all a 2-adic limit
 # reads, and the largest the CLI prints.  A level enters a check only through

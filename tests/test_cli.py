@@ -469,7 +469,7 @@ def test_closed_stdout_ends_quietly(argv, read, unbuffered):
     """A reader that stops early (`| head -c 10`, before reading at all, or
     gone before the CLI starts) ends the CLI with exit 0 and nothing on
     stderr: no BrokenPipeError traceback, and no failed flush at exit."""
-    if read is None:  # argparse prints --help and --version outside main's BrokenPipeError branch
+    if read is None:  # the reader is gone before the spawn: argparse prints --help and --version itself
         r, w = os.pipe()
         os.close(r)
         try:
@@ -490,6 +490,22 @@ def test_closed_stdout_ends_quietly(argv, read, unbuffered):
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "7"), ("cohomology", "7"), ("nonalgebraic", "7"), ("verify", "--scope", "s2")],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_is_invalid_output(argv):
+    """With fd 1 closed before the spawn, sys.stdout is None: the CLI
+    refuses it as it refuses an --out path it cannot write, with one error
+    line and exit 2, and computes nothing."""
+    res = subprocess.run(
+        [sys.executable, "-m", "etale_quadrics", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=300,
+    )
+    assert (res.returncode, res.stderr) == (2, b"error: cannot write stdout: it is closed\n")
 
 
 def written(folder):
@@ -695,6 +711,16 @@ def test_verify_names_an_empty_index_range(capsys, nmax, empty):
             assert int(lo) <= int(hi) or f"the range n={lo}..{hi} is empty" in line, line
 
 
+@pytest.mark.parametrize("field", ["dmax", "nmax"])
+def test_verify_options_refuse_an_empty_sweep(field):
+    """A bound below 1 sweeps nothing, so the checks would pass having
+    compared nothing: the options refuse it and name the field."""
+    from etale_quadrics import verify
+
+    with pytest.raises(ValueError, match=f"VerifyOptions.{field} is 0, below 1"):
+        verify.VerifyOptions(**{field: 0})
+
+
 def test_verify_json_format():
     res = run_cli("verify", "--scope", "s9", "--format", "json")
     payload = json.loads(res.stdout)
@@ -793,19 +819,21 @@ def test_verify_parser_states_the_verify_scopes_and_defaults():
     assert verify.VerifyOptions(dmax=args.dmax, nmax=args.nmax) == verify.VerifyOptions()
 
 
-# Runs cli.main on argv[2:] in a fresh interpreter and writes to the file
+# Runs cli.main on argv[2:] in a fresh interpreter, writes to the file
 # argv[1] the modules it loaded that the interpreter had not loaded before,
-# so whatever the host's site setup imports at start-up is not counted.
+# so whatever the host's site setup imports at start-up is not counted, and
+# exits with main's code.
 LOADED_BY_MAIN = """
 import sys
 before = set(sys.modules)
 from etale_quadrics.cli import main
 try:
-    main(sys.argv[2:])
-except SystemExit:  # --version
-    pass
+    code = main(sys.argv[2:])
+except SystemExit as exc:  # --version
+    code = exc.code
 with open(sys.argv[1], "w") as fh:
     fh.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
 """
 
 OFF_THE_TABLE_PATH = {
@@ -821,10 +849,10 @@ TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mo
 
 
 @pytest.mark.parametrize(
-    "argv, loaded, not_loaded",
+    "argv, loaded, not_loaded, code",
     [
         *(
-            pytest.param(argv, set(), OFF_THE_TABLE_PATH, id=" ".join(argv))
+            pytest.param(argv, set(), OFF_THE_TABLE_PATH, 0, id=" ".join(argv))
             for argv in (
                 ("--version",),
                 ("decompose", "7"),
@@ -835,20 +863,22 @@ TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mo
                 ("cohomology", "--rost", "3", "--coeff", "mod2s:3"),
             )
         ),
-        pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), id="verify --scope s2"),
-        pytest.param(("--version",), set(), TABLE_STACK | {"json", "csv"}, id="--version loads no table stack"),
-        pytest.param(("--version",), set(), {"fcntl"}, id="--version loads no fcntl"),
-        pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, id="cohomology 7 loads neither json nor csv"),
-        pytest.param(("cohomology", "7", "--format", "csv"), set(), {"csv"}, id="cohomology 7 --format csv"),
+        pytest.param(("verify", "--scope", "s2"), {"etale_quadrics.verify"}, set(), 0, id="verify --scope s2"),
+        # a bound is checked before verify's stack is loaded
+        pytest.param(("verify", "--nmax", "11"), set(), OFF_THE_TABLE_PATH, 2, id="verify --nmax 11"),
+        pytest.param(("--version",), set(), TABLE_STACK | {"json", "csv"}, 0, id="--version loads no table stack"),
+        pytest.param(("--version",), set(), {"fcntl"}, 0, id="--version loads no fcntl"),
+        pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, 0, id="cohomology 7 loads neither json nor csv"),
+        pytest.param(("cohomology", "7", "--format", "csv"), set(), {"csv"}, 0, id="cohomology 7 --format csv"),
     ],
 )
-def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded):
+def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded, code):
     report = tmp_path / "modules.txt"
     res = subprocess.run(
         [sys.executable, "-c", LOADED_BY_MAIN, str(report), *argv],
         capture_output=True, text=True, timeout=300,
     )
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     modules = set(report.read_text().split())
     assert "etale_quadrics.cli" in modules
     assert loaded <= modules

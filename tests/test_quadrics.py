@@ -146,10 +146,23 @@ def test_parse_coefficients():
     assert parse_coefficients("2adic") == ("2adic", None)
     assert parse_coefficients("mod2") == ("mod2", None)
     assert parse_coefficients("mod2s:5") == ("mod2s", 5)
-    with pytest.raises(ValueError, match="level must be >= 1"):
-        parse_coefficients("mod2s:0")
+    assert parse_coefficients("mod2s:14284") == ("mod2s", 14284)
+    assert parse_coefficients("mod2s:" + "0" * 4300 + "3") == ("mod2s", 3)  # leading zeros are not counted
     with pytest.raises(ValueError, match="unknown coefficient spec 'mod3'"):
         parse_coefficients("mod3")
+
+
+@pytest.mark.parametrize(
+    "level",
+    ["0", "000", "14285", "9" * 4301],  # the last more digits than int() reads
+    ids=lambda level: level[:8],
+)
+def test_parse_coefficients_bounds_the_level(level):
+    """A level outside 1..MAX_LEVEL, the largest whose order 2^s prints, is
+    rejected with the digits as typed, before int() reads them."""
+    with pytest.raises(ValueError) as info:
+        parse_coefficients("mod2s:" + level)
+    assert str(info.value) == f"coefficient level {level} is outside 1..14284"
 
 
 # classes of one Rost motive M_n and the order of the unit class of M_0
