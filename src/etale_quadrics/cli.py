@@ -195,12 +195,12 @@ def _cmd_decompose(args) -> int:
                 "d": dec.d,
                 "expansion": list(dec.expansion),
                 "residual": dec.residual,
-                "terms": [{"n": t.n, "j": t.j} for t in dec.terms],
+                "terms": [{"n": n, "j": j} for n, j in dec.terms],
                 "rendered": dec.render(),
             }
             write(json.dumps(payload, indent=2) + "\n")
         elif args.format == "csv":  # integers only: nothing to quote
-            write("n,j\n" + "".join(f"{t.n},{t.j}\n" for t in dec.terms))
+            write("n,j\n" + "".join(f"{n},{j}\n" for n, j in dec.terms))
         else:
             write(f"Q^{dec.d}: {dec.render()}\n")
             write(f"expansion: {list(dec.expansion)} residual: {dec.residual}\n")
@@ -352,13 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the subcommand argv names and return its exit code, 2 for invalid
-    input; a gone reader of stdout raises BrokenPipeError, for run() to end."""
+    input, also when stderr is closed and its message is lost; a gone
+    reader of stdout raises BrokenPipeError, for run() to end."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # None: fd 2 was closed before the process started
+            try:
+                print(f"error: {exc}", file=sys.stderr)
+            except OSError:  # fd 2 unwritable: after `2>&-` a launcher script may hold it read-only
+                pass
         return 2
 
 

@@ -4,8 +4,9 @@ The common output shape of the table generators: each summand carries its
 cohomological degree, order (0 = free over the 2-adic integers), generator
 label, an algebraicity flag (None when not meaningful) and optionally the
 motive term it came from.  Tables use the twisted even-degree grading,
-where degree c carries the coefficients Z2(c/2), so the twist parity is
-read off the degree, not stored.
+where degree c carries the coefficients Z2(c/2), so a summand holds no
+twist: its parity is a function of the degree, and the printer
+(cli._write_table) writes it from c mod 4.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ class GradedSummand(NamedTuple):
     label: str
     algebraic: Optional[bool] = None
     source: Optional[tuple[int, int]] = None  # (rost index n, tate twist j)
-
-    @property
-    def twist(self) -> Optional[int]:
-        """Parity 0/1 of the coefficient twist c/2 in even degree c, None in odd."""
-        return None if self.degree % 2 else (self.degree // 2) % 2
 
 
 def _sort_key(e: GradedSummand):

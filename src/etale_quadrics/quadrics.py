@@ -27,23 +27,12 @@ from .graded import Graded2Group, GradedSummand
 from .mod2 import rost_etale_mod2, top_rho_exponent
 
 
-class MotiveTerm(NamedTuple("MotiveTerm", [("n", int), ("j", int)])):
-    """One summand M_n tensor T^j: the index-n Rost table shifted by
-    (+2j degree, +j twist).  Its complex realization has rank 2."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, j: int):
-        if n < 0 or j < 0:
-            raise ValueError("indices must be non-negative")
-        return super().__new__(cls, n, j)
-
-
 class MotiveDecomposition(NamedTuple):
     """The motive of Q^d as run-length blocks (n, j0, m), M_n tensor T^j for
     j0 <= j < j0 + m, one per step of the alternating 2-power expansion:
     m >= 1, the j0 contiguous from 0 and the n strictly decreasing, so the
-    O(log d) blocks cost O(log d); `terms` expands them, about d/2 terms."""
+    O(log d) blocks are canonical and cost O(log d).  `terms` expands them
+    into the (n, j) pairs of the summands, about d/2 of them."""
 
     d: int
     blocks: tuple[tuple[int, int, int], ...]
@@ -54,11 +43,11 @@ class MotiveDecomposition(NamedTuple):
         return tuple(n for n, _, _ in self.blocks)
 
     @property
-    def terms(self) -> tuple[MotiveTerm, ...]:
-        return tuple(MotiveTerm(n, j) for n, j0, m in self.blocks for j in range(j0, j0 + m))
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        return tuple((n, j) for n, j0, m in self.blocks for j in range(j0, j0 + m))
 
     def render(self) -> str:
-        return " + ".join(f"M{t.n}" if t.j == 0 else f"M{t.n}*T{t.j}" for t in self.terms)
+        return " + ".join(f"M{n}" if j == 0 else f"M{n}*T{j}" for n, j in self.terms)
 
     def alternating_sum(self) -> int:
         return sum((-1) ** i * 2 ** (n + 1) for i, n in enumerate(self.expansion))

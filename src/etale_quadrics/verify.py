@@ -254,8 +254,8 @@ def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
     for n in range(1, min(opts.nmax, 5) + 1):
         computed = tower.etale_2adic(n)
         table = rost.rost_etale_table(n)
-        a = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in computed.entries]
-        b = [(e.degree, e.order, e.label, e.twist, e.algebraic) for e in table.entries]
+        a = [(e.degree, e.order, e.label, e.algebraic) for e in computed.entries]
+        b = [(e.degree, e.order, e.label, e.algebraic) for e in table.entries]
         if a != b:
             failures.append({"n": n, "tower": a, "closed_form": b})
         expected_set = {(0, 0), (mod2.top_rho_exponent(n), 0)} | {
@@ -277,16 +277,15 @@ def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
 def check_decomposition_fixtures(opts: VerifyOptions) -> CheckResult:
     failures = []
     for n in range(2, opts.nmax + 1):
-        minimal = quadrics.decompose_motive(2**n - 1)
-        want = [(n, 0)] + [(n - 1, j) for j in range(1, 2 ** (n - 1))]
-        if [(t.n, t.j) for t in minimal.terms] != want:
-            failures.append({"d": 2**n - 1, "terms": minimal.render()})
-        maximal = quadrics.decompose_motive(2 ** (n + 1) - 3)
-        if [(t.n, t.j) for t in maximal.terms] != [(n, j) for j in range(2**n - 1)]:
-            failures.append({"d": 2 ** (n + 1) - 3, "terms": maximal.render()})
-        pfister = quadrics.decompose_motive(2 ** (n + 1) - 2)
-        if [(t.n, t.j) for t in pfister.terms] != [(n, j) for j in range(2**n)]:
-            failures.append({"d": 2 ** (n + 1) - 2, "terms": pfister.render()})
+        closed_forms = (
+            (2**n - 1, ((n, 0, 1), (n - 1, 1, 2 ** (n - 1) - 1))),  # minimal neighbor: M_n + M_(n-1)*T^j, j >= 1
+            (2 ** (n + 1) - 3, ((n, 0, 2**n - 1),)),  # maximal neighbor
+            (2 ** (n + 1) - 2, ((n, 0, 2**n),)),  # Pfister quadric
+        )
+        for d, want in closed_forms:  # blocks are canonical: equal blocks, equal terms
+            dec = quadrics.decompose_motive(d)
+            if dec.blocks != want:
+                failures.append({"d": d, "terms": dec.render()})
 
     def sweep_ok(d):
         dec = quadrics.decompose_motive(d)
@@ -374,14 +373,14 @@ def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]
     Rost tables are built once for all d, and only that level's are held.
     Returns one diff per d and level that disagree, sorted by (d, s)."""
     terms = {d: quadrics.decompose_motive(d).terms for d in dims}
-    indices = {t.n for ts in terms.values() for t in ts} - {0}
+    indices = {n for ts in terms.values() for n, _ in ts} - {0}
     failures = []
     for s in levels:
         tables = {n: tower.mod_2s_table(n, s).entries for n in indices}
         for d, ts in terms.items():
             want = sorted(
-                [(2 * t.j, 2**s, "1", (0, t.j)) for t in ts if not t.n]
-                + [(e.degree + 2 * t.j, e.order, e.label, (t.n, t.j)) for t in ts if t.n for e in tables[t.n]]
+                [(2 * j, 2**s, "1", (0, j)) for n, j in ts if not n]
+                + [(e.degree + 2 * j, e.order, e.label, (n, j)) for n, j in ts if n for e in tables[n]]
             )
             got = sorted(
                 (e.degree, e.order, e.label, e.source)

@@ -60,6 +60,9 @@ def test_cohomology_rost_2adic():
     torsion = sorted(r["degree"] for r in payload["records"] if r["order"] == 2)
     assert free == [0, 14]
     assert torsion == [4, 8, 12]
+    # the printed twist is the parity of c/2: the top degree 14 is 2 mod 4, torsion sits in 0 mod 4
+    twists = {r["degree"]: r["twist"] for r in payload["records"]}
+    assert twists == {0: 0, 4: 0, 8: 0, 12: 0, 14: 1}
 
 
 def test_cohomology_quadric_2adic_table():
@@ -197,6 +200,48 @@ QUADRIC_DIGESTS = {
     (936, "2adic", "json"): "1bb0358e853d17087721db229af3e050e76c79c3d50f885eb3369637aac8eaf3",
     (936, "2adic", "csv"): "1159b79c87a42ee922c9aae1053fc125ece93d692f93195049da53d4a14d9f2f",
 }
+
+
+# stdout digests pinning `decompose d` byte for byte in every format, up to
+# the table bound: the term lists, the expansion and the rendered sum
+DECOMPOSE_DIGESTS = {
+    (1, "text"): "51b36fe7bd44ecf43f9d7295cf5ccb3c10f675932ab4f6cd1e0ca5cdc0fecbf2",
+    (1, "json"): "ea64dede994426364feaf9a1f9c4365143f8c76161aface663078ffd3d75edb9",
+    (1, "csv"): "02cb26f1adf14461808abe8540e6da961a943650ae748bcf7b5813347a1dffd1",
+    (2, "text"): "bb3deb50eef29bf0e3f75be45b14c6c50b2d5ab4b5d0b8aff8a30258a159a1e6",
+    (2, "json"): "306e392b39a808b08a45126a3902d49748636aba38ed90eded1768b824bebeec",
+    (2, "csv"): "41567917ff69488982372ef73f9b25a5baf1b4a90f165903f27ae0bccce31775",
+    (3, "text"): "7381cf297d406958ecd74c7536216158659b0b259e96d361741f07daf7fa1e46",
+    (3, "json"): "feea63d5e2acffaf9548d19c0b8c8dd67b039f2c5beb4812891e8ec89653baf5",
+    (3, "csv"): "829f5fbdb6035b5c7bcb494b402d443d569f0207d468e948b7e5ef5cdee2c4be",
+    (4, "text"): "557abdeba77573609d4159695c65ca60c98d14a0ad89da18213be987370c05b7",
+    (4, "json"): "ff98db9587c6ab2d2c51a0f8d5984204a1261e17f2981f71e133967f90a1f3f5",
+    (4, "csv"): "bc477cfaa8aa66a4ec615730b6a3d0c735bc4a185c5573e8b1fdb67159cedf90",
+    (7, "text"): "bd39c05ff4d905a9c690361b17e5b393fec17220d9d0367c9d4d1f1e2c346468",
+    (7, "json"): "bc229efa13ac9c1f6b1e960b9b8ebdc162d8ca94526bc5d2f410e771479144e0",
+    (7, "csv"): "9f7bc03ec4b1b56bafccb524210df34f13ebe85731f15c0e56d3f9e4809fcb00",
+    (511, "text"): "e62432b4dddcf24fb32be6a441934007d50bc8e66a353d02e0a115074085ed0f",
+    (511, "json"): "a898fc1f9c69c4baae3bae59090080eeb087d2027f01737b8856a944c7b5d267",
+    (511, "csv"): "be44420e90e0b3ec1a857cf30266abfe30e6eb74183c7ce90bffa6d2c1848b57",
+    (1022, "text"): "65413511d4bec14f8ed5c6e8f4b7aa4456069f39c8e1f0887638fdde7cb467b1",
+    (1022, "json"): "4d32c69f0c4caab6c3bb5cf7a9f536cbbe05b733a2ebc597173d7c1885d4b61d",
+    (1022, "csv"): "d4518c34ba0f9483de3fe5cd0384c0d87f1bbd05cff347606e6881ceb6c65cf6",
+    (2045, "text"): "4711338ea7cfd322f6ae02bc4c86435fa368fcad4cf3eb566bd251fd3b753a28",
+    (2045, "json"): "38525d489b912f71c6ee03434bc54bf50a30ce768fbb594138f33b3be754a8ee",
+    (2045, "csv"): "2cffa2d1b8f7bca8aaa76e08fc6dd006b7914dd05f3d1733ad26c7df3b5e09cc",
+    (2046, "text"): "4908b6a9c7af6d0befab4b6eb2457eb995e596ecb534e7add87bbc57980a82c3",
+    (2046, "json"): "d26862dcfeea467b76a48746f0f301bc94b773cc6f0f624363b24c0c18e1e0be",
+    (2046, "csv"): "fc25ea1e83abad90f1fe9ca7ce0f84a3af6cbca44b04e675cd8c9d2bd65992d7",
+}
+
+
+@pytest.mark.parametrize("d, fmt", sorted(DECOMPOSE_DIGESTS), ids=lambda v: str(v))
+def test_decompose_digests(capsys, d, fmt):
+    from etale_quadrics import cli
+
+    assert cli.main(["decompose", str(d), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[d, fmt]
 
 
 @pytest.mark.parametrize("d, coeff, fmt", sorted(QUADRIC_DIGESTS), ids=lambda v: str(v))
@@ -506,6 +551,26 @@ def test_a_closed_stdout_is_invalid_output(argv):
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=300,
     )
     assert (res.returncode, res.stderr) == (2, b"error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "0"),
+        ("cohomology", "7", "--coeff", "bad"),
+        ("decompose", "7", "--out", "/nonexistent/x"),
+        ("verify", "--scope", "s2", "--dmax", "0"),
+    ],
+    ids=" ".join,
+)
+def test_a_closed_stderr_keeps_the_exit_code(argv):
+    """With fd 2 closed before the spawn, invalid input still exits 2: its
+    message is lost, and nothing reaches stdout in its place."""
+    res = subprocess.run(
+        [sys.executable, "-m", "etale_quadrics", *argv],
+        stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2), timeout=300,
+    )
+    assert (res.returncode, res.stdout) == (2, b"")
 
 
 def written(folder):

@@ -74,7 +74,6 @@ def test_mod2_ring_small_indices():
     ]
     r2 = rost_etale_mod2(2)
     assert [e.degree for e in r2.entries] == list(range(7))
-    assert [e.twist for e in r2.entries] == [0, None, 1, None, 0, None, 1]
     assert [e.algebraic for e in r2.entries] == [True, False, False, False, True, False, True]
     assert r2.entries[6].label == "rho^6" and {e.source for e in r2.entries} == {(2, 0)}
     r3 = rost_etale_mod2(3)

@@ -13,7 +13,6 @@ from etale_quadrics import graded, quadrics, rost
 from etale_quadrics.errors import InvalidDimension, InvalidIndex
 from etale_quadrics.mod2 import rost_etale_mod2, top_rho_exponent
 from etale_quadrics.quadrics import (
-    MotiveTerm,
     NonAlgebraicReport,
     assemble_cohomology,
     boundary_predicates,
@@ -30,7 +29,7 @@ from etale_quadrics.verify import coefficient_change
 
 
 def terms_of(d):
-    return [(t.n, t.j) for t in decompose_motive(d).terms]
+    return list(decompose_motive(d).terms)
 
 
 def test_expansion_fixtures():
@@ -63,21 +62,14 @@ def test_complex_rank_rule(d):
     assert dec.complex_rank() == (d + 1 if d % 2 else d + 2)
 
 
-def test_invalid_motive_terms():
-    for n, j in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="non-negative"):
-            MotiveTerm(n, j)
-
-
 @pytest.mark.parametrize(
     "make, fields",
     [
-        (lambda: MotiveTerm(3, 1), ("n", "j")),
         (lambda: decompose_motive(7), ("d", "blocks", "residual")),
         (lambda: nonalgebraic_report(7), ("d", "dims")),
         (lambda: assemble_cohomology(7), ("entries",)),
     ],
-    ids=["MotiveTerm", "MotiveDecomposition", "NonAlgebraicReport", "Graded2Group"],
+    ids=["MotiveDecomposition", "NonAlgebraicReport", "Graded2Group"],
 )
 def test_value_types_are_frozen_values(make, fields):
     """The value types are immutable, and equal values, built twice,
@@ -116,6 +108,29 @@ def test_closed_form_families():
         ]
         assert terms_of(2 ** (n + 1) - 3) == [(n, j) for j in range(2**n - 1)]
         assert terms_of(2 ** (n + 1) - 2) == [(n, j) for j in range(2**n)]
+
+
+def test_c6_compares_the_closed_form_blocks(monkeypatch):
+    """C6 compares each closed form's blocks: a minimal neighbor whose last
+    run is one twist short fails it, with a diff naming that d and its
+    rendered terms, and the unpatched check passes with its usual detail."""
+    from etale_quadrics import verify
+
+    opts = verify.VerifyOptions(dmax=32)
+    ok = verify.check_decomposition_fixtures(opts)
+    assert (ok.passed, ok.detail) == (True, "closed-form decompositions for n=2..6 and sweep invariants for d<=32")
+    real = quadrics.decompose_motive
+
+    def one_twist_short(d):  # the minimal neighbor d = 15, ((4, 0, 1), (3, 1, 7)), without M3*T7
+        dec = real(d)
+        return dec._replace(blocks=((4, 0, 1), (3, 1, 6))) if d == 15 else dec
+
+    monkeypatch.setattr(quadrics, "decompose_motive", one_twist_short)
+    short = one_twist_short(15)
+    bad = verify.check_decomposition_fixtures(opts)
+    assert not bad.passed and bad.detail == ok.detail
+    assert {"d": 15, "terms": short.render()} in bad.diff
+    assert short.render().endswith("M3*T5 + M3*T6")
 
 
 def test_invalid_dimensions():
@@ -185,21 +200,12 @@ def test_assembly_is_the_shifted_rost_tables(coeff):
             by_term.setdefault(e.source, []).append(e)
         assert sorted(by_term) == sorted(terms_of(d))
         for (n, j), got in by_term.items():
-            got = sorted((e.degree, e.order, e.label, e.twist, e.algebraic) for e in got)
+            got = sorted((e.degree, e.order, e.label, e.algebraic) for e in got)
             if n == 0:
-                assert got == [(2 * j, UNIT_ORDER[coeff], "1", j % 2, True)]
+                assert got == [(2 * j, UNIT_ORDER[coeff], "1", True)]
                 continue
             assert len(got) == ROWS_PER_MOTIVE[coeff](n)
-            want = sorted(
-                (
-                    e.degree + 2 * j,
-                    e.order,
-                    e.label,
-                    None if e.twist is None else (e.degree // 2 + j) % 2,
-                    e.algebraic,
-                )
-                for e in rost_table(n, coeff).entries
-            )
+            want = sorted((e.degree + 2 * j, e.order, e.label, e.algebraic) for e in rost_table(n, coeff).entries)
             assert got == want, (d, n, j)
 
 
@@ -247,14 +253,12 @@ def shifted_reference(d, coeff):
     """Every Rost entry shifted by every term of the decomposition, sorted:
     the table by definition, with no windows and no per-degree index."""
     entries = []
-    for t in decompose_motive(d).terms:
-        if t.n == 0:
-            entries.append(graded.GradedSummand(2 * t.j, UNIT_ORDER[coeff], "1", True, (0, t.j)))
+    for n, j in decompose_motive(d).terms:
+        if n == 0:
+            entries.append(graded.GradedSummand(2 * j, UNIT_ORDER[coeff], "1", True, (0, j)))
             continue
-        for e in rost_table(t.n, coeff).entries:
-            entries.append(
-                graded.GradedSummand(e.degree + 2 * t.j, e.order, e.label, e.algebraic, (t.n, t.j))
-            )
+        for e in rost_table(n, coeff).entries:
+            entries.append(graded.GradedSummand(e.degree + 2 * j, e.order, e.label, e.algebraic, (n, j)))
     return sorted(entries, key=graded._sort_key)
 
 
@@ -388,8 +392,6 @@ def test_assembly_sources_and_flags():
     deg4 = {(e.label, e.source, e.algebraic) for e in table.at(4)}
     assert deg4 == {("rho_bar_4", (3, 0), False), ("1", (2, 2), True)}
     assert all(e.algebraic for e in table.entries if e.order == 0)
-    # twist parity always equals half-degree parity after shifting
-    assert all(e.twist == (e.degree // 2) % 2 for e in table.entries)
 
 
 def test_assembly_restricted_to_the_top_summand():
@@ -445,13 +447,13 @@ def per_term_report(d):
     """The non-algebraic dims summed one term M_n*T^j at a time: the
     definition the block-wise difference array must reproduce."""
     dims = Counter()
-    for t in decompose_motive(d).terms:
-        if t.n < 1:
+    for n, j in decompose_motive(d).terms:
+        if n < 1:
             continue
-        algebraic = set(chow_torsion_degrees(t.n))
-        for deg in torsion_degrees(t.n):
+        algebraic = set(chow_torsion_degrees(n))
+        for deg in torsion_degrees(n):
             if deg not in algebraic:
-                dims[deg + 2 * t.j] += 1
+                dims[deg + 2 * j] += 1
     return tuple(sorted(dims.items()))
 
 

@@ -29,14 +29,6 @@ def test_etale_table_fixtures():
     assert {e.source for e in t4.entries} == {(4, 0)}
 
 
-def test_twist_parities():
-    t3 = rost_etale_table(3)
-    unit, pi = [e for e in t3.entries if e.order == 0]
-    assert unit.twist == 0
-    assert pi.twist == 1  # the top degree is 2 mod 4
-    assert all(e.twist == 0 for e in t3.torsion_entries)  # torsion sits in 0 mod 4
-
-
 def test_cycle_image_fixtures():
     assert chow_torsion_degrees(3) == (12, 8)
     assert chow_torsion_degrees(2) == (4,)
