@@ -1,6 +1,8 @@
 """Closed-form Rost tables: Chow torsion degrees, the 2-adic table with
 its algebraicity flags, and the non-algebraic quotient."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,18 @@ def test_etale_table_fixtures():
     assert [e.degree for e in t4.torsion_entries] == [4, 8, 12, 16, 20, 24, 28]
     assert [e.degree for e in t4.entries if e.order == 0] == [0, 30]
     assert {e.source for e in t4.entries} == {(4, 0)}
+
+
+def test_twist_parities(capsys):
+    """The twist column the table writer prints: the parity of c/2."""
+    from etale_quadrics import cli
+
+    assert cli.main(["cohomology", "--rost", "3", "--coeff", "2adic", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    unit, pi = [r for r in records if r["order"] == 0]
+    assert unit["twist"] == 0
+    assert pi["twist"] == 1  # the top degree is 2 mod 4
+    assert all(r["twist"] == 0 for r in records if r["order"] == 2)  # torsion sits in 0 mod 4
 
 
 def test_cycle_image_fixtures():
