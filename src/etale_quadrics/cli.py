@@ -31,9 +31,10 @@ compiles them): the module itself loads argparse, os and sys alone, so
 --version, --help and usage errors load nothing more, and fcntl only when
 stdout is written.  The three table subcommands load quadrics (with rost,
 mod2 and graded) when they run, and only verify loads verify,
-presentations, tower and abelian.  json is loaded only to write JSON or a
-failed check's diff; CSV rows are joined from plain text pieces, since no
-label the tables print needs quoting, so csv is never loaded.
+presentations, tower and abelian.  Only verify loads json, for its report
+and a failed check's diff: every other JSON, like every CSV row, is
+written from plain text pieces, since no label, target or coefficient
+spec the tables print needs escaping or quoting, so csv is never loaded.
 """
 
 import argparse
@@ -111,13 +112,12 @@ def _row_parts(fmt: str, e) -> tuple[str, str]:
     shift M_n tensor T^j: order, generator label, n and algebraicity,
     formatted once per entry and split around the j column (the source
     column in text)."""
-    if fmt == "json":
-        import json
-
+    if fmt == "json":  # no label needs escaping, and the flag is true, false or null
+        flag = "null" if e.algebraic is None else str(e.algebraic).lower()
         return (
-            f'      "order": {e.order},\n      "generator": {json.dumps(e.label)},\n'
+            f'      "order": {e.order},\n      "generator": "{e.label}",\n'
             f'      "source": {{\n        "n": {e.source[0]},\n        "j": ',
-            f'\n      }},\n      "algebraic": {json.dumps(e.algebraic)}\n    }}',
+            f'\n      }},\n      "algebraic": {flag}\n    }}',
         )
     if fmt == "csv":  # no label holds a comma, quote or line break: nothing to quote
         return f"{e.order},{e.label},{e.source[0]},", f",{'' if e.algebraic is None else str(e.algebraic).lower()}\n"
@@ -139,14 +139,11 @@ def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:
     and tails put in by three slice assignments, and one join, so no
     Python runs per row.  A JSON head starts with the separator, which the
     table's first row drops.  The JSON is byte for byte
-    json.dumps(payload, indent=2) of the whole table."""
-    if fmt == "json":
-        import json
-
-        header = (
-            f'{{\n  "target": {json.dumps(target)},\n'
-            f'  "coefficients": {json.dumps(coeff)},\n  "records": ['
-        )
+    json.dumps(payload, indent=2) of the whole table, written as text
+    without json: only verify loads json, for its report and a failed
+    check's diff."""
+    if fmt == "json":  # Q^d or Mn, and a spec parse_coefficients accepted: nothing to escape
+        header = f'{{\n  "target": "{target}",\n  "coefficients": "{coeff}",\n  "records": ['
         twists = ("0", "null", "1", "null")
         prefix = lambda c: f',\n    {{\n      "degree": {c},\n      "twist": {twists[c & 3]},\n'
     elif fmt == "csv":
@@ -188,17 +185,13 @@ def _cmd_decompose(args) -> int:
 
     def produce(write):
         dec = quadrics.decompose_motive(args.d)
-        if args.format == "json":
-            import json
-
-            payload = {
-                "d": dec.d,
-                "expansion": list(dec.expansion),
-                "residual": dec.residual,
-                "terms": [{"n": n, "j": j} for n, j in dec.terms],
-                "rendered": dec.render(),
-            }
-            write(json.dumps(payload, indent=2) + "\n")
+        if args.format == "json":  # ints and the rendering (M, digits, *T, " + "): nothing to escape
+            expansion = ",\n    ".join(map(str, dec.expansion))  # d >= 1: never empty, nor are the terms
+            terms = ",\n".join(f'    {{\n      "n": {n},\n      "j": {j}\n    }}' for n, j in dec.terms)
+            write(
+                f'{{\n  "d": {dec.d},\n  "expansion": [\n    {expansion}\n  ],\n  "residual": {dec.residual},\n'
+                f'  "terms": [\n{terms}\n  ],\n  "rendered": "{dec.render()}"\n}}\n'
+            )
         elif args.format == "csv":  # integers only: nothing to quote
             write("n,j\n" + "".join(f"{n},{j}\n" for n, j in dec.terms))
         else:
@@ -236,23 +229,23 @@ def _cmd_nonalgebraic(args) -> int:
 
     def produce(write):
         report = quadrics.nonalgebraic_report(args.d)
-        rows = [{"degree": deg, "dim": dim, "mod4": deg % 4} for deg, dim in report.dims]
-        if args.format == "json":
-            import json
-
-            payload = {
-                "target": f"Q^{args.d}",
-                "has_nonalgebraic": report.has_nonalgebraic,
-                "records": rows,
-            }
-            write(json.dumps(payload, indent=2) + "\n")
+        if args.format == "json":  # ints and one bool: nothing to escape
+            rows = ",".join(
+                f'\n    {{\n      "degree": {deg},\n      "dim": {dim},\n      "mod4": {deg % 4}\n    }}'
+                for deg, dim in report.dims
+            )
+            close = "\n  ]" if rows else "]"
+            write(
+                f'{{\n  "target": "Q^{args.d}",\n  "has_nonalgebraic": {str(report.has_nonalgebraic).lower()},\n'
+                f'  "records": [{rows}{close}\n}}\n'
+            )
         elif args.format == "csv":  # integers only: nothing to quote
-            write("degree,dim,mod4\n" + "".join(f"{r['degree']},{r['dim']},{r['mod4']}\n" for r in rows))
+            write("degree,dim,mod4\n" + "".join(f"{deg},{dim},{deg % 4}\n" for deg, dim in report.dims))
         else:
             lines = [f"# Q^{args.d}  non-algebraic quotient (torsion only; free part is algebraic)"]
-            if rows:
+            if report.dims:
                 lines.append(f"{'degree':>6}  {'dim':>3}  c mod 4")
-                lines += [f"{r['degree']:>6}  {r['dim']:>3}  {r['mod4']}" for r in rows]
+                lines += [f"{deg:>6}  {dim:>3}  {deg % 4}" for deg, dim in report.dims]
             else:
                 lines.append("all classes algebraic")
             lines.append(f"has_nonalgebraic: {str(report.has_nonalgebraic).lower()}")

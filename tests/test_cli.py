@@ -241,6 +241,52 @@ def test_decompose_digests(capsys, d, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[d, fmt]
 
 
+# stdout digests pinning `nonalgebraic d` byte for byte in every format, up to
+# the table bound: an empty report (d = 1, 5, 6), the first non-algebraic
+# class (d = 7) and the rows near each power of two
+NONALGEBRAIC_DIGESTS = {
+    (1, "text"): "c30cb051afdfe802f65890ea674d73c891c8f4857f733c56b531dea3fa27099b",
+    (1, "json"): "481121f1f1b9b2f1be1986535dcee81b241ff126ce293d7fd73f06c22dcb6b24",
+    (1, "csv"): "1201ea860cef68ae3060c71768a0ded3885bfd1666af067995bf9b6560dcc551",
+    (5, "text"): "ec684671b54ea9c29a4865e8b185192cb6b9e02673b0c6e13d616ee483dbabf8",
+    (5, "json"): "2f80338268191774a88b9ab660c7fbb31a0c448a6a2f76baa7329471814ef906",
+    (5, "csv"): "1201ea860cef68ae3060c71768a0ded3885bfd1666af067995bf9b6560dcc551",
+    (6, "text"): "739417acee0fb4586bee45eed6e30fa7c93a86a018d0f2bc5b65b8916c3409f2",
+    (6, "json"): "bfe2334ad265a083508ddbe2f79c97559c3a7099355ba1c303415d4a954c83e0",
+    (6, "csv"): "1201ea860cef68ae3060c71768a0ded3885bfd1666af067995bf9b6560dcc551",
+    (7, "text"): "6d4978d28032bea9455c1464acea50307baf8da2ca655a63ea7401d739a66b27",
+    (7, "json"): "82f4cdc029cf2bcebdffbd30d81a572966657cd9ebdc78b0093970785ae97d53",
+    (7, "csv"): "06212c7165b41073d43d1b8649c065822aad663e6f62443c7ae059d3e850da6f",
+    (8, "text"): "31431600f482b08ac6a1fef653deeac1ad8aef4d5abf1c63faec83a2a0f4267f",
+    (8, "json"): "4f423a8c1425c26ab2feb9be82687e95a97a9549ade4575c4b2140076205cdf0",
+    (8, "csv"): "90f2f273f2ba08e9684fe9666b99c3a6ca6510e919d716cd482b1540d27c0ce4",
+    (15, "text"): "c438b997cf99ee77cb73c929e6ee69a8e6fba89ad4a95ce0c2f5c16c43798713",
+    (15, "json"): "ec4a01631e92d2062011e3c72e7bca89635fb1520d09eb96631f9e077b31cbc2",
+    (15, "csv"): "34d75345e12aabec9a3c8e85a961f8600f9ef36bc80d0562e981277495def4aa",
+    (505, "text"): "e801aa08f1964ac7ab15c90ac0f7dc33376a171d8e6decb31038ddf0d00a4db8",
+    (505, "json"): "06cd5c3d2d7dc43e8ff923fa9a38c3e9568fca4ebd193c65211395cc6749fe91",
+    (505, "csv"): "1ff5c8841fead8b20573e3b89627d8fa6a4417ed7d37b3c5181ad16929104365",
+    (1021, "text"): "80e30ea7acbee0e8534d81466cf4b0543ea4673a2903a2df7e07b12c567fdbed",
+    (1021, "json"): "746bbfacd966a3e16050212641d529a1d6146fe422f306d238a701cb211ed931",
+    (1021, "csv"): "737b469d23c5c926b79b04d08049c2282d7f29dadb32ef7e408c1bd517ff96f7",
+    (2041, "text"): "3c38a3cb597ee9d18ea85368fd2ba582385747c1436d67bcdd94e81b86a54403",
+    (2041, "json"): "dfc9407ac2f449f2fa5ad35c759b44109fccd9757a75c6f34c8a7c2bb69e7648",
+    (2041, "csv"): "ab273048017d46fe8f366665b55ca2f4a607993dc1ff8edbd3bd0f3deeadd689",
+    (2046, "text"): "95108e089c30f0f37fe54302e8af17177293a30eb6c8caf1554e0827f81a0f57",
+    (2046, "json"): "e2dc17b7b85903637c55b9fae27e7252b1a6aa68e01e338e7b77cafd39c19d12",
+    (2046, "csv"): "957de2e51539fe8bea6ac301d92fa850774766c41391e0dc27b1b839f9a9330b",
+}
+
+
+@pytest.mark.parametrize("d, fmt", sorted(NONALGEBRAIC_DIGESTS), ids=lambda v: str(v))
+def test_nonalgebraic_digests(capsys, d, fmt):
+    from etale_quadrics import cli
+
+    assert cli.main(["nonalgebraic", str(d), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == NONALGEBRAIC_DIGESTS[d, fmt]
+
+
 @pytest.mark.parametrize("d, coeff, fmt", sorted(QUADRIC_DIGESTS), ids=lambda v: str(v))
 def test_quadric_table_digests(capsys, d, coeff, fmt):
     from etale_quadrics import cli
@@ -380,10 +426,25 @@ def test_record_sort_order():
     assert keys == sorted(keys)
 
 
-def test_json_round_trip():
-    res = run_cli("cohomology", "--rost", "2", "--coeff", "2adic", "--format", "json")
-    payload = json.loads(res.stdout)
-    assert json.dumps(payload, indent=2) + "\n" == res.stdout
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("decompose", str(d)) for d in (1, 2, 4, 8, 2046)),
+        *(("nonalgebraic", str(d)) for d in (1, 5, 7, 2046)),
+        *(("cohomology", "4", "--coeff", c) for c in ("2adic", "mod2", "mod2s:3", "mod2s:0003")),
+        ("cohomology", "--rost", "2", "--coeff", "2adic"),
+        ("cohomology", "--rost", "3", "--coeff", "mod2s:3"),
+    ],
+    ids=" ".join,
+)
+def test_json_round_trip(capsys, argv):
+    """Every JSON but verify's is written as text, not by json: it must be
+    what json.dumps(payload, indent=2) prints of what it parses to."""
+    from etale_quadrics import cli
+
+    assert cli.main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 def test_csv_output():
@@ -393,11 +454,13 @@ def test_csv_output():
     assert "4,0,2,rho_bar_4,2,0,true" in lines
 
 
-def test_every_table_label_needs_no_csv_quoting():
-    """A CSV row writes its generator label bare, so every label a table can
-    print keeps to an alphabet with no comma, quote, space or line break:
-    those of the Rost tables n = 1..MAX_INDEX of all three kinds, and the
-    M_0 unit, the one block (0, 0, 1)."""
+def test_every_table_label_needs_no_csv_quoting_or_json_escaping():
+    """A CSV row writes its generator label bare and a JSON row between
+    quotes, so every label a table can print keeps to an alphabet with no
+    comma, quote, backslash, space or line break: those of the Rost tables
+    n = 1..MAX_INDEX of all three kinds, and the M_0 unit, the one block
+    (0, 0, 1).  So do the targets and the coefficient specs a JSON header
+    writes between quotes."""
     from etale_quadrics.cli import MAX_INDEX
     from etale_quadrics.quadrics import iter_cohomology
 
@@ -411,6 +474,8 @@ def test_every_table_label_needs_no_csv_quoting():
     }
     assert len(labels) == 3070
     assert [label for label in labels if not re.fullmatch(r"[A-Za-z0-9_^()]+", label)] == []
+    texts = [*labels, "Q^2046", "M10", "mod2", "2adic", "mod2s:1", "mod2s:0003", "mod2s:14284"]
+    assert [text for text in texts if json.dumps(text) != f'"{text}"'] == []
 
 
 def test_nonalgebraic_fixtures():
@@ -932,6 +997,19 @@ TABLE_STACK = {f"etale_quadrics.{m}" for m in ("quadrics", "graded", "rost", "mo
         pytest.param(("--version",), set(), {"fcntl"}, 0, id="--version loads no fcntl"),
         pytest.param(("cohomology", "7"), TABLE_STACK, {"json", "csv"}, 0, id="cohomology 7 loads neither json nor csv"),
         pytest.param(("cohomology", "7", "--format", "csv"), set(), {"csv"}, 0, id="cohomology 7 --format csv"),
+        # only verify loads json: every other JSON is written as text
+        *(
+            pytest.param((*argv, "--format", "json"), set(), {"json"}, 0, id=" ".join(argv) + " --format json")
+            for argv in (
+                ("decompose", "7"),
+                ("nonalgebraic", "7"),
+                ("cohomology", "7"),
+                ("cohomology", "--rost", "3", "--coeff", "mod2s:3"),
+            )
+        ),
+        pytest.param(
+            ("verify", "--scope", "s2", "--format", "json"), {"json"}, set(), 0, id="verify --scope s2 --format json"
+        ),
     ],
 )
 def test_subcommands_load_only_the_modules_they_run(tmp_path, argv, loaded, not_loaded, code):
