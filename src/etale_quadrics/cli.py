@@ -109,20 +109,21 @@ def _emit(path: str | None, produce):
 
 def _row_parts(fmt: str, e) -> tuple[str, str]:
     """What a row of Rost entry e (a graded.GradedSummand) keeps under every
-    shift M_n tensor T^j: order, generator label, n and algebraicity,
-    formatted once per entry and split around the j column (the source
-    column in text)."""
+    shift M_n tensor T^j, split around the j column (the source column in
+    text): order, generator label and n, formatted once per entry, then
+    the tail, the algebraicity flag: a string constant per format and
+    flag value, so all rows with one flag share one string."""
+    flag = 2 if e.algebraic is None else 1 - e.algebraic  # True, False, None: 0, 1, 2
     if fmt == "json":  # no label needs escaping, and the flag is true, false or null
-        flag = "null" if e.algebraic is None else str(e.algebraic).lower()
         return (
             f'      "order": {e.order},\n      "generator": "{e.label}",\n'
             f'      "source": {{\n        "n": {e.source[0]},\n        "j": ',
-            f'\n      }},\n      "algebraic": {flag}\n    }}',
+            ('\n      },\n      "algebraic": true\n    }', '\n      },\n      "algebraic": false\n    }',
+             '\n      },\n      "algebraic": null\n    }')[flag],
         )
     if fmt == "csv":  # no label holds a comma, quote or line break: nothing to quote
-        return f"{e.order},{e.label},{e.source[0]},", f",{'' if e.algebraic is None else str(e.algebraic).lower()}\n"
-    alg = "-" if e.algebraic is None else ("yes" if e.algebraic else "NO")
-    return f"{_order_str(e.order):>6}  {e.label:<24}  ", f"  {alg}\n"
+        return f"{e.order},{e.label},{e.source[0]},", (",true\n", ",false\n", ",\n")[flag]
+    return f"{_order_str(e.order):>6}  {e.label:<24}  ", ("  yes\n", "  NO\n", "  -\n")[flag]
 
 
 def _write_table(write, fmt: str, target: str, coeff: str, groups) -> None:

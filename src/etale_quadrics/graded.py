@@ -39,8 +39,9 @@ def _profile(here: Iterable[GradedSummand]) -> tuple[int, tuple[int, ...]]:
 
 
 class Graded2Group(NamedTuple):
-    """Entries sorted by degree (from_entries sorts, assemble_cohomology
-    builds them in order), so at(c) bisects: O(log size + answer)."""
+    """Entries sorted by degree (from_entries sorts; assemble_cohomology
+    and mod2.rost_etale_mod2 build them in order), so at(c) bisects:
+    O(log size + answer)."""
 
     entries: tuple[GradedSummand, ...]
 

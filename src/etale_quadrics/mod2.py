@@ -60,11 +60,11 @@ def cycle_image_mod2(n: int) -> frozenset[int]:
 def rost_etale_mod2(n: int) -> Graded2Group:
     """Mod-2 etale cohomology of the index-n Rost motive, a truncated
     polynomial ring on rho: one class rho^c in each degree
-    0 <= c <= 2^(n+1) - 2, flagged algebraic on the cycle image, every
-    entry with source (n, 0)."""
-    algebraic = cycle_image_mod2(n)
-    return Graded2Group.from_entries(
-        GradedSummand(c, 2, "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"), c in algebraic, (n, 0))
+    0 <= c <= 2^(n+1) - 2, flagged algebraic on the cycle image, built in
+    print order with no sort, every entry with the one source (n, 0)."""
+    algebraic, source = cycle_image_mod2(n), (n, 0)
+    return Graded2Group(tuple(
+        GradedSummand(c, 2, "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"), c in algebraic, source)
         for c in range(top_rho_exponent(n) + 1)
-    )
+    ))
 

@@ -368,26 +368,25 @@ def check_assembly_tables(opts: VerifyOptions) -> CheckResult:
 
 def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]:
     """Compare, at each level s, the printed mod-2^s table of each Q^d
-    (closed form) with the sum of the tower route's Rost tables, M_n*T^j
-    shifted by 2j and M_0*T^j the unit Z/2^s in degree 2j.  Each level's
-    Rost tables are built once for all d, and only that level's are held.
-    Returns one diff per d and level that disagree, sorted by (d, s)."""
-    terms = {d: quadrics.decompose_motive(d).terms for d in dims}
-    indices = {n for ts in terms.values() for n, _ in ts} - {0}
+    (closed form, its rows read as the CLI streams them) with the sum of
+    the tower route's Rost tables, M_n*T^j shifted by 2j and M_0*T^j the
+    unit Z/2^s in degree 2j.  Each d is decomposed once and each level's
+    Rost tables built once for all d, only that level's held.  Returns one
+    diff per d and level that disagree, sorted by (d, s)."""
+    motives = [quadrics.decompose_motive(d) for d in dims]
+    indices = {n for dec in motives for n, _, _ in dec.blocks} - {0}
     failures = []
     for s in levels:
         tables = {n: tower.mod_2s_table(n, s).entries for n in indices}
-        for d, ts in terms.items():
+        for dec in motives:
             want = sorted(
-                [(2 * j, 2**s, "1", (0, j)) for n, j in ts if not n]
-                + [(e.degree + 2 * j, e.order, e.label, (n, j)) for n, j in ts if n for e in tables[n]]
+                [(2 * j, 2**s, "1", (0, j)) for n, j in dec.terms if not n]
+                + [(e.degree + 2 * j, e.order, e.label, (n, j)) for n, j in dec.terms if n for e in tables[n]]
             )
-            got = sorted(
-                (e.degree, e.order, e.label, e.source)
-                for e in quadrics.assemble_cohomology(d, f"mod2s:{s}").entries
-            )
+            rows = quadrics.iter_cohomology(dec.blocks, f"mod2s:{s}", lambda e: (e.order, e.label))
+            got = sorted((c, *row) for c, segments in rows for cells, *views in segments for row in zip(*views, cells))
             if got != want:
-                failures.append({"d": d, "s": s, "closed_form": got, "tower": want})
+                failures.append({"d": dec.d, "s": s, "closed_form": got, "tower": want})
     return sorted(failures, key=lambda f: (f["d"], f["s"]))
 
 

@@ -454,6 +454,19 @@ def test_csv_output():
     assert "4,0,2,rho_bar_4,2,0,true" in lines
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("flag", [True, False, None], ids=repr)
+def test_rows_with_one_flag_share_one_tail(fmt, flag):
+    """A row's tail is its algebraicity flag alone, so two entries with the
+    same flag get the same string object, not two equal copies."""
+    from etale_quadrics.cli import _row_parts
+    from etale_quadrics.graded import GradedSummand
+
+    one = _row_parts(fmt, GradedSummand(4, 2, "rho^4", flag, (3, 0)))
+    other = _row_parts(fmt, GradedSummand(14, 0, "pi", flag, (5, 0)))
+    assert one[0] != other[0] and one[1] is other[1]
+
+
 def test_every_table_label_needs_no_csv_quoting_or_json_escaping():
     """A CSV row writes its generator label bare and a JSON row between
     quotes, so every label a table can print keeps to an alphabet with no

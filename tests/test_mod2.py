@@ -82,6 +82,15 @@ def test_mod2_ring_small_indices():
         rost_etale_mod2(0)
 
 
+def test_mod2_entries_share_one_source():
+    """Every entry of a mod-2 Rost table holds the same (n, 0) tuple, not a
+    copy of its own."""
+    for n in range(1, 11):
+        entries = rost_etale_mod2(n).entries
+        assert entries[0].source == (n, 0)
+        assert all(e.source is entries[0].source for e in entries), n
+
+
 def test_cycle_image_degrees():
     assert cycle_image_mod2(1) == {0, 2}
     assert cycle_image_mod2(2) == {0, 4, 6}

@@ -209,6 +209,19 @@ def test_assembly_is_the_shifted_rost_tables(coeff):
             assert got == want, (d, n, j)
 
 
+@pytest.mark.parametrize("coeff", ["2adic", "mod2", "mod2s:1", "mod2s:3", "mod2s:14284"])
+def test_every_rost_table_is_in_print_order(coeff):
+    """Graded2Group.at bisects on the entries and iter_cohomology cuts its
+    runs on them, so every Rost table must come in graded._sort_key order
+    whether or not from_entries sorted it, and no two of its classes share
+    a degree."""
+    for n in range(1, 11):
+        entries = list(rost_table(n, coeff).entries)
+        assert entries == sorted(entries, key=graded._sort_key), n
+        degrees = [e.degree for e in entries]
+        assert all(map(operator.lt, degrees, degrees[1:])), n
+
+
 @pytest.fixture
 def cached_rost_tables(monkeypatch):
     """One rost_table per (n, coeff) for the sweeps over d."""
