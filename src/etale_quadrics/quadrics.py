@@ -203,17 +203,16 @@ class NonAlgebraicReport(NamedTuple):
         return bool(self.dims)
 
 
-def nonalgebraic_report(d: int) -> NonAlgebraicReport:
-    """Non-algebraic torsion classes of Q^d per degree, one block (n, j0, m)
-    at a time: a non-algebraic degree c of M_n adds +1 at c + 2 j0 and -1
-    at c + 2 (j0 + m) of a difference array, one flat list indexed by
-    degree / 2 (every degree here is even), and its nonzero running sums
-    are the dims, picked out in C rather than by a loop over the halves.
-    The top class of M_n tensor T^(j0+m-1) sits in degree
-    2^(n+1) - 2 + 2 (j0 + m - 1) <= 2d and c <= 2^(n+1) - 4, so every index
-    is at most d.  The block indices strictly decrease, so the 2^(n-1) of
-    the blocks sum to at most d + 2 and the report costs O(d)."""
-    blocks = decompose_motive(d).blocks  # rejects an invalid d first
+def _nonalgebraic_sums(d: int, blocks: Iterable[tuple[int, int, int]]) -> Iterator[int]:
+    """Per-degree dimension of the non-algebraic quotient of Q^d, lazily,
+    one running sum per degree 0, 2, ..., 2d, one block (n, j0, m) of its
+    decomposition at a time: a non-algebraic degree c of M_n adds +1 at
+    c + 2 j0 and -1 at c + 2 (j0 + m) of a difference array, one flat list
+    indexed by degree / 2 (every degree here is even).  The top class of
+    M_n tensor T^(j0+m-1) sits in degree 2^(n+1) - 2 + 2 (j0 + m - 1) <= 2d
+    and c <= 2^(n+1) - 4, so every index is at most d.  The block indices
+    strictly decrease, so the 2^(n-1) of the blocks sum to at most d + 2
+    and the array costs O(d)."""
     diff = [0] * (d + 1)
     for n, j0, m in blocks:
         if n < 1:
@@ -221,7 +220,14 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
         for deg in rost.nonalgebraic_quotient(n):
             diff[deg // 2 + j0] += 1
             diff[deg // 2 + j0 + m] -= 1
-    acc = list(accumulate(diff))
+    return accumulate(diff)
+
+
+def nonalgebraic_report(d: int) -> NonAlgebraicReport:
+    """Non-algebraic torsion classes of Q^d per degree: every running sum
+    of _nonalgebraic_sums, the nonzero ones paired with their degrees in C
+    rather than by a loop over the halves, so the report costs O(d)."""
+    acc = list(_nonalgebraic_sums(d, decompose_motive(d).blocks))  # rejects an invalid d first
     return NonAlgebraicReport(d, tuple(compress(zip(count(0, 2), acc), acc)))
 
 
@@ -270,10 +276,9 @@ def claim_norm_quadric(n: int) -> list[dict]:
 
 def boundary_predicates(d: int) -> tuple[bool, bool, bool]:
     """Three independent readings of "the quadric has a non-algebraic
-    class": the computed quotient, the presence of a Rost index >= 3 in
-    the decomposition, and the dimension bound d >= 7."""
-    return (
-        nonalgebraic_report(d).has_nonalgebraic,
-        any(n >= 3 for n in decompose_motive(d).expansion),
-        d >= 7,
-    )
+    class", off one decomposition of d: the computed quotient, whose
+    running sums are read only up to the first nonzero one (degree 4 for
+    every d >= 7), so no (degree, dim) pair is built; the presence of a
+    Rost index >= 3 among the blocks; and the dimension bound d >= 7."""
+    blocks = decompose_motive(d).blocks
+    return any(_nonalgebraic_sums(d, blocks)), any(n >= 3 for n, _, _ in blocks), d >= 7

@@ -202,6 +202,17 @@ def test_nonalgebraic_report_cost_is_linear_in_d():
     assert ratio <= MAX_RATIO, f"nonalgebraic_report(d) grows x{ratio:.2f} from d = 1023 to 2046"
 
 
+@pytest.mark.parametrize("d", (7, 511, 2046))
+def test_boundary_predicates_build_no_report(monkeypatch, d):
+    """C7 reads one bit per d: boundary_predicates(d) decomposes d once and
+    stops at the first nonzero running sum of the quotient, so it builds
+    no (degree, dim) report."""
+    reports = count_calls(monkeypatch, quadrics, "NonAlgebraicReport")
+    decompositions = count_calls(monkeypatch, quadrics, "decompose_motive")
+    assert quadrics.boundary_predicates(d) == (True, True, True)
+    assert (reports[0], decompositions[0]) == (0, 1)
+
+
 def test_norm_quadric_claim_cost_is_linear_in_d():
     """claim_norm_quadric(n) reads the non-algebraic report of
     d = 2^n - 1 and the free flags of each block's Rost table, both O(d),

@@ -33,21 +33,25 @@ def cli_tables() -> list[tuple[str, str | None, str]]:
 
 # table -> the check that covers it, and how
 COVERAGE = {
-    # closed-form decompositions and the sweep invariants for every d <= dmax
+    # closed-form decompositions and the sweep invariants for every d <= --dmax
+    # (512 by default)
     ("decompose", None, "quadric"): "C6",
-    # the report of every d <= dmax against two other readings of the boundary
+    # the report's running sums for every d <= --dmax (512 by default) against
+    # two other readings of the boundary
     ("nonalgebraic", None, "quadric"): "C7",
-    # ring presentations against the assembly
+    # ring presentations against the assembly, d in {3, 5, 6, 7, 15, 31}
     ("cohomology", "2adic", "quadric"): "C10",
-    # tower limits against the closed form, labels and flags included
+    # tower limits against the closed form, labels and flags included,
+    # n <= min(--nmax, 5)
     ("cohomology", "2adic", "rost"): "C5",
-    # the mod-2 ring, one class per degree, and its cycle image
+    # the mod-2 ring, one class per degree, and its cycle image, n <= --nmax
     ("cohomology", "mod2", "rost"): "C1",
     # universal coefficients on the 2-adic quadric tables against the sum of
-    # the tower route's mod-2^s Rost tables
+    # the tower route's mod-2^s Rost tables, d in {3, 4, 5, 6, 7, 8, 15, 31}
+    # and s = 1..6 and 14284
     ("cohomology", "mod2s", "quadric"): "s7.coeff",
     # the same comparison reads, along both routes, the mod-2^s Rost table
-    # of every M_n those quadrics contain, n <= 5
+    # of every M_n those quadrics contain, n <= 5, at the same levels s
     ("cohomology", "mod2s", "rost"): "s7.coeff",
 }
 

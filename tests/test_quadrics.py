@@ -488,6 +488,26 @@ def test_boundary():
         assert len(set(boundary_predicates(d))) == 1
 
 
+def test_boundary_reads_the_report_bit():
+    """C7's first predicate is the report's own verdict for every d up to
+    the table bound, though it stops at the first nonzero running sum."""
+    for d in range(1, 2047):
+        assert boundary_predicates(d)[0] == nonalgebraic_report(d).has_nonalgebraic, d
+
+
+def test_boundary_reads_the_computed_quotient(monkeypatch):
+    """C7 reads rost.nonalgebraic_quotient, not a closed form of the
+    boundary: with M3's quotient emptied, Q^7 = M3 + M2*T1..T3 has no
+    non-algebraic class, so C7 fails and names d = 7."""
+    from etale_quadrics import verify
+
+    real = rost.nonalgebraic_quotient
+    monkeypatch.setattr(rost, "nonalgebraic_quotient", lambda n: () if n == 3 else real(n))
+    bad = verify.check_boundary(verify.VerifyOptions(dmax=64))
+    assert not bad.passed
+    assert 7 in [d for d, *_ in bad.diff]
+
+
 def test_claims(monkeypatch):
     assert claim_neighbor("minimal", 3) == []
     assert claim_neighbor("maximal", 3) == []
