@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for an
+integer parameter: `require_int` refuses a bool, a non-int or an int
+below the parameter's bound, with the error type of its caller."""
+
+
+def require_int(value, lo: int, what: str, error: type = ValueError) -> None:
+    """Raise error unless value is an int, not a bool, and at least lo."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise error(f"{what} must be an integer >= {lo}, got {value!r}")
 
 
 class InvalidIndex(ValueError):
@@ -6,7 +14,7 @@ class InvalidIndex(ValueError):
 
 
 class InvalidDimension(ValueError):
-    """A quadric dimension outside the supported range (d >= 1)."""
+    """A quadric dimension that is not an integer d >= 1."""
 
 
 class NotStabilized(RuntimeError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import InvalidIndex
+from .errors import InvalidIndex, require_int
 from .graded import Graded2Group, GradedSummand
 
 
@@ -26,11 +26,8 @@ def top_rho_exponent(n: int) -> int:
 
 
 def _check_index(n: int) -> None:
-    """The package's one Rost-index check: an int (not a bool) >= 1.
-    The formulas are exact for every such n; table size bounds belong
-    to the CLI."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidIndex(f"Rost index must be an integer >= 1, got {n!r}")
+    """The Rost index n >= 1: exact for every such n; table size bounds belong to the CLI."""
+    require_int(n, 1, "Rost index", InvalidIndex)
 
 
 def bockstein(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
@@ -41,8 +38,8 @@ def bockstein(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
     exponent b is odd, zero when b is even or the rho truncation applies.
     """
     _check_index(n)
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be non-negative")
+    require_int(a, 0, "exponent a")
+    require_int(b, 0, "exponent b")
     if a > top_rho_exponent(n):
         raise ValueError(f"monomial exceeds the rho truncation for n={n}")
     if b % 2 == 0 or a + 1 > top_rho_exponent(n):

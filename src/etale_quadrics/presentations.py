@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abelian import CyclicSummand, FinAb2Group, GroupHom, cokernel
-from .errors import NonHomogeneousRelation, UnknownFamily
+from .errors import NonHomogeneousRelation, UnknownFamily, require_int
 from .graded import Graded2Group, GradedSummand
 from .quadrics import assemble_cohomology
 
@@ -49,18 +49,15 @@ class RingPresentation:
         names = [name for name, _ in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        for _, deg in self.generators:
-            if deg < 1:
-                raise ValueError("generator degrees must be positive")
+        for name, deg in self.generators:
+            require_int(deg, 1, f"degree of generator {name}")
         for rel in self.relations:
             self._relation_degree(rel)
 
     def _relation_degree(self, rel: Poly) -> int:
         degs = {self.monomial_degree(exps) for exps, _ in rel}
         if len(degs) != 1:
-            raise NonHomogeneousRelation(
-                f"relation {format_poly(rel, self.generator_names)} mixes degrees {sorted(degs)}"
-            )
+            raise NonHomogeneousRelation(f"relations[{self.relations.index(rel)}] mixes degrees {sorted(degs)}")
         return degs.pop()
 
     @property
@@ -127,25 +124,6 @@ def parse_poly(text: str, names: tuple[str, ...]) -> Poly:
     return make_poly(terms)
 
 
-def format_poly(poly: Poly, names: tuple[str, ...]) -> str:
-    if not poly:
-        return "0"
-    parts = []
-    for exps, coeff in poly:
-        mono = monomial_label(exps, names)
-        if mono == "1":
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = mono
-        else:
-            body = f"{abs(coeff)}*{mono}"
-        parts.append((coeff < 0, body))
-    out = parts[0][1] if not parts[0][0] else "-" + parts[0][1]
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
 def presentation(coeff: str, generators: tuple[tuple[str, int], ...], *relations: str) -> RingPresentation:
     """The presentation over `coeff` on `generators` (name, degree), each
     relation read by parse_poly in the generator names."""
@@ -196,8 +174,7 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
     The work before the cokernel is linear in the monomials and the
     relation entries.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    require_int(max_degree, 0, "max_degree")
     names = p.generator_names
     base_order = 0 if p.coefficients == "Z2" else 2
     table = monomial_table(p.generator_degrees, max_degree)
@@ -266,8 +243,7 @@ def graded_ranks(p: RingPresentation, max_degree: int) -> Graded2Group:
 
 
 def _norm_quadric_presentation(n: int) -> RingPresentation:
-    if n < 2:
-        raise UnknownFamily(f"norm quadric presentations need n >= 2, got {n}")
+    require_int(n, 2, "norm quadric index n", UnknownFamily)
     return presentation(
         "Z2", (("h", 2), ("rho4", 4)),
         f"h^{2 ** n}", "2*rho4", f"h*rho4^{2 ** (n - 2)}", f"rho4*h^{2 ** (n - 1)}", f"rho4^{2 ** (n - 1)}",

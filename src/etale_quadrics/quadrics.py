@@ -22,7 +22,7 @@ from itertools import accumulate, compress, count
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import rost
-from .errors import InvalidDimension
+from .errors import InvalidDimension, require_int
 from .graded import Graded2Group, GradedSummand
 from .mod2 import rost_etale_mod2, top_rho_exponent
 
@@ -62,13 +62,8 @@ class MotiveDecomposition(NamedTuple):
         return 2 * sum(m for _, _, m in self.blocks)
 
 
-def _check_dimension(d: int) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InvalidDimension(f"quadric dimension must be an integer >= 1, got {d}")
-
-
 def decompose_motive(d: int) -> MotiveDecomposition:
-    _check_dimension(d)
+    require_int(d, 1, "quadric dimension", InvalidDimension)
     blocks = []
     j0 = 0
     D = d + 2

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import prod
 from . import mod2
 from .abelian import WINDOW, CyclicSummand, FinAb2Group, GroupHom, cokernel, inverse_limit, kernel
-from .errors import HigherTorsionAmbiguity
+from .errors import HigherTorsionAmbiguity, require_int
 from .graded import Graded2Group, GradedSummand
 
 
@@ -48,8 +48,7 @@ def pairing(n: int, p: int, q: int) -> tuple[bool, bool]:
     rho^p tau^(q-p) is a free class, and whether it is the Bockstein image
     of the monomial one degree down, the target of a pair."""
     mod2._check_index(n)
-    if q < 0:
-        raise ValueError("weight must be non-negative")
+    require_int(q, 0, "weight q")
     top = mod2.top_rho_exponent(n)
     free = (p == 0 and q % 2 == 0) or (p == top and q >= top and (q - top) % 2 == 1)
     target = 1 <= p <= min(q, top) and (q - p) % 2 == 0
@@ -153,8 +152,7 @@ def mod_2s_group(n: int, p: int, q: int, s: int) -> FinAb2Group:
     """Cohomology at bidegree (p, q) with Z/2^s coefficients, by universal
     coefficients over the integral answer.  Requires p <= q so that the
     Tor input one degree up stays inside the model."""
-    if s < 1:
-        raise ValueError("coefficient level s must be >= 1")
+    require_int(s, 1, "coefficient level s")
     _check_region(p, q)
     return _group_of(_uct_parts(n, p, q), s)
 
@@ -167,8 +165,7 @@ def transition_maps(n: int, p: int, q: int, s: int) -> tuple[GroupHom, GroupHom]
     r: level s -> level s-1, induced by the coefficient reduction.
     Requires p <= q, as mod_2s_group does.
     """
-    if s < 2:
-        raise ValueError("transition maps need s >= 2")
+    require_int(s, 2, "coefficient level s")
     _check_region(p, q)
     parts = _uct_parts(n, p, q)
     lo, hi = _group_of(parts, s - 1), _group_of(parts, s)
@@ -223,8 +220,7 @@ class CoefficientTower:
     def les_order_identity(self, p: int, q: int, s: int) -> bool:
         """|H^p(Z/2^s)| = |ker(delta at p)| * |coker(delta at p-1)| with the
         connecting maps computed from the ghost bookkeeping."""
-        if s < 2:
-            raise ValueError("the identity compares level s with level s-1")
+        require_int(s, 2, "coefficient level s")  # the identity compares level s with s-1
         delta_p = _delta(self.n, p, q, s)
         coker_grp = cokernel(_delta(self.n, p - 1, q, s)) if p else mod_2s_group(self.n, p, q, s - 1)
         rhs = (*kernel(delta_p).torsion_orders, *coker_grp.torsion_orders)

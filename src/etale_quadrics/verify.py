@@ -15,6 +15,7 @@ from math import prod
 from typing import Any, Callable, Iterable, Optional
 
 from . import mod2, presentations, quadrics, rost, tower
+from .errors import require_int
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,8 @@ class VerifyOptions:
     nmax: int = 6
 
     def __post_init__(self):  # a sweep over no d or no n would pass having compared nothing
-        for name in ("dmax", "nmax"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"VerifyOptions.{name} is {getattr(self, name)}, below 1")
+        require_int(self.dmax, 1, "VerifyOptions.dmax")
+        require_int(self.nmax, 1, "VerifyOptions.nmax")
 
 
 # The levels every per-level check sweeps: 1..MIN_DEPTH, all a 2-adic limit
@@ -346,6 +346,7 @@ def check_neighbors(opts: VerifyOptions) -> CheckResult:
 
 _ASSEMBLY_FIXTURES = {
     3: {0: (1, ()), 2: (1, ()), 4: (1, (2,)), 6: (1, ())},
+    4: {0: (1, ()), 2: (1, ()), 4: (1, (2,)), 6: (1, (2,)), 8: (1, ())},  # M0*T2: the 2-adic unit in degree 4
     6: {
         0: (1, ()), 2: (1, ()), 4: (1, (2,)), 6: (2, (2,)),
         8: (1, (2,)), 10: (1, (2,)), 12: (1, ()),

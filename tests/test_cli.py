@@ -857,7 +857,7 @@ def test_verify_options_refuse_an_empty_sweep(field):
     compared nothing: the options refuse it and name the field."""
     from etale_quadrics import verify
 
-    with pytest.raises(ValueError, match=f"VerifyOptions.{field} is 0, below 1"):
+    with pytest.raises(ValueError, match=f"VerifyOptions.{field} must be an integer >= 1, got 0"):
         verify.VerifyOptions(**{field: 0})
 
 

@@ -3,6 +3,7 @@ non-algebraic inventory."""
 
 import functools
 import operator
+import re
 from collections import Counter
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_quadrics import graded, quadrics, rost
-from etale_quadrics.errors import InvalidDimension, InvalidIndex
-from etale_quadrics.mod2 import rost_etale_mod2, top_rho_exponent
+from etale_quadrics.errors import InvalidDimension, InvalidIndex, UnknownFamily
+from etale_quadrics.mod2 import bockstein, rost_etale_mod2, top_rho_exponent
+from etale_quadrics.presentations import builtin_presentation, graded_ranks, presentation
 from etale_quadrics.quadrics import (
     NonAlgebraicReport,
     assemble_cohomology,
@@ -24,8 +26,8 @@ from etale_quadrics.quadrics import (
     rost_table,
 )
 from etale_quadrics.rost import chow_torsion_degrees, rost_etale_table, torsion_degrees
-from etale_quadrics.tower import mod_2s_table, pairing
-from etale_quadrics.verify import coefficient_change
+from etale_quadrics.tower import CoefficientTower, mod_2s_group, mod_2s_table, pairing, transition_maps
+from etale_quadrics.verify import VerifyOptions, coefficient_change
 
 
 def terms_of(d):
@@ -133,28 +135,69 @@ def test_c6_compares_the_closed_form_blocks(monkeypatch):
     assert short.render().endswith("M3*T5 + M3*T6")
 
 
+def test_s7_tables_reads_the_2adic_unit(monkeypatch):
+    """s7.tables reads the order of the 2-adic M_0 unit through its d = 4
+    fixture, Q^4 = M2 + M2*T1 + M0*T2: a unit made Z/2 fails it, with a
+    diff naming d = 4 alone."""
+    from etale_quadrics import verify
+
+    opts = verify.VerifyOptions()
+    assert verify.check_assembly_tables(opts).passed
+    real = quadrics.assemble_cohomology
+
+    def unit_of_order_2(d, coeff="2adic"):
+        table = real(d, coeff)
+        if d != 4:
+            return table
+        return graded.Graded2Group(tuple(e._replace(order=2) if e.source == (0, 2) else e for e in table.entries))
+
+    monkeypatch.setattr(quadrics, "assemble_cohomology", unit_of_order_2)
+    bad = verify.check_assembly_tables(opts)
+    assert not bad.passed
+    assert [f["d"] for f in bad.diff] == [4]
+
+
 def test_invalid_dimensions():
     for bad in (0, -1, True, False):
         with pytest.raises(InvalidDimension):
             decompose_motive(bad)
 
 
-INDEX_ENTRY_POINTS = {
-    "rost_table 2adic": lambda n: rost_table(n, "2adic"),
-    "rost_table mod2": lambda n: rost_table(n, "mod2"),
-    "rost_table mod2s:1": lambda n: rost_table(n, "mod2s:1"),
-    "rost_etale_table": rost_etale_table,
-    "rost_etale_mod2": rost_etale_mod2,
-    "pairing": lambda n: pairing(n, 1, 3),
-    "mod_2s_table": lambda n: mod_2s_table(n, 1),
+INDEX_ENTRY_POINTS = {  # every integer parameter the library checks: (call, lower bound, error type)
+    "rost_table 2adic": (lambda n: rost_table(n, "2adic"), 1, InvalidIndex),
+    "rost_table mod2": (lambda n: rost_table(n, "mod2"), 1, InvalidIndex),
+    "rost_table mod2s:1": (lambda n: rost_table(n, "mod2s:1"), 1, InvalidIndex),
+    "rost_etale_table": (rost_etale_table, 1, InvalidIndex),
+    "rost_etale_mod2": (rost_etale_mod2, 1, InvalidIndex),
+    "pairing": (lambda n: pairing(n, 1, 3), 1, InvalidIndex),
+    "mod_2s_table": (lambda n: mod_2s_table(n, 1), 1, InvalidIndex),
+    "decompose_motive": (decompose_motive, 1, InvalidDimension),
+    "VerifyOptions dmax": (lambda d: VerifyOptions(dmax=d), 1, ValueError),
+    "VerifyOptions nmax": (lambda n: VerifyOptions(nmax=n), 1, ValueError),
+    "pairing weight": (lambda q: pairing(2, 0, q), 0, ValueError),
+    "mod_2s_group level": (lambda s: mod_2s_group(2, 2, 3, s), 1, ValueError),
+    "transition_maps level": (lambda s: transition_maps(2, 2, 3, s), 2, ValueError),
+    "les_order_identity level": (lambda s: CoefficientTower(2).les_order_identity(2, 3, s), 2, ValueError),
+    "bockstein a": (lambda a: bockstein(a, 1, 2), 0, ValueError),
+    "bockstein b": (lambda b: bockstein(1, b, 2), 0, ValueError),
+    "graded_ranks max_degree": (lambda k: graded_ranks(builtin_presentation("Q3"), k), 0, ValueError),
+    "generator degree": (lambda k: presentation("Z2", (("h", k),)), 1, ValueError),
+    "norm presentation index": (lambda n: builtin_presentation("norm", n), 2, UnknownFamily),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
 @pytest.mark.parametrize("bad", (0, -1, True, 2.0), ids=repr)
 def test_invalid_indices(entry, bad):
-    with pytest.raises(InvalidIndex):
-        INDEX_ENTRY_POINTS[entry](bad)
+    """Each integer parameter refuses a bool, a float and an int below its
+    bound lo, with its own error type and the one message form.  An int
+    case k stands for lo - 1 + k: lo - 1 and lo - 2, so 0 and -1 for a
+    Rost index."""
+    call, lo, error = INDEX_ENTRY_POINTS[entry]
+    value = lo - 1 + bad if type(bad) is int else bad
+    with pytest.raises(error, match=re.escape(f"must be an integer >= {lo}, got {value!r}")) as refused:
+        call(value)
+    assert refused.type is error
 
 
 def test_parse_coefficients():

@@ -81,14 +81,14 @@ def test_integral_torsion_ladder():
 def test_integral_region_guard():
     with pytest.raises(ValueError):
         integral_cohomology(2, 5, 3)
-    with pytest.raises(ValueError, match="weight must be non-negative"):
+    with pytest.raises(ValueError, match="weight q must be an integer >= 0"):
         integral_cohomology(2, 0, -1)
 
 
 def test_mod2s_region_guard():
     with pytest.raises(ValueError, match=r"outside the region p <= q"):
         mod_2s_group(2, 5, 4, 2)
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ValueError, match="coefficient level s must be an integer >= 1"):
         mod_2s_group(2, 2, 3, 0)
 
 
@@ -99,7 +99,7 @@ def test_tower_region_guards():
         transition_maps(2, 5, 4, 2)
     with pytest.raises(ValueError, match=r"\(5,4\) outside the region p <= q"):
         CoefficientTower(2).limit(5, 4)
-    with pytest.raises(ValueError, match="need s >= 2"):
+    with pytest.raises(ValueError, match="coefficient level s must be an integer >= 2"):
         transition_maps(2, 2, 3, 1)
 
 
