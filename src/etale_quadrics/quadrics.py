@@ -231,39 +231,28 @@ def nonalgebraic_report(d: int) -> NonAlgebraicReport:
 
 
 def claim_neighbor(kind: str, n: int) -> list[dict]:
-    """Minimal (d = 2^n - 1) or maximal (d = 2^(n+1) - 3) Pfister neighbor:
-    every degree c = 0 mod 4 with 0 < c < 2d - 8 carries a non-algebraic
-    class.  Returns the failures, empty when the claim holds."""
-    if kind == "minimal":
-        d = 2**n - 1
-    elif kind == "maximal":
-        d = 2 ** (n + 1) - 3
-    else:
+    """The claim for index n >= 3 about the minimal (d = 2^n - 1) or the
+    maximal (d = 2^(n+1) - 3) Pfister neighbor, or the norm quadric, which
+    is the minimal neighbor: every degree c = 0 mod 4 with 4 <= c <= 2d - 10
+    carries a non-algebraic class, and for the norm quadric the free part
+    is also fully algebraic.  The free classes are read per block off
+    rost.free_classes, the flags each Rost table is built from, with no
+    table built (the M_0 unit is algebraic by construction), so each claim
+    costs O(d).  Returns the failures, empty when the claim holds."""
+    require_int(n, 3, "claim index n")
+    if kind not in ("minimal", "maximal", "norm"):
         raise ValueError(f"unknown neighbor kind {kind!r}")
-    claim = f"{kind} neighbor n={n} (d={d})"
+    d = 2 ** (n + 1) - 3 if kind == "maximal" else 2**n - 1
+    claim = f"norm quadric n={n} (d={d})" if kind == "norm" else f"{kind} neighbor n={n} (d={d})"
     nonalgebraic = dict(nonalgebraic_report(d).dims)
-    missing = [c for c in range(4, 2 * d - 8, 4) if c not in nonalgebraic]
-    return [{"claim": claim, "missing_degrees": missing}] if missing else []
-
-
-def claim_norm_quadric(n: int) -> list[dict]:
-    """Norm quadric d = 2^n - 1: non-algebraic classes in every degree
-    c = 0 mod 4 with 4 <= c <= 2^(n+1) - 12, while the free part is fully
-    algebraic.  The free classes are read per block off rost.free_classes,
-    the flags each Rost table is built from, with no table built (the M_0
-    unit is algebraic by construction), so the claim costs O(d).  Returns
-    the failures, empty when the claim holds."""
-    d = 2**n - 1
-    claim = f"norm quadric n={n} (d={d})"
-    nonalgebraic = dict(nonalgebraic_report(d).dims)
-    missing = [c for c in range(4, 2 ** (n + 1) - 12 + 1, 4) if c not in nonalgebraic]
+    missing = [c for c in range(4, 2 * d - 9, 4) if c not in nonalgebraic]
+    failures = [{"claim": claim, "missing_degrees": missing}] if missing else []
     free = sorted(
         e.degree + 2 * j
         for k, j0, m in decompose_motive(d).blocks if k
         for e in rost.free_classes(k) if not e.algebraic
         for j in range(j0, j0 + m)
-    )
-    failures = [{"claim": claim, "missing_degrees": missing}] if missing else []
+    ) if kind == "norm" else []
     if free:
         failures.append({"claim": claim, "nonalgebraic_free_degrees": free})
     return failures

@@ -11,6 +11,7 @@ here is tolerance-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import prod
 from typing import Any, Callable, Iterable, Optional
 
@@ -67,8 +68,24 @@ def _printable(x):
     return x
 
 
-def _result(check_id, scope, failures, detail):
-    return CheckResult(check_id, scope, not failures, detail, diff=_printable(failures) or None)
+_CHECKS: list[tuple[str, Callable[[VerifyOptions], CheckResult]]] = []  # (scope, check), in definition order
+
+
+def _check(check_id: str, scope: str):
+    """Register the decorated check under its id and scope, after those
+    defined before it, the order of the report: the check returns
+    (failures, detail), and the registered function the verdict."""
+
+    def register(fn):
+        @wraps(fn)
+        def run(opts: VerifyOptions) -> CheckResult:
+            failures, detail = fn(opts)
+            return CheckResult(check_id, scope, not failures, detail, diff=_printable(failures) or None)
+
+        _CHECKS.append((scope, run))
+        return run
+
+    return register
 
 
 def _nothing(lo: int, hi: int) -> str:
@@ -80,7 +97,8 @@ def _nothing(lo: int, hi: int) -> str:
 # s2: the mod-2 ring and its cycle image
 
 
-def check_mod2_rings(opts: VerifyOptions) -> CheckResult:
+@_check("C1", "s2")
+def check_mod2_rings(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(1, opts.nmax + 1):
         top = mod2.top_rho_exponent(n)
@@ -95,17 +113,15 @@ def check_mod2_rings(opts: VerifyOptions) -> CheckResult:
         flagged = {e.degree for e in ring.entries if e.algebraic}
         if flagged != expected_image:
             failures.append({"n": n, "algebraic": sorted(flagged)})
-    return _result(
-        "C1", "s2", failures,
-        f"mod-2 ring has one class per degree and the stated cycle image for n=1..{opts.nmax}",
-    )
+    return failures, f"mod-2 ring has one class per degree and the stated cycle image for n=1..{opts.nmax}"
 
 
 # ---------------------------------------------------------------------------
 # s3: integral classes from the Bockstein pairing
 
 
-def check_pairing_fixtures(opts: VerifyOptions) -> CheckResult:
+@_check("s3.pairs", "s3")
+def check_pairing_fixtures(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     fixtures = [
         (2, 3, ((0, 1), (2, 3)), ()),
@@ -117,10 +133,11 @@ def check_pairing_fixtures(opts: VerifyOptions) -> CheckResult:
         got_free = tuple(p for p in range(q + 2) if tower.pairing(n, p, q)[0])
         if (got_pairs, got_free) != (pairs, free):
             failures.append({"n": n, "q": q, "pairs": got_pairs, "free": got_free})
-    return _result("s3.pairs", "s3", failures, "Bockstein pairing matches the fixtures")
+    return failures, "Bockstein pairing matches the fixtures"
 
 
-def check_torsion_ladder(opts: VerifyOptions) -> CheckResult:
+@_check("s3.ladder", "s3")
+def check_torsion_ladder(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(2, min(opts.nmax, 4) + 1):
         top = mod2.top_rho_exponent(n)
@@ -133,14 +150,14 @@ def check_torsion_ladder(opts: VerifyOptions) -> CheckResult:
         if (one.free_rank, pi.free_rank) != (1, 1) or pi.labels != ("pi",):
             failures.append({"n": n, "bidegrees": ((0, 0), (top, top + 1)),
                              "orders": (one.orders, pi.orders), "labels": (one.labels, pi.labels)})
-    return _result(
-        "s3.ladder", "s3", failures,
+    return failures, (
         "one 2-torsion class per degree 1..top on the diagonal, frees at 0 and top"
-        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})"),
+        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})")
     )
 
 
-def check_twist_remark(opts: VerifyOptions) -> CheckResult:
+@_check("s3.remark", "s3")
+def check_twist_remark(opts: VerifyOptions) -> tuple[list, str]:
     """Degrees 2 mod 4 below the top: the twist-matched bidegree carries
     only a ghost class at every finite level and vanishes in the limit."""
     failures = []
@@ -156,10 +173,9 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
                     break
             if not ct.limit(p, q).is_trivial:
                 failures.append({"n": n, "degree": degree, "limit": "nonzero"})
-    return _result(
-        "s3.remark", "s3", failures,
+    return failures, (
         "2 mod 4 degrees below the top are ghost-only and vanish in the limit"
-        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})"),
+        + ("" if opts.nmax >= 2 else f" ({_nothing(2, opts.nmax)})")
     )
 
 
@@ -170,7 +186,8 @@ def check_twist_remark(opts: VerifyOptions) -> CheckResult:
 _N2_SPOTS = ((0, 0), (2, 3), (4, 4), (6, 7))
 
 
-def check_z4_table(opts: VerifyOptions) -> CheckResult:
+@_check("C2", "s4")
+def check_z4_table(opts: VerifyOptions) -> tuple[list, str]:
     failures, groups = [], []
     expected = (4, 2, 2, 4)
     for (p, q), want in zip(_N2_SPOTS, expected):
@@ -182,10 +199,11 @@ def check_z4_table(opts: VerifyOptions) -> CheckResult:
     layers = [sum(o.bit_length() - 1 for o in grp.torsion_orders) for grp in groups]
     if layers != [2, 1, 1, 2]:
         failures.append({"layers": layers})
-    return _result("C2", "s4", failures, "Z/4 table orders are (4, 2, 2, 4) at the four even spots")
+    return failures, "Z/4 table orders are (4, 2, 2, 4) at the four even spots"
 
 
-def check_les_identity(opts: VerifyOptions) -> CheckResult:
+@_check("s4.les", "s4")
+def check_les_identity(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in (2, 3):
         ct = tower.CoefficientTower(n)
@@ -193,23 +211,22 @@ def check_les_identity(opts: VerifyOptions) -> CheckResult:
             for s in LEVELS[1:]:
                 if not ct.les_order_identity(p, q, s):
                     failures.append({"n": n, "bidegree": (p, q), "s": s})
-    return _result(
-        "s4.les", "s4", failures,
-        "long-exact-sequence order identity holds at every bidegree and level",
-    )
+    return failures, "long-exact-sequence order identity holds at every bidegree and level"
 
 
 # ---------------------------------------------------------------------------
 # s5: the Z/2^s tower and its limit
 
 
-def check_tower_pattern(opts: VerifyOptions) -> CheckResult:
+@_check("C3", "s5")
+def check_tower_pattern(opts: VerifyOptions) -> tuple[list, str]:
     got = {s: [tower.mod_2s_group(2, p, q, s).torsion_orders for p, q in _N2_SPOTS] for s in LEVELS}
     failures = [{"s": s, "orders": orders} for s, orders in got.items() if orders != [(2**s,), (2,), (2,), (2**s,)]]
-    return _result("C3", "s5", failures, f"tower pattern (Z/2^s, Z/2, Z/2, Z/2^s) holds for {_LEVELS_TEXT}")
+    return failures, f"tower pattern (Z/2^s, Z/2, Z/2, Z/2^s) holds for {_LEVELS_TEXT}"
 
 
-def check_limits(opts: VerifyOptions) -> CheckResult:
+@_check("C4", "s5")
+def check_limits(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     ct = tower.CoefficientTower(2)
     for s in LEVELS[1:]:
@@ -220,13 +237,11 @@ def check_limits(opts: VerifyOptions) -> CheckResult:
         lim = ct.limit(*bidegree)
         if lim.structure() != want:
             failures.append({"limit": bidegree, "orders": lim.orders, "labels": lim.labels})
-    return _result(
-        "C4", "s5", failures,
-        "ghost transitions vanish and the three limits are 0, Z/2, Z2",
-    )
+    return failures, "ghost transitions vanish and the three limits are 0, Z/2, Z2"
 
 
-def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
+@_check("s5.squares", "s5")
+def check_factorization_squares(opts: VerifyOptions) -> tuple[list, str]:
     """t after r and r after t are multiplication by 2 at every level."""
     failures = []
     for n in (2, 3):
@@ -239,17 +254,15 @@ def check_factorization_squares(opts: VerifyOptions) -> CheckResult:
                     twice = tuple(tuple(2 % o * (i == j) for j in range(grp.ngens)) for i, o in enumerate(grp.orders))
                     if square.matrix != twice:
                         failures.append({"n": n, "bidegree": (p, q), "s": s, "side": side})
-    return _result(
-        "s5.squares", "s5", failures,
-        "coefficient inclusion after reduction is multiplication by 2",
-    )
+    return failures, "coefficient inclusion after reduction is multiplication by 2"
 
 
 # ---------------------------------------------------------------------------
 # s6: the 2-adic table against the independent tower route
 
 
-def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
+@_check("C5", "s6")
+def check_oracle_equivalence(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(1, min(opts.nmax, 5) + 1):
         computed = tower.etale_2adic(n)
@@ -264,17 +277,15 @@ def check_oracle_equivalence(opts: VerifyOptions) -> CheckResult:
         got_set = {(e.degree, e.order) for e in computed.entries}
         if got_set != expected_set:
             failures.append({"n": n, "degree_order_set": sorted(got_set)})
-    return _result(
-        "C5", "s6", failures,
-        "tower limit equals the closed-form table summand-by-summand (labels and flags included)",
-    )
+    return failures, "tower limit equals the closed-form table summand-by-summand (labels and flags included)"
 
 
 # ---------------------------------------------------------------------------
 # s7: quadric decomposition, assembly, and the non-algebraic inventory
 
 
-def check_decomposition_fixtures(opts: VerifyOptions) -> CheckResult:
+@_check("C6", "s7")
+def check_decomposition_fixtures(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(2, opts.nmax + 1):
         closed_forms = (
@@ -299,13 +310,11 @@ def check_decomposition_fixtures(opts: VerifyOptions) -> CheckResult:
     if bad:
         failures.append({"sweep_failures": bad})
     closed = f"for n=2..{opts.nmax}" if opts.nmax >= 2 else f"({_nothing(2, opts.nmax)})"
-    return _result(
-        "C6", "s7", failures,
-        f"closed-form decompositions {closed} and sweep invariants for d<={opts.dmax}",
-    )
+    return failures, f"closed-form decompositions {closed} and sweep invariants for d<={opts.dmax}"
 
 
-def check_boundary(opts: VerifyOptions) -> CheckResult:
+@_check("C7", "s7")
+def check_boundary(opts: VerifyOptions) -> tuple[list, str]:
     def probe(d):
         preds = quadrics.boundary_predicates(d)
         if len(set(preds)) != 1:
@@ -315,32 +324,29 @@ def check_boundary(opts: VerifyOptions) -> CheckResult:
         return None
 
     bad = [x for x in map(probe, range(1, opts.dmax + 1)) if x is not None]
-    return _result(
-        "C7", "s7", bad,
-        f"non-algebraic classes exist exactly for d>=7 (three agreeing predicates, d<={opts.dmax})",
-    )
+    return bad, f"non-algebraic classes exist exactly for d>=7 (three agreeing predicates, d<={opts.dmax})"
 
 
-def check_norm_quadrics(opts: VerifyOptions) -> CheckResult:
+@_check("C8", "s7")
+def check_norm_quadrics(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(3, opts.nmax + 1):
-        failures += quadrics.claim_norm_quadric(n)
-    return _result(
-        "C8", "s7", failures,
+        failures += quadrics.claim_neighbor("norm", n)
+    return failures, (
         f"norm quadrics n=3..{opts.nmax}: 0 mod 4 degrees up to 2^(n+1)-12 are non-algebraic, free part algebraic"
-        if opts.nmax >= 3 else f"norm quadrics: {_nothing(3, opts.nmax)}",
+        if opts.nmax >= 3 else f"norm quadrics: {_nothing(3, opts.nmax)}"
     )
 
 
-def check_neighbors(opts: VerifyOptions) -> CheckResult:
+@_check("C9", "s7")
+def check_neighbors(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for n in range(3, opts.nmax + 1):
         for kind in ("minimal", "maximal"):
             failures += quadrics.claim_neighbor(kind, n)
-    return _result(
-        "C9", "s7", failures,
+    return failures, (
         f"Pfister neighbors n=3..{opts.nmax}: 0 mod 4 degrees below 2d-8 are non-algebraic"
-        if opts.nmax >= 3 else f"Pfister neighbors: {_nothing(3, opts.nmax)}",
+        if opts.nmax >= 3 else f"Pfister neighbors: {_nothing(3, opts.nmax)}"
     )
 
 
@@ -358,13 +364,14 @@ _ASSEMBLY_FIXTURES = {
 }
 
 
-def check_assembly_tables(opts: VerifyOptions) -> CheckResult:
+@_check("s7.tables", "s7")
+def check_assembly_tables(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for d, want in _ASSEMBLY_FIXTURES.items():
         got = quadrics.assemble_cohomology(d).profiles()
         if got != want:
             failures.append({"d": d, "profiles": got})
-    return _result("s7.tables", "s7", failures, "assembled tables match the frozen fixtures")
+    return failures, "assembled tables match the frozen fixtures"
 
 
 def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]:
@@ -391,38 +398,35 @@ def coefficient_change(dims: Iterable[int], levels: Iterable[int]) -> list[dict]
     return sorted(failures, key=lambda f: (f["d"], f["s"]))
 
 
-def check_coefficient_change(opts: VerifyOptions) -> CheckResult:
+@_check("s7.coeff", "s7")
+def check_coefficient_change(opts: VerifyOptions) -> tuple[list, str]:
     """The printed mod-2^s assembly (universal coefficients on the 2-adic
     closed form) agrees with the tower route's, ghosts included."""
     failures = coefficient_change((3, 4, 5, 6, 7, 8, 15, 31), LEVELS)
-    return _result(
-        "s7.coeff", "s7", failures,
-        f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,4,5,6,7,8,15,31}} and {_LEVELS_TEXT}",
-    )
+    return failures, f"mod-2^s quadric tables are the 2-adic tables under universal coefficients, ghosts included, for d in {{3,4,5,6,7,8,15,31}} and {_LEVELS_TEXT}"
 
 
 # ---------------------------------------------------------------------------
 # s8: ring presentations against the assembly
 
 
-def check_presentations(opts: VerifyOptions) -> CheckResult:
+@_check("C10", "s8")
+def check_presentations(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     for d in (3, 5, 6, 7, 15, 31):
         failures += presentations.compare_with_assembly(d)
     report = quadrics.nonalgebraic_report(7)
     if report.dims != ((4, 1),):
         failures.append({"d": 7, "quotient": report.dims})
-    return _result(
-        "C10", "s8", failures,
-        "presentations match the assembly for d in {3,5,6,7,15,31}; the d=7 quotient is Z/2 in degree 4 only",
-    )
+    return failures, "presentations match the assembly for d in {3,5,6,7,15,31}; the d=7 quotient is Z/2 in degree 4 only"
 
 
 # ---------------------------------------------------------------------------
 # s9: the twisted flag variety of the rank-2 exceptional group
 
 
-def check_flag_variety(opts: VerifyOptions) -> CheckResult:
+@_check("C11", "s9")
+def check_flag_variety(opts: VerifyOptions) -> tuple[list, str]:
     failures = []
     weyl = presentations.presentation("F2", (("t1", 2), ("t2", 2)), "t1^2 + t1*t2 + t2^2", "t2^3")
     weyl_table = presentations.graded_ranks(weyl, 8)
@@ -452,36 +456,12 @@ def check_flag_variety(opts: VerifyOptions) -> CheckResult:
         shifted = len(weyl_table.at(k - 4)) if k >= 4 else 0
         if torsion_dim != shifted:
             failures.append({"torsion_bookkeeping": {"degree": k, "dim": torsion_dim}})
-    return _result(
-        "C11", "s9", failures,
-        "flag-variety dimensions 6/12/18, degree 4 is Z2^2 + Z/2, and all torsion through degree 64 is Z/2",
-    )
+    return failures, "flag-variety dimensions 6/12/18, degree 4 is Z2^2 + Z/2, and all torsion through degree 64 is Z/2"
 
 
 # ---------------------------------------------------------------------------
 # the runner
 
-
-_CHECKS: tuple[tuple[str, Callable[[VerifyOptions], CheckResult]], ...] = (
-    ("s2", check_mod2_rings),
-    ("s3", check_pairing_fixtures),
-    ("s3", check_torsion_ladder),
-    ("s3", check_twist_remark),
-    ("s4", check_z4_table),
-    ("s4", check_les_identity),
-    ("s5", check_tower_pattern),
-    ("s5", check_limits),
-    ("s5", check_factorization_squares),
-    ("s6", check_oracle_equivalence),
-    ("s7", check_decomposition_fixtures),
-    ("s7", check_boundary),
-    ("s7", check_norm_quadrics),
-    ("s7", check_neighbors),
-    ("s7", check_assembly_tables),
-    ("s7", check_coefficient_change),
-    ("s8", check_presentations),
-    ("s9", check_flag_variety),
-)
 
 SCOPES = ("all",) + tuple(sorted({scope for scope, _ in _CHECKS}))
 
@@ -491,8 +471,4 @@ def run_checks(scope: str = "all", opts: Optional[VerifyOptions] = None) -> list
         opts = VerifyOptions()
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose one of {', '.join(SCOPES)}")
-    results = []
-    for check_scope, fn in _CHECKS:
-        if scope in ("all", check_scope):
-            results.append(fn(opts))
-    return results
+    return [fn(opts) for check_scope, fn in _CHECKS if scope in ("all", check_scope)]

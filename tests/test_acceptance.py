@@ -8,6 +8,8 @@ whole suite is also reachable as `etale-quadrics verify --scope all`.
 import subprocess
 import sys
 
+import pytest
+
 from etale_quadrics import verify
 from etale_quadrics.verify import VerifyOptions
 
@@ -18,6 +20,32 @@ def _verdict(name, result):
     line = f"{'PASS' if result.passed else 'FAIL'} {name}: {result.detail}"
     print(line)
     assert result.passed, f"{name} failed: {result.diff}"
+
+
+@pytest.mark.parametrize("check", [fn for _, fn in verify._CHECKS], ids=lambda fn: fn.__name__)
+def test_registered_check(check):
+    """Every check of the registry, each printing its own id's line."""
+    result = check(OPTS)
+    _verdict(result.check_id, result)
+
+
+def test_registry_declares_each_check_once():
+    """The registry holds the check_* functions in definition order, the
+    order in which the benchmark harness calls them from vars(verify); the
+    ids are unique, each result carries its registered scope, and the
+    scopes s2..s9, run one by one and joined, are the whole report."""
+    assert [fn.__name__ for _, fn in verify._CHECKS] == [
+        name for name, fn in vars(verify).items() if name.startswith("check_") and callable(fn)
+    ]
+    opts = VerifyOptions(dmax=16, nmax=3)
+    registered = [(scope, fn(opts)) for scope, fn in verify._CHECKS]
+    assert len({r.check_id for _, r in registered}) == len(registered) == 18
+    assert all(r.scope == scope for scope, r in registered)
+    assert verify.SCOPES == ("all", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9")
+    by_scope = [verify.run_checks(scope, opts) for scope in verify.SCOPES[1:]]
+    for scope, results in zip(verify.SCOPES[1:], by_scope):
+        assert results == [r for s, r in registered if s == scope]
+    assert [r for results in by_scope for r in results] == verify.run_checks("all", opts)
 
 
 def test_criterion_01_mod2_ring_and_cycle_image():

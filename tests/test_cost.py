@@ -38,7 +38,7 @@ import etale_quadrics
 from etale_quadrics import abelian, cli, presentations, quadrics, rost, tower
 from etale_quadrics.presentations import builtin_presentation, graded_ranks, monomial_table
 from etale_quadrics.quadrics import (
-    claim_norm_quadric,
+    claim_neighbor,
     decompose_motive,
     iter_cohomology,
     nonalgebraic_report,
@@ -214,11 +214,11 @@ def test_boundary_predicates_build_no_report(monkeypatch, d):
 
 
 def test_norm_quadric_claim_cost_is_linear_in_d():
-    """claim_norm_quadric(n) reads the non-algebraic report of
+    """claim_neighbor("norm", n) reads the non-algebraic report of
     d = 2^n - 1 and the free flags of each block's Rost table, both O(d),
     not the Θ(d²) assembled table."""
-    ratio = profile_events(cold(claim_norm_quadric), 10) / profile_events(cold(claim_norm_quadric), 9)
-    assert ratio <= MAX_RATIO, f"claim_norm_quadric(n) grows x{ratio:.2f} from n = 9 to 10"
+    ratio = profile_events(cold(claim_neighbor), "norm", 10) / profile_events(cold(claim_neighbor), "norm", 9)
+    assert ratio <= MAX_RATIO, f'claim_neighbor("norm", n) grows x{ratio:.2f} from n = 9 to 10'
 
 
 def test_decompose_motive_cost_is_linear_in_the_bits_of_d():

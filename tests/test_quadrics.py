@@ -19,7 +19,6 @@ from etale_quadrics.quadrics import (
     assemble_cohomology,
     boundary_predicates,
     claim_neighbor,
-    claim_norm_quadric,
     decompose_motive,
     nonalgebraic_report,
     parse_coefficients,
@@ -183,6 +182,9 @@ INDEX_ENTRY_POINTS = {  # every integer parameter the library checks: (call, low
     "graded_ranks max_degree": (lambda k: graded_ranks(builtin_presentation("Q3"), k), 0, ValueError),
     "generator degree": (lambda k: presentation("Z2", (("h", k),)), 1, ValueError),
     "norm presentation index": (lambda n: builtin_presentation("norm", n), 2, UnknownFamily),
+    "claim minimal": (lambda n: claim_neighbor("minimal", n), 3, ValueError),
+    "claim maximal": (lambda n: claim_neighbor("maximal", n), 3, ValueError),
+    "claim norm": (lambda n: claim_neighbor("norm", n), 3, ValueError),
 }
 
 
@@ -555,7 +557,7 @@ def test_claims(monkeypatch):
     assert claim_neighbor("minimal", 3) == []
     assert claim_neighbor("maximal", 3) == []
     for n in (3, 4, 5):
-        assert claim_norm_quadric(n) == []
+        assert claim_neighbor("norm", n) == []
     with pytest.raises(ValueError):
         claim_neighbor("median", 3)
     # against an empty report every claimed degree comes back as missing
@@ -564,9 +566,18 @@ def test_claims(monkeypatch):
         {"claim": "minimal neighbor n=3 (d=7)", "missing_degrees": [4]}
     ]
     assert claim_neighbor("maximal", 3)[0]["missing_degrees"] == [4, 8, 12, 16]
-    assert claim_norm_quadric(4) == [
+    assert claim_neighbor("norm", 4) == [
         {"claim": "norm quadric n=4 (d=15)", "missing_degrees": [4, 8, 12, 16, 20]}
     ]
+
+
+def test_norm_quadric_is_the_minimal_neighbor(monkeypatch):
+    """The norm quadric of index n is the minimal neighbor, d = 2^n - 1, so
+    under an emptied report both claims list the same missing degrees."""
+    monkeypatch.setattr(quadrics, "nonalgebraic_report", lambda d: NonAlgebraicReport(d, ()))
+    for n in range(3, 11):
+        norm, minimal = claim_neighbor("norm", n), claim_neighbor("minimal", n)
+        assert norm[0]["missing_degrees"] == minimal[0]["missing_degrees"] == list(range(4, 2 ** (n + 1) - 11, 4))
 
 
 def test_norm_quadric_free_classes_are_read_per_block(monkeypatch):
@@ -579,7 +590,7 @@ def test_norm_quadric_free_classes_are_read_per_block(monkeypatch):
         d = 2**n - 1
         free = [e.degree for e in assemble_cohomology(d).entries if e.order == 0 and not e.algebraic]
         assert len(free) == 2 * (2 ** (n - 1))  # 1 and pi in each of the 2^(n-1) terms M_n, M_(n-1)*T^j
-        assert claim_norm_quadric(n)[-1] == {"claim": f"norm quadric n={n} (d={d})", "nonalgebraic_free_degrees": free}
+        assert claim_neighbor("norm", n)[-1] == {"claim": f"norm quadric n={n} (d={d})", "nonalgebraic_free_degrees": free}
 
 
 def test_norm_quadric_claim_builds_no_rost_table(monkeypatch):
@@ -593,5 +604,5 @@ def test_norm_quadric_claim_builds_no_rost_table(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(rost, "rost_etale_table", counted)
-    assert claim_norm_quadric(10) == []
+    assert claim_neighbor("norm", 10) == []
     assert not calls, calls

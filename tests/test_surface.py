@@ -25,10 +25,19 @@ def public_definitions(tree):
                         yield sub.name, sub.lineno, node.name
 
 
+def registered(node):
+    """Whether a def is decorated by verify's check registry, `@_check(...)`."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check" for d in node.decorator_list
+    )
+
+
 def test_every_public_name_is_used_in_the_package():
     """A method or property counts as used only where package code reads it
     as an attribute (`.name`); a function or class also where code names or
-    imports it.  Words in docstrings and comments do not count."""
+    imports it, or registers it: a def decorated by verify's check registry
+    is used by `run_checks`, which reads the registry.  Words in docstrings
+    and comments do not count."""
     attributes, names = set(), set()
     for tree in trees().values():
         for node in ast.walk(tree):
@@ -38,6 +47,8 @@ def test_every_public_name_is_used_in_the_package():
                 names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
+            elif registered(node):
+                names.add(node.name)
     unused = []
     for path, tree in trees().items():
         for name, line, owner in public_definitions(tree):
