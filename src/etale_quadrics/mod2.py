@@ -7,27 +7,19 @@ truncated by rho^(2^(n+1) - 1) = 0.  The Bockstein acts as a derivation
 with bockstein(tau) = rho and bockstein(rho) = 0; a monomial is handled
 as its exponent pair (a, b) = (p, q - p).
 
-Also here: the degrees hit by the mod-2 cycle map and the mod-2 etale
-table (a truncated polynomial ring on rho) as a Graded2Group flagged by
-that image; its unflagged degrees are the non-algebraic complement.
+Also here: the mod-2 etale table (a truncated polynomial ring on rho),
+flagged off rost's 2-adic table, and the mod-2 cycle image, which only the
+tower route's oracle reads.  The index rule and top degree live in rost.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import InvalidIndex, require_int
+from . import rost
+from .errors import require_int
 from .graded import Graded2Group, GradedSummand
-
-
-def top_rho_exponent(n: int) -> int:
-    """Largest surviving power of rho for the index-n Rost motive."""
-    return 2 ** (n + 1) - 2
-
-
-def _check_index(n: int) -> None:
-    """The Rost index n >= 1: exact for every such n; table size bounds belong to the CLI."""
-    require_int(n, 1, "Rost index", InvalidIndex)
+from .rost import _check_index, top_rho_exponent
 
 
 def bockstein(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
@@ -49,7 +41,8 @@ def bockstein(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
 
 def cycle_image_mod2(n: int) -> frozenset[int]:
     """Degrees of the mod-2 cycle map image: 0 for the unit class and
-    2^(n+1) - 2^(i+1) for the Chow class c_i, 0 <= i <= n-1."""
+    2^(n+1) - 2^(i+1) for the Chow class c_i, 0 <= i <= n-1: the oracle's
+    own statement, read by tower.etale_2adic and by no printed table."""
     _check_index(n)
     return frozenset({0} | {2 ** (n + 1) - 2 ** (i + 1) for i in range(n)})
 
@@ -57,9 +50,11 @@ def cycle_image_mod2(n: int) -> frozenset[int]:
 def rost_etale_mod2(n: int) -> Graded2Group:
     """Mod-2 etale cohomology of the index-n Rost motive, a truncated
     polynomial ring on rho: one class rho^c in each degree
-    0 <= c <= 2^(n+1) - 2, flagged algebraic on the cycle image, built in
-    print order with no sort, every entry with the one source (n, 0)."""
-    algebraic, source = cycle_image_mod2(n), (n, 0)
+    0 <= c <= 2^(n+1) - 2, built in print order with no sort, every entry
+    with the one source (n, 0).  By universal coefficients rho^c is
+    algebraic exactly when the 2-adic table has an algebraic class in
+    degree c: a tensor part keeps its flag, a Tor part is not algebraic."""
+    algebraic, source = {e.degree for e in rost.rost_etale_table(n).entries if e.algebraic}, (n, 0)  # checks n
     return Graded2Group(tuple(
         GradedSummand(c, 2, "1" if c == 0 else ("rho" if c == 1 else f"rho^{c}"), c in algebraic, source)
         for c in range(top_rho_exponent(n) + 1)

@@ -8,17 +8,27 @@ hits the free part and exactly the torsion classes in the Chow torsion
 degrees 2^(n+1) - 2^(i+1), 1 <= i <= n-1.  Multiplicatively the torsion is
 the positive part of a truncated polynomial ring on rho_bar_4.
 
-Here: the Chow torsion degrees, the table as a Graded2Group with its
-algebraicity flags, and the non-algebraic quotient (the torsion degrees
-that are not Chow degrees).
+Here: the index rule and top degree; the Chow torsion degrees, read only
+by the non-algebraic quotient (the torsion degrees that are not Chow
+degrees); and the table as a Graded2Group, flagged off that quotient.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import InvalidIndex, require_int
 from .graded import Graded2Group, GradedSummand
-from .mod2 import _check_index, top_rho_exponent
+
+
+def top_rho_exponent(n: int) -> int:
+    """Largest surviving power of rho for the index-n Rost motive."""
+    return 2 ** (n + 1) - 2
+
+
+def _check_index(n: int) -> None:
+    """The Rost index n >= 1: exact for every such n; table size bounds belong to the CLI."""
+    require_int(n, 1, "Rost index", InvalidIndex)
 
 
 def chow_torsion_degrees(n: int) -> tuple[int, ...]:
@@ -45,11 +55,12 @@ def free_classes(n: int) -> tuple[GradedSummand, GradedSummand]:
 def rost_etale_table(n: int) -> Graded2Group:
     """2-adic etale cohomology of the index-n Rost motive, every entry with
     source (n, 0): the free classes 1 and pi, one Z/2 class rho_bar_d in each
-    torsion degree, each flagged algebraic when the cycle map hits it."""
+    torsion degree, flagged algebraic exactly when d is not in the
+    non-algebraic quotient."""
     free = free_classes(n)  # checks n
-    algebraic = set(chow_torsion_degrees(n))
+    nonalgebraic = set(nonalgebraic_quotient(n))
     torsion = [
-        GradedSummand(d, 2, f"rho_bar_{d}", d in algebraic, (n, 0))
+        GradedSummand(d, 2, f"rho_bar_{d}", d not in nonalgebraic, (n, 0))
         for d in torsion_degrees(n)
     ]
     return Graded2Group.from_entries([*free, *torsion])
@@ -59,6 +70,6 @@ def rost_etale_table(n: int) -> Graded2Group:
 def nonalgebraic_quotient(n: int) -> tuple[int, ...]:
     """Degrees carrying a Z/2 class not hit by the cycle map: the torsion
     degrees 4m that are not Chow torsion degrees, computed once per index
-    (the report of every Q^d reads them per block)."""
+    (the report of every Q^d reads them per block, the table per build)."""
     algebraic = set(chow_torsion_degrees(n))  # checks n
     return tuple(d for d in torsion_degrees(n) if d not in algebraic)

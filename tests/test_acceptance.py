@@ -22,10 +22,17 @@ def _verdict(name, result):
     assert result.passed, f"{name} failed: {result.diff}"
 
 
-@pytest.mark.parametrize("check", [fn for _, fn in verify._CHECKS], ids=lambda fn: fn.__name__)
-def test_registered_check(check):
+@pytest.fixture(scope="module")
+def report():
+    """run_checks("all", OPTS), run once for the module: each check's
+    result under its id, in registry order."""
+    return {r.check_id: r for r in verify.run_checks("all", OPTS)}
+
+
+@pytest.mark.parametrize("position", range(len(verify._CHECKS)), ids=[fn.__name__ for _, fn in verify._CHECKS])
+def test_registered_check(report, position):
     """Every check of the registry, each printing its own id's line."""
-    result = check(OPTS)
+    result = list(report.values())[position]
     _verdict(result.check_id, result)
 
 
@@ -48,52 +55,52 @@ def test_registry_declares_each_check_once():
     assert [r for results in by_scope for r in results] == verify.run_checks("all", opts)
 
 
-def test_criterion_01_mod2_ring_and_cycle_image():
-    _verdict("criterion-01", verify.check_mod2_rings(OPTS))
+def test_criterion_01_mod2_ring_and_cycle_image(report):
+    _verdict("criterion-01", report["C1"])
 
 
-def test_criterion_02_z4_table():
-    _verdict("criterion-02", verify.check_z4_table(OPTS))
+def test_criterion_02_z4_table(report):
+    _verdict("criterion-02", report["C2"])
 
 
-def test_criterion_03_tower_pattern():
-    _verdict("criterion-03", verify.check_tower_pattern(OPTS))
+def test_criterion_03_tower_pattern(report):
+    _verdict("criterion-03", report["C3"])
 
 
-def test_criterion_04_limit_vanishing():
-    _verdict("criterion-04", verify.check_limits(OPTS))
+def test_criterion_04_limit_vanishing(report):
+    _verdict("criterion-04", report["C4"])
 
 
-def test_criterion_05_oracle_equivalence():
-    _verdict("criterion-05", verify.check_oracle_equivalence(OPTS))
+def test_criterion_05_oracle_equivalence(report):
+    _verdict("criterion-05", report["C5"])
 
 
-def test_criterion_06_decomposition_fixtures_and_sweep():
-    _verdict("criterion-06", verify.check_decomposition_fixtures(OPTS))
+def test_criterion_06_decomposition_fixtures_and_sweep(report):
+    _verdict("criterion-06", report["C6"])
 
 
-def test_criterion_07_boundary_at_dimension_seven():
-    _verdict("criterion-07", verify.check_boundary(OPTS))
+def test_criterion_07_boundary_at_dimension_seven(report):
+    _verdict("criterion-07", report["C7"])
 
 
-def test_criterion_08_norm_quadric_inventory():
-    _verdict("criterion-08", verify.check_norm_quadrics(OPTS))
+def test_criterion_08_norm_quadric_inventory(report):
+    _verdict("criterion-08", report["C8"])
 
 
-def test_criterion_09_pfister_neighbors():
-    _verdict("criterion-09", verify.check_neighbors(OPTS))
+def test_criterion_09_pfister_neighbors(report):
+    _verdict("criterion-09", report["C9"])
 
 
-def test_criterion_10_presentations_match_assembly():
-    _verdict("criterion-10", verify.check_presentations(OPTS))
+def test_criterion_10_presentations_match_assembly(report):
+    _verdict("criterion-10", report["C10"])
 
 
-def test_criterion_11_flag_variety_dimensions():
-    _verdict("criterion-11", verify.check_flag_variety(OPTS))
+def test_criterion_11_flag_variety_dimensions(report):
+    _verdict("criterion-11", report["C11"])
 
 
-def test_criterion_13_truncated_tables_follow_universal_coefficients():
-    _verdict("criterion-13", verify.check_coefficient_change(OPTS))
+def test_criterion_13_truncated_tables_follow_universal_coefficients(report):
+    _verdict("criterion-13", report["s7.coeff"])
 
 
 def _run_verify():

@@ -44,7 +44,8 @@ COVERAGE = {
     # tower limits against the closed form, labels and flags included,
     # n <= min(--nmax, 5)
     ("cohomology", "2adic", "rost"): "C5",
-    # the mod-2 ring, one class per degree, and its cycle image, n <= --nmax
+    # the mod-2 ring, one class per degree, and its printed flags against the
+    # tower route's cycle image, n <= --nmax
     ("cohomology", "mod2", "rost"): "C1",
     # universal coefficients on the 2-adic quadric tables against the sum of
     # the tower route's mod-2^s Rost tables, d in {3, 4, 5, 6, 7, 8, 15, 31}
